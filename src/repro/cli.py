@@ -19,16 +19,15 @@ drive POLY-PROF over a binary:
 * ``serve``                   -- run the analysis daemon (HTTP API)
 * ``route``                   -- consistent-hash router over replicas
 
-Analysis commands take ``--engine {fast,reference}`` (default fast:
-block-compiled VM, batched instrumentation, fast folding backend),
-``--crosscheck`` (run the dynamic-vs-static soundness sanitizers),
-``--fold-jobs N`` (fold the stage-2 streams in N shard processes,
-bit-identical to the serial fold; see :mod:`repro.parallel`), and
-``--cache DIR`` / ``--no-cache`` (content-addressed artifact store;
-the ``REPRO_CACHE_DIR`` environment variable supplies a default
-directory).  ``report`` and ``metrics`` take ``--format {text,json}``;
-the JSON documents carry a top-level schema ``version`` field and are
-byte-identical to what the daemon serves.  ``suite`` additionally
+Analysis commands take ``--crosscheck`` (run the dynamic-vs-static
+soundness sanitizers), ``--fold-jobs N`` (fold the stage-2 streams in
+N shard processes, bit-identical to the serial fold; see
+:mod:`repro.parallel`), and ``--cache DIR`` / ``--no-cache``
+(content-addressed artifact store; the ``REPRO_CACHE_DIR`` environment
+variable supplies a default directory).  ``report`` and ``metrics``
+take ``--format {text,json}``; the JSON documents carry a top-level
+schema ``version`` field and are byte-identical to what the daemon
+serves.  ``suite`` additionally
 takes ``--jobs``, ``--timeout`` and ``--cache-max-mb`` (LRU size cap
 for the shared store).  ``serve`` takes ``--port``, ``--workers``,
 ``--queue-depth``, ``--job-timeout`` and the cache flags.
@@ -160,7 +159,7 @@ def cmd_report(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
+        spec, crosscheck=args.crosscheck,
         store=store, fold_jobs=args.fold_jobs, baseline=baseline,
     )
     _print_incremental(result)
@@ -193,7 +192,7 @@ def cmd_metrics(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
+        spec, crosscheck=args.crosscheck,
         store=store, fold_jobs=args.fold_jobs, baseline=baseline,
     )
     _print_incremental(result)
@@ -222,9 +221,7 @@ def cmd_flamegraph(args) -> int:
     from .pipeline import analyze
 
     spec = _get_spec(args.workload)
-    result = analyze(
-        spec, engine=args.engine, store=_store_from_args(args)
-    )
+    result = analyze(spec, store=_store_from_args(args))
     svg = render_flamegraph_svg(
         result.schedule_tree,
         title=f"poly-prof annotated flame graph: {spec.name}",
@@ -267,7 +264,6 @@ def cmd_trace(args) -> int:
     try:
         result = analyze(
             spec,
-            engine=args.engine,
             store=store,
             tracer=tracer,
             extra_observers=[observer],
@@ -282,7 +278,7 @@ def cmd_trace(args) -> int:
                 render_json(trace_document(result, spans=tracer.roots))
             )
         else:
-            print(f"span tree for {spec.name} ({args.engine} engine):")
+            print(f"span tree for {spec.name}:")
             print(render_span_text(tracer.roots))
         if args.output:
             doc = write_chrome_trace(
@@ -336,7 +332,7 @@ def cmd_regions(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
+        spec, crosscheck=args.crosscheck,
         store=store, fold_jobs=args.fold_jobs, baseline=baseline,
     )
     _print_incremental(result)
@@ -364,7 +360,7 @@ def cmd_verify(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
+        spec, crosscheck=args.crosscheck,
         store=store, fold_jobs=args.fold_jobs, baseline=baseline,
     )
     _print_incremental(result)
@@ -504,7 +500,6 @@ def cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         cache_dir=_cache_dir_from_args(args),
         cache_max_bytes=None if max_mb is None else max_mb * 1024 * 1024,
-        engine=args.engine,
         default_timeout=args.job_timeout,
         drain_grace=args.drain_grace,
         retain_jobs=args.retain_jobs,
@@ -523,7 +518,6 @@ def cmd_route(args) -> int:
         port=args.port,
         replicas=args.replica,
         vnodes=args.vnodes,
-        default_engine=args.engine,
         health_interval=args.health_interval,
     )
     return route(config)
@@ -539,7 +533,6 @@ def cmd_suite(args) -> int:
         names,
         jobs=args.jobs,
         timeout=args.timeout,
-        engine=args.engine,
         clamp=args.clamp,
         crosscheck=args.crosscheck,
         cache_dir=_cache_dir_from_args(args),
@@ -579,7 +572,6 @@ def cmd_sweep(args) -> int:
             result = run_sweep(
                 args.workload,
                 points,
-                engine=args.engine,
                 clamp=args.clamp,
                 crosscheck=args.crosscheck,
                 fold_jobs=args.fold_jobs,
@@ -602,16 +594,6 @@ def cmd_sweep(args) -> int:
         return 0
     print(render_sweep_text(result))
     return 0
-
-
-def _add_engine_arg(p) -> None:
-    p.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default="fast",
-        help="execution/folding path: block-compiled fast engine "
-        "(default) or the reference interpreter",
-    )
 
 
 def _add_cache_args(p) -> None:
@@ -660,7 +642,7 @@ def _add_crosscheck_arg(p) -> None:
         "--crosscheck",
         action="store_true",
         help="run the dynamic-vs-static soundness sanitizers "
-        "(recount on the other engine, dependence-shape, affine "
+        "(independent recount, dependence-shape, affine "
         "agreement, parallel-claim verification)",
     )
 
@@ -681,7 +663,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("workload")
-        _add_engine_arg(p)
         _add_crosscheck_arg(p)
         _add_fold_jobs_arg(p)
         _add_cache_args(p)
@@ -720,7 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("flamegraph", help="write annotated flame-graph SVG")
     p.add_argument("workload")
     p.add_argument("-o", "--output", default=None)
-    _add_engine_arg(p)
     _add_cache_args(p)
     p = sub.add_parser(
         "trace", help="trace the analyzer analyzing a workload"
@@ -755,7 +735,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stdout format: indented span tree (text) or the "
         "versioned trace document (json)",
     )
-    _add_engine_arg(p)
     _add_fold_jobs_arg(p)
     _add_cache_args(p)
     _add_baseline_arg(p)
@@ -809,7 +788,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="per-stream folding point clamp",
     )
-    _add_engine_arg(p)
     _add_crosscheck_arg(p)
     _add_fold_jobs_arg(p)
     _add_cache_args(p)
@@ -862,7 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format; the json sweep document matches the "
         "analysis service byte-for-byte",
     )
-    _add_engine_arg(p)
     _add_crosscheck_arg(p)
     _add_fold_jobs_arg(p)
     _add_cache_args(p)
@@ -946,7 +923,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="identity reported in /healthz and /metrics when this "
         "daemon is one replica behind `repro route`",
     )
-    _add_engine_arg(p)
     _add_cache_args(p)
     p.add_argument(
         "--cache-max-mb",
@@ -990,7 +966,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="SECONDS",
         help="seconds between replica health probes",
     )
-    _add_engine_arg(p)
 
     args = parser.parse_args(argv)
     handler = {

@@ -37,7 +37,7 @@ identical to an unchecked one (tests/integration asserts this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ddg.graph import DDGSink, DepKey, Statement, StmtKey
 from ..isa.instructions import Instr
@@ -74,6 +74,10 @@ class CheckOptions:
     affine_static: bool = True
     parallel_claims: bool = True
     fuel: int = 50_000_000
+    #: passive observers riding along the recount execution (the
+    #: service's deadline/cancel observer, so a recount cannot outlive
+    #: its job's deadline)
+    extra_observers: Sequence = ()
 
 
 @dataclass
@@ -197,6 +201,7 @@ def _check_recount(result, opts: CheckOptions, report: CrosscheckReport) -> None
         build_schedule_tree=False,
         fuel=opts.fuel,
         engine=engine,
+        extra_observers=opts.extra_observers,
     )
     folded = result.folded
 

@@ -94,7 +94,6 @@ def plan_incremental(
     store,
     tracer,
     *,
-    engine: str,
     fuel: int,
     max_pieces: int,
     clamp: Optional[int],
@@ -119,7 +118,6 @@ def plan_incremental(
     base_keys = derive_keys(
         baseline,
         keys.state_digest,
-        engine=engine,
         fuel=fuel,
         max_pieces=max_pieces,
         clamp=clamp,

@@ -127,17 +127,6 @@ class ShardRouter(DDGSink):
         self.stmt_order.append(key)
         self._push(shard, ("S", stmt), 0)
 
-    def instr_point(self, key, coords, label) -> None:
-        self._push(self.stmt_shard[key], ("P", key, coords, label), 1)
-
-    def dep_point(self, dep, dst_coords, src_coords) -> None:
-        shard = self.dep_shard.get(dep)
-        if shard is None:
-            shard = self._dep_route(dep, self.nshards)
-            self.dep_shard[dep] = shard
-            self.dep_order.append(dep)
-        self._push(shard, ("Q", dep, dst_coords, src_coords), 1)
-
     def instr_points(self, coords, items) -> None:
         gkey = tuple(k for k, _ in items)
         plan = self._gkey_plans.get(gkey)
@@ -184,8 +173,6 @@ def apply_chunk(sink: DDGSink, chunk: Sequence[tuple]) -> int:
     declare = sink.declare_statement
     instr_points = sink.instr_points
     dep_points = sink.dep_points
-    instr_point = sink.instr_point
-    dep_point = sink.dep_point
     for event in chunk:
         tag = event[0]
         if tag == "I":
@@ -198,14 +185,6 @@ def apply_chunk(sink: DDGSink, chunk: Sequence[tuple]) -> int:
             points += len(items)
         elif tag == "S":
             declare(event[1])
-        elif tag == "P":
-            _, key, coords, label = event
-            instr_point(key, coords, label)
-            points += 1
-        elif tag == "Q":
-            _, dep, dst_coords, src_coords = event
-            dep_point(dep, dst_coords, src_coords)
-            points += 1
         else:  # pragma: no cover - protocol guard
             raise ValueError(f"unknown shard event tag {tag!r}")
     return points

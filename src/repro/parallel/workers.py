@@ -4,10 +4,10 @@ One process per shard, fed routed event chunks over a pipe *while the
 instrumented execution is still running* -- folding (76-94% of stage-2
 wall on the bench set) overlaps with event production instead of
 trailing it, which is what makes the speedup exceed the fold fraction
-alone.  Each worker owns a private folding sink (fast or reference,
-matching the engine), folds its streams to a per-shard
-:class:`~repro.folding.folder.FoldedDDG`, and ships it back; the
-manager merges in recorded serial order (:func:`~.shard.merge_shards`).
+alone.  Each worker owns a private fast folding sink, folds its
+streams to a per-shard :class:`~repro.folding.folder.FoldedDDG`, and
+ships it back; the manager merges in recorded serial order
+(:func:`~.shard.merge_shards`).
 
 Workers report ``perf_counter`` timestamps; on Linux that clock is
 ``CLOCK_MONOTONIC``, shared across processes, so the manager can
@@ -37,13 +37,12 @@ class ParallelFoldError(RuntimeError):
     """A fold worker died or reported an exception."""
 
 
-def _shard_worker(conn, shard_id: int, engine: str, max_pieces: int,
+def _shard_worker(conn, shard_id: int, max_pieces: int,
                   clamp: Optional[int]) -> None:
     """Process body: fold one shard's event stream to a FoldedDDG."""
-    from ..folding import FastFoldingSink, FoldingSink
+    from ..folding import FastFoldingSink
 
-    sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
-    sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
+    sink = FastFoldingSink(max_pieces=max_pieces, clamp=clamp)
     t0 = time.perf_counter()
     busy = 0.0
     chunks = 0
@@ -94,7 +93,7 @@ class ParallelFoldManager:
     Usage (what ``pipeline.analyze`` does on a stage-2 cache miss with
     ``fold_jobs > 1``)::
 
-        manager = ParallelFoldManager(jobs, engine=engine, ...)
+        manager = ParallelFoldManager(jobs, ...)
         try:
             profile_ddg(spec, control, sink=manager.router, ...)
             folded = manager.finalize()
@@ -110,7 +109,6 @@ class ParallelFoldManager:
     def __init__(
         self,
         jobs: int,
-        engine: str = "fast",
         max_pieces: int = 6,
         clamp: Optional[int] = None,
         flush_points: int = DEFAULT_FLUSH_POINTS,
@@ -120,7 +118,6 @@ class ParallelFoldManager:
     ) -> None:
         jobs = max(1, min(int(jobs), MAX_FOLD_JOBS))
         self.jobs = jobs
-        self.engine = engine
         ctx = mp_context if mp_context is not None else multiprocessing.get_context()
         self._conns = []
         self._procs = []
@@ -132,7 +129,7 @@ class ParallelFoldManager:
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child, shard, engine, max_pieces, clamp),
+                    args=(child, shard, max_pieces, clamp),
                     name=f"repro-fold-{shard}",
                     daemon=True,
                 )
@@ -232,7 +229,6 @@ class ParallelFoldManager:
                 tid=f"fold-shard-{stat['shard']}",
                 args={
                     "shard": stat["shard"],
-                    "engine": self.engine,
                     "busy_seconds": round(stat["busy_seconds"], 6),
                 },
             )

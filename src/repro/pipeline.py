@@ -260,7 +260,8 @@ class AnalysisResult:
     forest: "NestForest"
     plans: List["NestPlan"] = field(default_factory=list)
     #: pipeline settings, recorded so the cross-checker can reproduce
-    #: the run (on the opposite engine)
+    #: the run (on the opposite engine); ``"fast"`` on every production
+    #: path -- only :func:`analyze` itself selects the reference engine
     engine: str = "fast"
     track_anti_output: bool = True
     #: soundness report when the run was crosschecked (``--crosscheck``)
@@ -312,31 +313,38 @@ def analyze(
     over-approximations.
 
     ``engine`` selects the execution/folding path: ``"fast"`` (block
-    compilation, batched instrumentation, fast folding backend) or
-    ``"reference"`` (the original per-instruction interpreter and
-    folder).  Both produce identical results for completed runs.
+    compilation, batched instrumentation, fast folding backend; the
+    one production engine) or ``"reference"`` (the original
+    per-instruction interpreter and folder: the executable
+    specification the fast engine must reproduce bit for bit).  This
+    is the only place an engine is chosen; every layer above runs the
+    fast engine.  The reference engine is serial and uncached:
+    combining it with ``store``, ``baseline`` or ``fold_jobs > 1``
+    raises :class:`ValueError`.
 
     ``crosscheck`` additionally runs the dynamic-vs-static soundness
     sanitizers (:mod:`repro.dataflow.crosscheck`) over the finished
     result -- including an independent recount of the dependence
-    streams on the *other* engine -- and attaches the report.  The
-    analysis artifacts themselves are unaffected.
+    streams on the *other* engine, watched by ``extra_observers`` like
+    the profiled executions -- and attaches the report.  The analysis
+    artifacts themselves are unaffected.
 
     ``store`` enables content-addressed caching (:mod:`repro.store`):
-    the workload and the options above are fingerprinted, and a warm
-    stage-2 hit skips both profiled executions *and* folding entirely,
-    leaving only the cheap feedback passes.  A stage-2 miss with a
-    stage-1 hit still skips Instrumentation I.  Cached and fresh runs
+    the workload and the fuel/folding options are fingerprinted, and a
+    warm stage-2 hit skips both profiled executions *and* folding
+    entirely, leaving only the cheap feedback passes.  A stage-2 miss
+    with a stage-1 hit still skips Instrumentation I.  Cached and fresh runs
     produce identical results; cache state only shows up in
     ``result.timings``.
 
     ``extra_observers`` attach additional passive
     :class:`~repro.isa.events.Instrumentation` observers to both
-    profiled executions -- the analysis service uses this to enforce
-    cooperative per-job deadlines/cancellation from worker threads
-    (where ``SIGALRM`` is unavailable).  They are deliberately *not*
-    part of the cache key: an observer must never change what is
-    computed, only watch it (or abort it by raising).
+    profiled executions and the crosscheck recount -- the analysis
+    service uses this to enforce cooperative per-job
+    deadlines/cancellation from worker threads (where ``SIGALRM`` is
+    unavailable).  They are deliberately *not* part of the cache key:
+    an observer must never change what is computed, only watch it (or
+    abort it by raising).
 
     ``fold_jobs`` folds the stage-2 point streams in that many worker
     processes (:mod:`repro.parallel`): the event stream is sharded by
@@ -375,6 +383,13 @@ def analyze(
         from .obs.context import new_trace_context
 
         tracer = Tracer(context=new_trace_context())
+    if engine != "fast" and (
+        store is not None or baseline is not None or fold_jobs > 1
+    ):
+        raise ValueError(
+            "only the fast engine runs with store, baseline or "
+            "fold_jobs > 1 (the reference engine is serial and uncached)"
+        )
     if baseline is not None and store is None:
         raise ValueError("analyze(baseline=...) requires an artifact store")
     keys = None
@@ -389,7 +404,6 @@ def analyze(
 
         keys = keys_for_spec(
             spec,
-            engine=engine,
             fuel=fuel,
             max_pieces=max_pieces,
             clamp=clamp,
@@ -418,7 +432,6 @@ def analyze(
                 baseline,
                 store,
                 tracer,
-                engine=engine,
                 fuel=fuel,
                 max_pieces=max_pieces,
                 clamp=clamp,
@@ -472,10 +485,7 @@ def analyze(
                     from .parallel import ParallelFoldManager
 
                     manager = ParallelFoldManager(
-                        fold_jobs,
-                        engine=engine,
-                        max_pieces=max_pieces,
-                        clamp=clamp,
+                        fold_jobs, max_pieces=max_pieces, clamp=clamp
                     )
                     try:
                         ddgp = profile_ddg(
@@ -485,7 +495,6 @@ def analyze(
                             track_anti_output=track_anti_output,
                             build_schedule_tree=build_schedule_tree,
                             fuel=fuel,
-                            engine=engine,
                             extra_observers=extra_observers,
                             tracer=tracer,
                             emit_funcs=emit_funcs,
@@ -636,6 +645,7 @@ def analyze(
 
         with tracer.span("crosscheck", cat="stage"):
             result.crosscheck = run_crosscheck(
-                result, CheckOptions(fuel=fuel)
+                result,
+                CheckOptions(fuel=fuel, extra_observers=extra_observers),
             )
     return result

@@ -1,7 +1,6 @@
 """Parallel suite runner: analyze many workloads with bounded time.
 
-The paper profiles the whole Rodinia suite; doing that serially with
-the reference interpreter takes minutes.  :func:`run_suite` fans the
+The paper profiles the whole Rodinia suite.  :func:`run_suite` fans the
 per-workload :func:`~repro.pipeline.analyze` calls out over a process
 pool (profiling is CPU-bound pure Python, so threads would not help),
 with a per-workload wall-clock timeout and graceful degradation: a
@@ -49,7 +48,6 @@ class WorkloadResult:
     #: workload could finish; such runs render as ``stopped``
     interrupted: bool = False
     wall_seconds: float = 0.0
-    engine: str = "fast"
     #: per-stage split of ``wall_seconds`` (Instrumentation I;
     #: Instrumentation II + folding; feedback/scheduling) -- cache-aware:
     #: on a warm hit the profiling stages collapse to artifact decode
@@ -164,7 +162,6 @@ def task_name(task: SuiteTask) -> str:
 
 def _analyze_task(
     task: SuiteTask,
-    engine: str,
     fuel: int,
     clamp: Optional[int],
     timeout: Optional[float],
@@ -208,7 +205,7 @@ def _analyze_task(
                 from .pipeline import analyze
 
                 result = analyze(
-                    spec, engine=engine, fuel=fuel, clamp=clamp,
+                    spec, fuel=fuel, clamp=clamp,
                     crosscheck=crosscheck, store=store, tracer=tracer,
                     fold_jobs=fold_jobs,
                 )
@@ -225,7 +222,6 @@ def _analyze_task(
             name=name,
             ok=True,
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
             t_instr1=result.timings.instr1,
             t_instr2_fold=result.timings.instr2_fold,
             t_feedback=result.timings.feedback,
@@ -249,7 +245,6 @@ def _analyze_task(
             timed_out=True,
             error=f"timed out after {timeout:g}s",
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
         )
     except KeyboardInterrupt:
         # the user wants the *suite* to stop, not an error record for
@@ -263,7 +258,6 @@ def _analyze_task(
                 traceback.format_exception_only(type(exc), exc)
             ).strip(),
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
         )
 
 
@@ -271,7 +265,6 @@ def run_suite(
     tasks: Sequence[SuiteTask],
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    engine: str = "fast",
     fuel: int = 50_000_000,
     clamp: Optional[int] = None,
     with_report: bool = False,
@@ -314,13 +307,13 @@ def run_suite(
             for t in tasks:
                 results_inline.append(
                     _analyze_task(
-                        t, engine, fuel, clamp, timeout, with_report,
+                        t, fuel, clamp, timeout, with_report,
                         crosscheck, cache_dir, cache_max_bytes, fold_jobs,
                         trace,
                     )
                 )
         except KeyboardInterrupt:
-            _mark_interrupted(results_inline, tasks, engine)
+            _mark_interrupted(results_inline, tasks)
         return results_inline
 
     from concurrent.futures import ProcessPoolExecutor
@@ -332,7 +325,7 @@ def run_suite(
     try:
         futures = [
             pool.submit(
-                _analyze_task, t, engine, fuel, clamp, timeout,
+                _analyze_task, t, fuel, clamp, timeout,
                 with_report, crosscheck, cache_dir, cache_max_bytes,
                 fold_jobs, trace,
             )
@@ -348,7 +341,6 @@ def run_suite(
                     name=task_name(tasks[i]),
                     ok=False,
                     error=f"worker failed: {exc!r}",
-                    engine=engine,
                 )
     except KeyboardInterrupt:
         # cancel everything still queued; don't wait for in-flight
@@ -362,7 +354,7 @@ def run_suite(
                     results[i] = None
         for i, r in enumerate(results):
             if r is None:
-                results[i] = _interrupted_record(tasks[i], engine)
+                results[i] = _interrupted_record(tasks[i])
     finally:
         try:
             pool.shutdown(wait=not interrupted, cancel_futures=interrupted)
@@ -371,25 +363,22 @@ def run_suite(
     return results  # type: ignore[return-value]
 
 
-def _interrupted_record(task: SuiteTask, engine: str) -> WorkloadResult:
+def _interrupted_record(task: SuiteTask) -> WorkloadResult:
     return WorkloadResult(
         name=task_name(task),
         ok=False,
         interrupted=True,
         error="interrupted (SIGINT) before completion",
-        engine=engine,
     )
 
 
 def _mark_interrupted(
-    results: List[WorkloadResult],
-    tasks: Sequence[SuiteTask],
-    engine: str,
+    results: List[WorkloadResult], tasks: Sequence[SuiteTask]
 ) -> None:
     """Pad ``results`` with one ``interrupted`` record per unfinished
     task (in task order)."""
     for t in tasks[len(results):]:
-        results.append(_interrupted_record(t, engine))
+        results.append(_interrupted_record(t))
 
 
 def _shard_spread(t_shards: Optional[List[float]]) -> str:

@@ -64,7 +64,6 @@ from .metrics import MetricsRegistry
 from .queue import BoundedJobQueue, QueueFull
 from .submission import (
     BadRequest,
-    ENGINES,
     build_options,
     build_spec,
     child_body,
@@ -121,7 +120,6 @@ class ServiceConfig:
     queue_depth: int = 16
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    engine: str = "fast"
     #: default per-job execution timeout (seconds); None = unbounded
     default_timeout: Optional[float] = None
     retain_jobs: int = 256
@@ -144,8 +142,6 @@ class AnalysisService:
     def __init__(self, config: ServiceConfig) -> None:
         if config.workers < 1:
             raise ValueError("need at least one worker")
-        if config.engine not in ENGINES:
-            raise ValueError(f"unknown engine {config.engine!r}")
         if config.max_fold_jobs is not None and config.max_fold_jobs < 1:
             raise ValueError("max_fold_jobs must be >= 1")
         if config.execution not in EXECUTION_MODES:
@@ -511,7 +507,6 @@ class AnalysisService:
     def _build_options(self, body: dict):
         return build_options(
             body,
-            default_engine=self.config.engine,
             default_timeout=self.config.default_timeout,
             fold_jobs_cap=self.fold_jobs_cap,
             has_store=self.store is not None,
@@ -673,7 +668,6 @@ class AnalysisService:
                 "job_start",
                 job_id=job.id,
                 workload=job.workload,
-                engine=job.options.engine,
                 trace_id=job.trace_id,
             )
             started_before = job.started_at

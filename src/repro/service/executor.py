@@ -11,8 +11,9 @@ Timeouts and cancellation are **cooperative**: worker threads cannot
 use the suite runner's ``SIGALRM`` deadline (signals only fire on the
 main thread), so a passive :class:`DeadlineObserver` rides along both
 profiled executions via ``analyze(extra_observers=...)`` and aborts
-the run by raising.  The check costs one comparison per executed basic
-block (fast engine) or one per 4096 instructions (reference engine) --
+the run by raising -- through the crosscheck recount too.  The check
+costs one comparison per executed basic block, or one per 4096
+instructions during the recount, which runs on the reference engine --
 noise against instrumentation itself.  A warm cache hit never executes
 and therefore never times out, which is the desired behavior: the
 answer is already there.
@@ -42,7 +43,8 @@ class JobCancelled(Exception):
     """The job's cancel flag was raised mid-execution."""
 
 
-#: reference-engine instruction granularity of deadline checks
+#: instruction granularity of deadline checks on the reference engine
+#: (the crosscheck recount)
 CHECK_EVERY = 4096
 
 #: minimum seconds between progress heartbeats written to job state
@@ -155,7 +157,6 @@ def run_analysis(
     try:
         result = analyze(
             spec,
-            engine=options.engine,
             fuel=options.fuel,
             clamp=options.clamp,
             crosscheck=options.crosscheck,
@@ -276,7 +277,6 @@ def run_sweep_analysis(
             result = run_sweep(
                 workload,
                 points,
-                engine=options.engine,
                 fuel=options.fuel,
                 clamp=options.clamp,
                 crosscheck=options.crosscheck,

@@ -13,10 +13,12 @@ with the same key are *the same work* by construction -- whichever
 arrives second (while the first is queued, running, or completed and
 retained) gets the first one's job id instead of a new execution.
 
-Retention is a simple FIFO cap over *terminal* jobs: the registry
-remembers at most ``retain`` finished jobs; evicting one also drops its
-dedup index entry, so a re-submission after eviction simply runs again
-(and, with a store attached, hits the artifact cache).
+Retention is a least-recently-submitted cap over *terminal* jobs: the
+registry remembers at most ``retain`` finished jobs, and a submission
+that coalesces onto a job refreshes it, so the job a client was just
+handed is evicted last.  Evicting a job also drops its dedup index
+entry, so a re-submission after eviction simply runs again (and, with
+a store attached, hits the artifact cache).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class JobState:
 class JobOptions:
     """The pipeline/feedback options one submission carries."""
 
-    engine: str = "fast"
     crosscheck: bool = False
     clamp: Optional[int] = None
     fuel: int = 50_000_000
@@ -58,7 +59,6 @@ class JobOptions:
 
     def as_dict(self) -> dict:
         return {
-            "engine": self.engine,
             "crosscheck": self.crosscheck,
             "clamp": self.clamp,
             "fuel": self.fuel,
@@ -87,7 +87,6 @@ def derive_job_key(spec, options: JobOptions) -> str:
 
     keys = keys_for_spec(
         spec,
-        engine=options.engine,
         fuel=options.fuel,
         max_pieces=6,
         clamp=options.clamp,
@@ -289,6 +288,8 @@ class JobRegistry:
             if existing is not None and (
                 not existing.terminal or existing.state == JobState.DONE
             ):
+                # the client now holds this id: retain it the longest
+                self._by_id.move_to_end(existing.id)
                 return existing, True
             self._seq += 1
             job_id = f"j{self._seq:06d}-{key[:8]}"
@@ -313,7 +314,8 @@ class JobRegistry:
         return out
 
     def _evict_locked(self) -> None:
-        """Drop oldest *terminal* jobs beyond the retention cap."""
+        """Drop least recently submitted *terminal* jobs beyond the
+        retention cap."""
         excess = len(self._by_id) - self.retain
         if excess <= 0:
             return

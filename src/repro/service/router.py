@@ -122,10 +122,6 @@ class RouterConfig:
     replicas: List[str] = field(default_factory=list)
     #: virtual points per replica on the hash ring
     vnodes: int = 64
-    #: engine assumed when a submission names none -- must match the
-    #: replicas' configured default or keys diverge between router
-    #: and daemon
-    default_engine: str = "fast"
     #: seconds between background replica health polls
     health_interval: float = 1.0
     #: socket timeout for forwarded requests (covers slow warm gets;
@@ -310,7 +306,7 @@ class AnalysisRouter:
         router records its own ``route.forward`` span under it, so the
         stitched trace shows the routing hop between the client and
         the executing replica."""
-        key = routing_key(body, default_engine=self.config.default_engine)
+        key = routing_key(body)
         if trace_ctx is None:
             trace_ctx = new_trace_context()
         candidates = self.submit_candidates(key)

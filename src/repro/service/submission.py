@@ -16,8 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .jobs import JobOptions, derive_job_key, derive_sweep_key
 
-ENGINES = ("fast", "reference")
-
 
 class BadRequest(Exception):
     """Client error: malformed submission (HTTP 400)."""
@@ -72,7 +70,6 @@ def build_spec(body: dict) -> Tuple[object, str, bool]:
 
 def build_options(
     body: dict,
-    default_engine: str = "fast",
     default_timeout: Optional[float] = None,
     fold_jobs_cap: Optional[int] = None,
     has_store: bool = True,
@@ -84,9 +81,11 @@ def build_options(
     parallelism.  ``has_store=False`` rejects ``baseline_fingerprint``
     the way a store-less daemon must.
     """
-    engine = body.get("engine", default_engine)
-    if engine not in ENGINES:
-        raise BadRequest(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if body.get("engine", "fast") != "fast":
+        raise BadRequest(
+            "the reference engine is no longer served; omit 'engine' "
+            "or send \"fast\""
+        )
     timeout = body.get("timeout", default_timeout)
     if timeout is not None:
         timeout = float(timeout)
@@ -117,7 +116,6 @@ def build_options(
                 "with an artifact store (cache_dir)"
             )
     return JobOptions(
-        engine=engine,
         crosscheck=bool(body.get("crosscheck", False)),
         clamp=None if clamp is None else int(clamp),
         fuel=int(body.get("fuel", 50_000_000)),
@@ -173,14 +171,14 @@ def child_body(body: dict, point: Dict[str, int]) -> dict:
     return child
 
 
-def routing_key(body: dict, default_engine: str = "fast") -> str:
+def routing_key(body: dict) -> str:
     """The content key one submission body routes by.
 
-    Identical to the daemon-side dedup key for the same body and
-    engine default -- options that the daemon would clamp or reject
-    per-config (``fold_jobs``, ``baseline``) deliberately do not move
-    the key, so a request clamped differently by two replicas still
-    routes consistently.  A ``sweep`` submission routes by its parent
+    Identical to the daemon-side dedup key for the same body --
+    options that the daemon would clamp or reject per-config
+    (``fold_jobs``, ``baseline``) deliberately do not move the key, so
+    a request clamped differently by two replicas still routes
+    consistently.  A ``sweep`` submission routes by its parent
     key (derived from the sorted child keys), so a whole sweep -- the
     parent and every child it fans out -- lands on one replica and
     shares one store.  Raises :class:`BadRequest` for bodies no
@@ -191,7 +189,6 @@ def routing_key(body: dict, default_engine: str = "fast") -> str:
         raise BadRequest("request body must be a JSON object")
     options = build_options(
         body,
-        default_engine=default_engine,
         # key-neutral knobs: clamp to 1 / allow baseline so a router
         # without a store never rejects what a replica would accept
         fold_jobs_cap=1,

@@ -3,7 +3,7 @@
 Two cache levels mirror the pipeline's stage structure:
 
 * the **stage-1 key** covers everything Instrumentation I depends on:
-  the program IR, the initial state, the engine, and the fuel budget;
+  the program IR, the initial state, and the fuel budget;
 * the **stage-2 key** extends it with the Instrumentation-II/folding
   options (``track_anti_output``, ``build_schedule_tree``,
   ``max_pieces``, ``clamp``).
@@ -22,10 +22,8 @@ Two further levels serve incremental re-analysis (:mod:`repro.incr`):
   key material with the function name, caching that function's slice
   of the folded DDG for frontier-only re-analysis.
 
-``engine`` is part of the key even though both engines are proven to
-produce identical artifacts: the recorded engine is reproduced by the
-cross-checker (which recounts on the *opposite* engine), so a cached
-result must never claim an engine it did not run on.
+Only the production (fast) pipeline reads or writes the store, so no
+execution-path choice enters the key material.
 """
 
 from __future__ import annotations
@@ -55,11 +53,11 @@ class ArtifactKeys:
     def region(self, func: str) -> str:
         """Per-function folded-region artifact key ("rgn-<sha256>").
 
-        Extends the full stage-2 key material (program, state, engine,
-        fuel, folding options) with the function name -- a region
-        artifact is only reusable under the *same* dynamic conditions
-        the stage-2 artifact would be.  The name is length-prefixed so
-        adversarial names cannot collide with the option fields.
+        Extends the full stage-2 key material (program, state, fuel,
+        folding options) with the function name -- a region artifact is
+        only reusable under the *same* dynamic conditions the stage-2
+        artifact would be.  The name is length-prefixed so adversarial
+        names cannot collide with the option fields.
         """
         if not self.region_base:
             raise ValueError("ArtifactKeys built without region_base")
@@ -77,7 +75,7 @@ def manifest_key(program_digest: str) -> str:
 
     Keyed by the program digest alone: the manifest is pure static
     analysis (per-function fingerprints, call edges, access roots), so
-    it is shared across states, engines, fuel budgets, and folding
+    it is shared across states, fuel budgets, and folding
     options.  Dynamic mismatches surface naturally as rgn-/ddg- misses.
     """
     return "man-" + _hex(f"v{STORE_FORMAT_VERSION}|manifest={program_digest}")
@@ -87,7 +85,6 @@ def derive_keys(
     program_digest: str,
     state_digest: str,
     *,
-    engine: str,
     fuel: int,
     max_pieces: int,
     clamp: Optional[int],
@@ -96,7 +93,7 @@ def derive_keys(
 ) -> ArtifactKeys:
     base = (
         f"v{STORE_FORMAT_VERSION}|prog={program_digest}"
-        f"|state={state_digest}|engine={engine}|fuel={fuel}"
+        f"|state={state_digest}|fuel={fuel}"
     )
     stage2 = (
         base
@@ -117,7 +114,6 @@ def derive_keys(
 def keys_for_spec(
     spec,
     *,
-    engine: str,
     fuel: int,
     max_pieces: int,
     clamp: Optional[int],
@@ -131,7 +127,6 @@ def keys_for_spec(
     return derive_keys(
         fingerprint_program(spec.program),
         fingerprint_state(args, memory),
-        engine=engine,
         fuel=fuel,
         max_pieces=max_pieces,
         clamp=clamp,

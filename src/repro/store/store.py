@@ -59,7 +59,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: v2: explicit function-boundary tokens in the program fingerprint
 #: stream, canonical (key-sorted) folded-DDG serialization order, and
 #: the man-/rgn- incremental artifact levels
-STORE_FORMAT_VERSION = 2
+#: v3: the execution engine left the key material (one production engine)
+STORE_FORMAT_VERSION = 3
 
 
 @dataclass

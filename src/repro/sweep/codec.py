@@ -7,13 +7,10 @@ so two sweeps over the same workload/points/options share one ``swp-``
 key regardless of submission order -- and any change to any run's
 identity moves the sweep key.
 
-Payload: deliberately **engine-free**.  Folded DDGs are bit-identical
-across engines and ``--fold-jobs`` settings (that equivalence is
-pinned by the parallel-fold and engine-matrix test suites), so the
-merged model -- a pure function of the folded DDGs -- must serialize
-identically too; the engine lives only in the surrounding feedback
-document and in the (engine-bearing) stage-2 keys the ``swp-`` key
-derives from.  The determinism tests byte-diff exactly this payload.
+Payload: folded DDGs are bit-identical across ``--fold-jobs``
+settings (pinned by the parallel-fold test suite), so the merged
+model -- a pure function of the folded DDGs -- serializes identically
+too.  The determinism tests byte-diff exactly this payload.
 """
 
 from __future__ import annotations
@@ -53,8 +50,8 @@ def _entity_fields(entity: MergedEntity) -> dict:
 
 
 def encode_sweep(model: MergedModel) -> dict:
-    """The ``swp-`` artifact payload (engine-free, canonically
-    ordered: ident-sorted entities, path-sorted verdicts)."""
+    """The ``swp-`` artifact payload (canonically ordered:
+    ident-sorted entities, path-sorted verdicts)."""
     statements = []
     for ident in sorted(model.statements):
         doc = _stmt_ref(ident)

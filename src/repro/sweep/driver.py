@@ -66,10 +66,9 @@ class SweepResult:
     """Everything a sweep produced."""
 
     workload: str
-    engine: str
     points: List[Point]
     model: MergedModel
-    #: the versioned ``swp-`` artifact payload (engine-free bytes-source)
+    #: the versioned ``swp-`` artifact payload (the bytes-source)
     payload: dict
     #: the ``swp-`` store key of the merged model
     key: str
@@ -90,7 +89,6 @@ def run_sweep(
     workload: str,
     points: Optional[Sequence[Mapping[str, object]]] = None,
     *,
-    engine: str = "fast",
     fuel: int = 50_000_000,
     clamp: Optional[int] = None,
     crosscheck: bool = False,
@@ -151,7 +149,6 @@ def run_sweep(
                 [_PointTask(workload, point) for point in grid],
                 jobs=jobs,
                 timeout=timeout,
-                engine=engine,
                 fuel=fuel,
                 clamp=clamp,
                 cache_dir=store.root,
@@ -166,7 +163,6 @@ def run_sweep(
         spec = reg[workload](**point_bindings(point))
         keys = keys_for_spec(
             spec,
-            engine=engine,
             fuel=fuel,
             max_pieces=6,
             clamp=clamp,
@@ -183,7 +179,6 @@ def run_sweep(
             try:
                 result = analyze(
                     spec,
-                    engine=engine,
                     fuel=fuel,
                     clamp=clamp,
                     crosscheck=crosscheck,
@@ -221,7 +216,6 @@ def run_sweep(
                 stored = True
     return SweepResult(
         workload=workload,
-        engine=engine,
         points=grid,
         model=model,
         payload=payload,

@@ -32,7 +32,7 @@ def sweep_document(result: SweepResult) -> dict:
         "version": FEEDBACK_SCHEMA_VERSION,
         "kind": "sweep",
         "workload": result.workload,
-        "engine": result.engine,
+        "engine": "fast",
         "key": result.key,
         "points": [
             [[name, value] for name, value in point]
@@ -56,8 +56,7 @@ def render_sweep_text(result: SweepResult, top: int = 10) -> str:
     out = [
         f"=== poly-prof sweep: {result.workload} ===",
         "",
-        f"{len(result.points)} point(s) over axes {axes}  "
-        f"(engine {result.engine})",
+        f"{len(result.points)} point(s) over axes {axes}",
         f"merged model {result.key}"
         + ("  [stored]" if result.stored else ""),
         "",

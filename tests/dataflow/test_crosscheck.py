@@ -7,14 +7,17 @@ matching sanitizer catches exactly that lie.
 """
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.ddg.graph import DepKey
 from repro.isa import Memory, ProgramBuilder
+from repro.isa.events import Instrumentation
 from repro.pipeline import ProgramSpec, analyze
 from repro.dataflow import CheckOptions, run_crosscheck
 from repro.dataflow.crosscheck import opposite_engine
+from repro.service.executor import DeadlineObserver, JobTimeout
 
 
 def veccopy_spec(n=8):
@@ -62,6 +65,50 @@ def recheck(result, **only):
         parallel_claims=only.get("parallel_claims", False),
     )
     return run_crosscheck(result, opts)
+
+
+class _CountStarts(Instrumentation):
+    def __init__(self):
+        self.starts = 0
+
+    def on_start(self, main, entry_bb):
+        self.starts += 1
+
+
+class _ExpireOnRecount(DeadlineObserver):
+    """No deadline for the two profiled executions; already past once
+    the third execution -- the recount -- starts."""
+
+    def __init__(self):
+        super().__init__(deadline=None)
+        self.starts = 0
+
+    def on_start(self, main, entry_bb):
+        self.starts += 1
+        if self.starts == 3:
+            self.deadline = time.monotonic() - 1.0
+
+
+class TestRecountObserved:
+    """``extra_observers`` ride along the recount execution too, so a
+    service job's deadline/cancel observer stays live through it."""
+
+    def test_passive_observer_sees_the_recount(self):
+        plain, checked = _CountStarts(), _CountStarts()
+        analyze(veccopy_spec(), extra_observers=[plain])
+        analyze(veccopy_spec(), crosscheck=True, extra_observers=[checked])
+        assert (plain.starts, checked.starts) == (2, 3)
+
+    def test_deadline_passing_during_recount_times_out(self):
+        observer = _ExpireOnRecount()
+        # enough instructions for the reference engine's periodic check
+        with pytest.raises(JobTimeout):
+            analyze(
+                veccopy_spec(n=2000),
+                crosscheck=True,
+                extra_observers=[observer],
+            )
+        assert observer.starts == 3
 
 
 class TestCleanRuns:

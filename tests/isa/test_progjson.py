@@ -147,7 +147,6 @@ class TestSpecFromDocuments:
             name="sample",
         )
         opts = dict(
-            engine="fast",
             fuel=50_000_000,
             max_pieces=6,
             clamp=None,

@@ -4,8 +4,8 @@ suite runner surface.
 
 The contract under test is the strongest one the pipeline makes:
 ``analyze(spec, fold_jobs=N)`` must be *byte-identical* to
-``analyze(spec)`` after codec round-trip, for every N, on both
-engines -- not merely equivalent.
+``analyze(spec)`` after codec round-trip, for every N -- not merely
+equivalent.
 """
 
 import json
@@ -16,7 +16,6 @@ import pytest
 from repro.ddg.graph import DepKey, Statement
 from repro.folding import FastFoldingSink
 from repro.folding.codec import encode_folded_ddg
-from repro.folding.folder import FoldingSink
 from repro.isa.instructions import Instr
 from repro.obs import Tracer, validate_chrome_trace
 from repro.obs.chrometrace import chrome_trace_document
@@ -44,7 +43,6 @@ def _blob(result):
 def _stage2_key(spec):
     return keys_for_spec(
         spec,
-        engine="fast",
         fuel=50_000_000,
         max_pieces=6,
         clamp=None,
@@ -63,12 +61,6 @@ class TestBitIdentity:
         assert par.shard_seconds is not None
         assert len(par.shard_seconds) == jobs
         assert serial.shard_seconds is None
-
-    @pytest.mark.parametrize("jobs", (2, 3))
-    def test_reference_engine(self, jobs):
-        serial = analyze(_spec(), engine="reference")
-        par = analyze(_spec(), engine="reference", fold_jobs=jobs)
-        assert _blob(par) == _blob(serial)
 
     def test_larger_workload(self):
         serial = analyze(_spec("backprop"))
@@ -96,41 +88,25 @@ def _dep(src_uid, dst_uid, kind="reg"):
     return DepKey(src=(src_uid, 0), dst=(dst_uid, 0), kind=kind)
 
 
-def _drive(sink, n_stmts=12, iters=40, batched=True):
+def _drive(sink, n_stmts=12, iters=40):
     """A small synthetic stream -- identical for every sink it is fed
-    to.  Delivery style matches how the engines really drive sinks:
-    the fast engine emits only batched per-block calls, the reference
-    engine only unbatched per-point calls (the fast sink's shared
-    group folders make mixed delivery to the *same* statement
-    intentionally out of contract)."""
+    to.  Delivery style matches how the fast engine really drives
+    sinks: only batched per-block calls (the fast sink's shared group
+    folders make mixed delivery to the *same* statement intentionally
+    out of contract)."""
     stmts = [_stmt(uid) for uid in range(n_stmts)]
     for s in stmts:
         sink.declare_statement(s)
     deps = [_dep(i, i + 1) for i in range(n_stmts - 1)]
     deps += [_dep(i, i + 2, "flow") for i in range(n_stmts - 2)]
     for it in range(iters):
-        if batched:
-            sink.instr_points(
-                (it,), [(s.key, (it * 2,)) for s in stmts]
-            )
-            sink.dep_points((it,), [(d, (max(0, it - 1),)) for d in deps])
-        else:
-            for s in stmts:
-                sink.instr_point(s.key, (it,), (it * 2,))
-            for d in deps:
-                sink.dep_point(d, (it,), (max(0, it - 1),))
-    if batched:
-        # one more full-group block at fresh coordinates (a prefix
-        # batch -- partial delivery from a faulting block -- can only
-        # be the final event of a *crashed* run, which never reaches
-        # finalize, so it is out of the equivalence contract)
-        sink.instr_points(
-            (iters,), [(s.key, (iters * 2,)) for s in stmts]
-        )
-    else:
-        for s in stmts[:3]:
-            sink.instr_point(s.key, (iters,), (iters * 2,))
-        sink.dep_point(deps[0], (iters,), (iters - 1,))
+        sink.instr_points((it,), [(s.key, (it * 2,)) for s in stmts])
+        sink.dep_points((it,), [(d, (max(0, it - 1),)) for d in deps])
+    # one more full-group block at fresh coordinates (a prefix batch --
+    # partial delivery from a faulting block -- can only be the final
+    # event of a *crashed* run, which never reaches finalize, so it is
+    # out of the equivalence contract)
+    sink.instr_points((iters,), [(s.key, (iters * 2,)) for s in stmts])
 
 
 ADVERSARIAL_ROUTES = {
@@ -147,26 +123,19 @@ ADVERSARIAL_ROUTES = {
 class TestAdversarialBoundaries:
     """Forced shard boundaries -- empty shards, one giant shard,
     single-statement shards -- must still merge to the exact serial
-    fold on both engines."""
+    fold."""
 
-    @pytest.mark.parametrize("engine", ("fast", "reference"))
     @pytest.mark.parametrize(
         "route_name", sorted(ADVERSARIAL_ROUTES)
     )
-    def test_routes_merge_to_serial(self, engine, route_name):
+    def test_routes_merge_to_serial(self, route_name):
         stmt_route, dep_route = ADVERSARIAL_ROUTES[route_name]
-        batched = engine == "fast"
-        serial = (
-            FastFoldingSink() if engine == "fast" else FoldingSink()
-        )
-        _drive(serial, batched=batched)
+        serial = FastFoldingSink()
+        _drive(serial)
         with ParallelFoldManager(
-            jobs=4,
-            engine=engine,
-            stmt_route=stmt_route,
-            dep_route=dep_route,
+            jobs=4, stmt_route=stmt_route, dep_route=dep_route
         ) as manager:
-            _drive(manager.router, batched=batched)
+            _drive(manager.router)
             folded = manager.finalize()
         assert json.dumps(encode_folded_ddg(folded)) == json.dumps(
             encode_folded_ddg(serial.finalize())

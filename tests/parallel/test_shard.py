@@ -110,7 +110,7 @@ class TestRouting:
         router = ShardRouter(4, emit, flush_points=10**9)
         d1, d2, d3 = _dep(1, 2), _dep(2, 3, "flow"), _dep(1, 3, "anti")
         router.dep_points((0,), [(d1, (0,)), (d2, (0,))])
-        router.dep_point(d3, (1,), (0,))
+        router.dep_points((1,), [(d3, (0,))])
         router.dep_points((2,), [(d2, (1,)), (d1, (1,))])
         assert router.dep_order == [d1, d2, d3]
         router.flush()
@@ -123,8 +123,6 @@ class TestRouting:
                     pts.extend(
                         (e[1], src) for dd, src in e[2] if dd == dep
                     )
-                elif e[0] == "Q" and e[1] == dep:
-                    pts.append((e[2], e[3]))
             if dep is d1:
                 assert pts == [((0,), (0,)), ((2,), (1,))]
             elif dep is d2:
@@ -138,12 +136,12 @@ class TestRouting:
         s = _stmt(1)
         router.declare_statement(s)
         for i in range(10):
-            router.instr_point(s.key, (i,), ())
+            router.instr_points((i,), [(s.key, ())])
         assert emit.chunks  # shipped before flush()
         router.flush()
         events = emit.events_for(0)
         assert [e[0] for e in events][0] == "S"
-        assert sum(1 for e in events if e[0] == "P") == 10
+        assert sum(1 for e in events if e[0] == "I") == 10
 
     def test_custom_routes_override_hash(self):
         emit = _Collector()
@@ -156,8 +154,8 @@ class TestRouting:
         )
         s = _stmt(9)
         router.declare_statement(s)
-        router.instr_point(s.key, (0,), ())
-        router.dep_point(_dep(9, 9), (0,), (0,))
+        router.instr_points((0,), [(s.key, ())])
+        router.dep_points((0,), [(_dep(9, 9), (0,))])
         router.flush()
         assert router.stmt_shard[s.key] == 0
         assert router.dep_shard[_dep(9, 9)] == 3
@@ -183,18 +181,14 @@ class TestApplyChunk:
             ("I", (0,), [(s1.key, (10,)), (s2.key, (20,))]),
             ("I", (1,), [(s1.key, (11,)), (s2.key, (21,))]),
             ("D", (1,), [(dep, (0,))]),
-            ("P", s1.key, (2,), (12,)),
-            ("Q", dep, (2,), (1,)),
         ]
         direct.declare_statement(s1)
         direct.declare_statement(s2)
         direct.instr_points((0,), [(s1.key, (10,)), (s2.key, (20,))])
         direct.instr_points((1,), [(s1.key, (11,)), (s2.key, (21,))])
         direct.dep_points((1,), [(dep, (0,))])
-        direct.instr_point(s1.key, (2,), (12,))
-        direct.dep_point(dep, (2,), (1,))
         points = apply_chunk(replay, events)
-        assert points == 7
+        assert points == 5
         from repro.folding.codec import encode_folded_ddg
 
         assert encode_folded_ddg(replay.finalize()) == encode_folded_ddg(

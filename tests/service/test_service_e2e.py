@@ -193,7 +193,7 @@ class TestHttpErrors:
             {},  # neither workload nor program
             {"workload": "nn", "program": {"progjson": 1}},  # both
             {"workload": "no_such_workload"},
-            {"workload": "nn", "engine": "quantum"},
+            {"workload": "nn", "engine": "reference"},
             {"workload": "nn", "timeout": -1},
             {"program": {"progjson": 99, "functions": []}},
         ]
@@ -201,6 +201,17 @@ class TestHttpErrors:
             with pytest.raises(ServiceError) as err:
                 live.client.submit(**body)
             assert err.value.status == 400, body
+
+    def test_engine_field_only_accepts_fast(self, make_service):
+        live = make_service()
+        with pytest.raises(ServiceError) as err:
+            live.client.submit(workload="nn", engine="reference")
+        assert err.value.status == 400
+        assert "no longer served" in err.value.doc["error"]
+        status, _, _ = live.client.request_raw(
+            "POST", "/v1/analyze", {"workload": "nn", "engine": "fast"}
+        )
+        assert status == 202
 
     def test_non_json_body_rejected(self, make_service):
         live = make_service()

@@ -73,7 +73,7 @@ class TestJobTransitions:
         doc = _job().status_doc(1)
         assert doc["version"] == 1
         assert doc["state"] == "queued"
-        assert doc["options"]["engine"] == "fast"
+        assert "engine" not in doc["options"]
         assert doc["cache"] == {
             "stage1_cached": False,
             "stage2_cached": False,
@@ -110,6 +110,26 @@ class TestJobRegistry:
         # the live job survives even though it is the oldest
         assert reg.get(keep.id) is keep
         assert len(reg.jobs()) <= 3  # live + at most retain terminal
+
+    def test_dedup_hit_refreshes_retention(self):
+        reg = JobRegistry(retain=2)
+
+        def submit(key):
+            return reg.submit(key, lambda jid: _job(key=key, job_id=jid))
+
+        def finish(key):
+            job, _ = submit(key)
+            job.transition((JobState.QUEUED,), JobState.RUNNING)
+            job.transition((JobState.RUNNING,), JobState.DONE)
+            return job
+
+        a, b = finish("A"), finish("B")
+        again, deduped = submit("A")
+        assert deduped and again is a
+        finish("C")
+        # the client was just handed A: the untouched B goes first
+        assert reg.get(a.id) is a
+        assert reg.get(b.id) is None
 
     def test_ids_are_sequential_and_keyed(self):
         reg = JobRegistry()

@@ -9,7 +9,7 @@ from repro.workloads import all_workloads
 
 def _keys(**overrides):
     opts = dict(
-        engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
+        fuel=50_000_000, max_pieces=6, clamp=None,
         track_anti_output=True, build_schedule_tree=True,
     )
     opts.update(overrides)
@@ -18,7 +18,7 @@ def _keys(**overrides):
 
 def test_manifest_key_depends_on_program_digest_alone():
     a = _keys()
-    b = _keys(engine="reference", fuel=1_000, clamp=7)
+    b = _keys(fuel=1_000, clamp=7)
     assert a.manifest == b.manifest == manifest_key(a.program_digest)
     assert a.manifest.startswith("man-")
     assert manifest_key("ab" * 32) != a.manifest
@@ -39,7 +39,7 @@ def test_region_keys_distinct_per_function_and_options():
 
 def test_region_requires_region_base():
     bare = derive_keys(
-        "ab" * 32, "cd" * 32, engine="fast", fuel=1, max_pieces=6,
+        "ab" * 32, "cd" * 32, fuel=1, max_pieces=6,
         clamp=None, track_anti_output=True, build_schedule_tree=True,
     )
     assert bare.region_base  # derive_keys always fills it

@@ -63,6 +63,17 @@ class TestCli:
         assert "transformable" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["report", "nn"], ["trace", "nn"], ["suite", "nn"], ["serve"]),
+)
+def test_engine_flag_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--engine", "reference"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 class TestCliJsonFormat:
     def test_report_json_has_version(self, capsys):
         import json

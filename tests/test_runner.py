@@ -38,7 +38,6 @@ def test_inline_single_workload():
     assert res.ok
     assert res.status() == "ok"
     assert res.name == "nn"
-    assert res.engine == "fast"
     assert res.dyn_instrs > 0
     assert res.statements > 0
     assert res.error is None
@@ -105,17 +104,6 @@ def test_with_report():
     (res,) = run_suite(["nn"], jobs=1, with_report=False)
     assert res.report is None
 
-
-def test_engine_flag_threaded_through():
-    (ref,) = run_suite(["nn"], jobs=1, engine="reference")
-    (fast,) = run_suite(["nn"], jobs=1, engine="fast")
-    assert ref.engine == "reference"
-    assert (ref.dyn_instrs, ref.statements, ref.deps, ref.plans) == (
-        fast.dyn_instrs,
-        fast.statements,
-        fast.deps,
-        fast.plans,
-    )
 
 
 def test_task_name():

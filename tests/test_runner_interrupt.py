@@ -64,7 +64,7 @@ class _FakePool:
         self.shutdown_calls = []
         self._script = iter(
             [
-                WorkloadResult(name="nn", ok=True, engine="fast"),
+                WorkloadResult(name="nn", ok=True),
                 KeyboardInterrupt(),
                 KeyboardInterrupt(),
             ]

@@ -19,7 +19,6 @@ from repro.workloads import (
 def fingerprint(spec) -> str:
     return _keys_for_spec(
         spec,
-        engine="fast",
         fuel=50_000_000,
         max_pieces=6,
         clamp=None,
