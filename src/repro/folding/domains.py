@@ -8,7 +8,8 @@ prefix structure -- for every distinct outer-coordinate prefix, the
 
 1. each innermost run must be *contiguous* (count == max-min+1);
 2. the lower and upper innermost bounds must be exact affine functions
-   of the prefix (fitted with :mod:`repro.folding.fitter` machinery);
+   of the prefix (both fitted by one
+   :func:`~repro.poly.affine.fit_affine_many` call);
 3. the set of prefixes must itself fold, recursively.
 
 Triangular loops (``j <= i``) fold exactly; domains with modulo holes
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..poly.affine import AffineExpr, fit_affine
+from ..poly.affine import AffineExpr, fit_affine_many
 from ..poly.polyhedron import Polyhedron
 from ..poly.pset import ISet, Space
 
@@ -36,7 +37,7 @@ from ..poly.pset import ISet, Space
 class DomainFolder:
     """Streaming fold of one statement's iteration-domain points."""
 
-    __slots__ = ("dim", "count", "_tree", "_mins", "_maxs")
+    __slots__ = ("dim", "count", "_tree")
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -44,18 +45,11 @@ class DomainFolder:
         # nested dicts keyed by coords[0..dim-2]; leaves are
         # [min, max, count] of coords[dim-1]
         self._tree: Dict = {}
-        self._mins = [None] * dim
-        self._maxs = [None] * dim
 
     def add(self, coords: Sequence[int]) -> None:
         if len(coords) != self.dim:
             raise ValueError("coordinate arity mismatch")
         self.count += 1
-        for i, c in enumerate(coords):
-            if self._mins[i] is None or c < self._mins[i]:
-                self._mins[i] = c
-            if self._maxs[i] is None or c > self._maxs[i]:
-                self._maxs[i] = c
         if self.dim == 0:
             return
         node = self._tree
@@ -94,7 +88,7 @@ class DomainFolder:
         pieces = self._fold_split(rows, max_pieces)
         if pieces is not None:
             return ISet(space, pieces), True
-        return self._bounding_box(space), False
+        return self._bounding_box(space, rows), False
 
     def _rows(self):
         """Yield (prefix, lo, hi, cnt) rows in lexicographic order."""
@@ -126,8 +120,10 @@ class DomainFolder:
         los = [r[1] for r in rows]
         his = [r[2] for r in rows]
         # 2. affine innermost bounds over the prefix coordinates
-        lo_fn = fit_affine(prefixes, los) if d > 1 else AffineExpr((), los[0])
-        hi_fn = fit_affine(prefixes, his) if d > 1 else AffineExpr((), his[0])
+        if d > 1:
+            lo_fn, hi_fn = fit_affine_many(prefixes, [los, his])
+        else:
+            lo_fn, hi_fn = AffineExpr((), los[0]), AffineExpr((), his[0])
         if lo_fn is None or hi_fn is None:
             return None
         if not (lo_fn.is_integral() and hi_fn.is_integral()):
@@ -162,42 +158,38 @@ class DomainFolder:
             groups.setdefault(r[0][0], []).append(r)
         keys = sorted(groups)
         pieces: List[Polyhedron] = []
-        seg: List = []
-        seg_keys: List[int] = []
-
-        def try_fold(seg_rows) -> Optional[Polyhedron]:
-            return self._fold_rows(seg_rows)
-
-        i = 0
+        # the open segment's rows and their (already folded) piece
         current: List = []
-        start_key = None
+        piece: Optional[Polyhedron] = None
+        i = 0
         while i < len(keys):
             candidate = current + groups[keys[i]]
-            folded = try_fold(candidate)
+            folded = self._fold_rows(candidate)
             if folded is not None:
-                current = candidate
-                if start_key is None:
-                    start_key = keys[i]
+                current, piece = candidate, folded
                 i += 1
                 continue
             if not current:
                 return None  # a single outer value does not fold
-            pieces.append(try_fold(current))
+            pieces.append(piece)
             if len(pieces) >= max_pieces:
                 return None
-            current = []
-            start_key = None
+            current, piece = [], None
         if current:
-            folded = try_fold(current)
-            if folded is None:
-                return None
-            pieces.append(folded)
+            pieces.append(piece)
         if len(pieces) > max_pieces:
             return None
         return pieces
 
-    def _bounding_box(self, space: Space) -> ISet:
-        bounds = [(self._mins[i], self._maxs[i]) for i in range(self.dim)]
+    def _bounding_box(self, space: Space, rows) -> ISet:
+        """Per-dimension (min, max) box of the points, from the
+        ``_rows()`` summary (only needed when a fold is inexact)."""
+        d = self.dim
+        bounds = [
+            (min(r[0][i] for r in rows), max(r[0][i] for r in rows))
+            for i in range(d - 1)
+        ]
+        bounds.append((min(r[1] for r in rows), max(r[2] for r in rows)))
         return ISet(space, [Polyhedron.box(bounds)])
 
 
@@ -225,22 +217,24 @@ def fold_under(folder: "DomainFolder", max_pieces: int = 6) -> "ISet":
     for r in rows:
         groups.setdefault(r[0][:1] if folder.dim > 1 else (), []).append(r)
     pieces: List[Polyhedron] = []
+    # the open segment's rows and their (already folded) piece
     current: List = []
+    piece: Optional[Polyhedron] = None
     for key in sorted(groups):
         candidate = current + groups[key]
         folded = folder._fold_rows(candidate)
         if folded is not None:
-            current = candidate
+            current, piece = candidate, folded
             continue
         if current:
-            piece = folder._fold_rows(current)
-            if piece is not None and len(pieces) < max_pieces:
+            if len(pieces) < max_pieces:
                 pieces.append(piece)
-        # try to start fresh with this group; drop it if even alone
-        # it does not fold (under-approximation may discard points)
-        current = groups[key] if folder._fold_rows(groups[key]) else []
-    if current:
-        piece = folder._fold_rows(current)
-        if piece is not None and len(pieces) < max_pieces:
-            pieces.append(piece)
+            # try to start fresh with this group; drop it if even alone
+            # it does not fold (under-approximation may discard points)
+            piece = folder._fold_rows(groups[key])
+        else:
+            piece = None  # the candidate was this group alone
+        current = groups[key] if piece is not None else []
+    if current and len(pieces) < max_pieces:
+        pieces.append(piece)
     return ISet(space, pieces)

@@ -33,13 +33,23 @@ The optimizations, each argued exact:
   reference's).  Python's exact big integers make the intermediate
   growth safe.
 
+* **One multi-column refit** (:meth:`FastVectorFitter._refit`).  The
+  first point and every out-of-span mismatch refit all affected
+  components with one :func:`~repro.poly.affine.fit_affine_many` call
+  over the shared support -- one basis and one elimination, with
+  canonical form and verification per component -- instead of one
+  solve per component.  A component whose column fails still fails
+  alone, exactly as a separate solve would.
+
 * **Shared domain folders + memoized folds**
   (:class:`FastDomainFolder`, :class:`FastFoldingSink`).  All
   statements of one executed (block, context) receive exactly the
   same coordinate stream, so the sink folds their common iteration
   domain once: one tree insertion per block execution instead of one
   per instruction, and one ``fold()`` per group at finalize instead of
-  one per statement.
+  one per statement.  An insertion only walks the prefix tree (no
+  per-point min/max: an inexact fold derives its bounding box from the
+  tree), so :meth:`FastDomainFolder.clone` copies the tree alone.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ddg.graph import Statement, StmtKey
-from ..poly.affine import AffineExpr, AffineFunction, fit_affine
+from ..poly.affine import AffineExpr, AffineFunction, fit_affine_many
 from ..poly.pset import ISet
 from .domains import DomainFolder
 from .fitter import _vec_gcd
@@ -96,8 +106,6 @@ class FastDomainFolder(DomainFolder):
         c = FastDomainFolder.__new__(FastDomainFolder)
         c.dim = self.dim
         c.count = self.count
-        c._mins = list(self._mins)
-        c._maxs = list(self._maxs)
         c._tree = _copy_tree(self._tree)
         c._fold_cache = self._fold_cache
         return c
@@ -184,15 +192,19 @@ class FastVectorFitter:
 
     # -- fitting ----------------------------------------------------------------
 
-    def _refit(self, i: int) -> None:
-        expr = fit_affine(self._support, self._values[i])
-        if expr is None:
-            self._comp_fail(i)
-        else:
-            self._exprs[i] = expr
-            self._coeffs[i] = expr.coeffs
-            self._consts[i] = expr.const
-            self._dens[i] = expr.den
+    def _refit(self, comps: Sequence[int]) -> None:
+        """Refit components ``comps`` over the shared support with one
+        multi-column solve."""
+        vlists = self._values
+        exprs = fit_affine_many(self._support, [vlists[i] for i in comps])
+        for i, expr in zip(comps, exprs):
+            if expr is None:
+                self._comp_fail(i)
+            else:
+                self._exprs[i] = expr
+                self._coeffs[i] = expr.coeffs
+                self._consts[i] = expr.const
+                self._dens[i] = expr.den
 
     def _comp_fail(self, i: int) -> None:
         self._comp_failed[i] = True
@@ -215,8 +227,7 @@ class FastVectorFitter:
         if not self._support:
             self.count += 1
             self._append(point, values)
-            for i in range(self.out_dim):
-                self._refit(i)
+            self._refit(range(self.out_dim))
             return True
         coeffs = self._coeffs
         consts = self._consts
@@ -245,8 +256,7 @@ class FastVectorFitter:
             return False
         self.count += 1
         self._append(point, values)
-        for i in mismatch:
-            self._refit(i)
+        self._refit(mismatch)
         return True
 
     def add(self, point: Sequence[int], values: Sequence[int]) -> None:
@@ -260,8 +270,7 @@ class FastVectorFitter:
         point = tuple(point)
         if not self._support:
             self._append(point, values)
-            for i in range(self.out_dim):
-                self._refit(i)
+            self._refit(range(self.out_dim))
             return
         coeffs = self._coeffs
         consts = self._consts
@@ -288,8 +297,7 @@ class FastVectorFitter:
                 self._comp_fail(i)
             return
         self._append(point, values)
-        for i in mismatch:
-            self._refit(i)
+        self._refit(mismatch)
 
     def clone(self) -> "FastVectorFitter":
         """Snapshot for alias-until-divergence sharing.  Support point

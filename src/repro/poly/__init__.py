@@ -6,10 +6,17 @@ Public surface:
 * :class:`Space`, :class:`ISet` -- named finite unions of polyhedra.
 * :class:`AffineExpr`, :class:`AffineFunction` -- exact affine forms.
 * :class:`IMap` -- piecewise-affine relations (dependence relations).
-* :func:`fit_affine`, :func:`fit_affine_function` -- exact fitting.
+* :func:`fit_affine`, :func:`fit_affine_many`, :func:`fit_affine_function`
+  -- exact fitting.
 """
 
-from .affine import AffineExpr, AffineFunction, fit_affine, fit_affine_function
+from .affine import (
+    AffineExpr,
+    AffineFunction,
+    fit_affine,
+    fit_affine_function,
+    fit_affine_many,
+)
 from .pmap import IMap
 from .polyhedron import Polyhedron
 from .pset import ISet, Space
@@ -23,4 +30,5 @@ __all__ = [
     "Space",
     "fit_affine",
     "fit_affine_function",
+    "fit_affine_many",
 ]

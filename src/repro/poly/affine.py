@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import solve_int
-
 
 class AffineExpr:
     """``value(x) = (coeffs . x + const) / den`` with ``den >= 1``."""
@@ -62,15 +60,6 @@ class AffineExpr:
         c = [0] * dim
         c[index] = 1
         return cls(c, 0)
-
-    @classmethod
-    def from_fractions(cls, coeffs: Sequence[Fraction], const: Fraction) -> "AffineExpr":
-        den = const.denominator
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return cls(
-            [int(c * den) for c in coeffs], int(const * den), den
-        )
 
     # -- evaluation -------------------------------------------------------------
 
@@ -232,26 +221,94 @@ def fit_affine(
 
     Returns ``None`` when no affine expression interpolates the data
     exactly.  This is the workhorse of SCEV recognition and of label
-    folding: a solution is found via exact rational least squares on
-    the normal system (here: direct solve of the interpolation system)
-    and then *verified* against every sample, so a returned expression
-    is exact by construction.
+    folding; it is the one-column case of :func:`fit_affine_many`.
+    """
+    return fit_affine_many(points, [values])[0]
+
+
+def fit_affine_many(
+    points: Sequence[Sequence[int]], value_columns: Sequence[Sequence[int]]
+) -> List[Optional[AffineExpr]]:
+    """Fit one exact affine expression per value column, all over the
+    same sample points (``None`` where a column has no exact fit).
+
+    Integer-only: an affinely independent basis of the samples is
+    picked in sample order by fraction-free echelon reduction of the
+    rows ``[1, *p | values]`` (stopping at rank ``d + 1``), the basis
+    rows are then reduced Gauss-Jordan style, and each column's
+    solution is put in canonical ``(coeffs, const, den)`` form and
+    verified against *every* sample, so a returned expression is exact
+    by construction.  The constant column comes first and coordinates
+    without a pivot are pinned to 0: underdetermined samples prefer the
+    constant solution (a single sample ``(7,) -> 8`` fits as ``8``, not
+    ``(8/7) i0``).
+
+    The pinned solution depends only on the row space (it is read off
+    the reduced row echelon form), and the basis spans the row space,
+    so on a consistent system it equals the pinned solution of the
+    all-rows system; an inconsistent column fails verification.
     """
     if not points:
-        return None
-    d = len(points[0])
-    # constant column first: underdetermined systems then pin their free
-    # coordinate coefficients to 0 and prefer the constant solution
-    # (e.g. a single sample (7,) -> 8 fits as "8", not "(8/7) i0")
-    rows = [[1] + [int(c) for c in p] for p in points]
-    sol = solve_int(rows, [int(v) for v in values])
-    if sol is None:
-        return None
-    expr = AffineExpr.from_fractions(sol[1:], sol[0])
-    for p, v in zip(points, values):
-        if expr(p) != v:
-            return None
-    return expr
+        return [None] * len(value_columns)
+    pts = [tuple(map(int, p)) for p in points]
+    cols = [list(map(int, col)) for col in value_columns]
+    n = len(pts[0]) + 1
+    # 1. basis + forward elimination, right-hand sides carried along
+    rows: List[List[int]] = []
+    pivots: List[int] = []
+    for p, vals in zip(pts, zip(*cols)):
+        v = [1, *p, *vals]
+        for row, pc in zip(rows, pivots):
+            b = v[pc]
+            if b:
+                a = row[pc]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        for pc in range(n):
+            if v[pc]:
+                rows.append(v)
+                pivots.append(pc)
+                break
+        if len(rows) == n:
+            break
+    # 2. back elimination: each row keeps one nonzero pivot column
+    for r, pc in enumerate(pivots):
+        prow = rows[r]
+        a = prow[pc]
+        for i, row in enumerate(rows):
+            b = row[pc]
+            if b and i != r:
+                rows[i] = [a * x - b * y for x, y in zip(row, prow)]
+    # 3. canonical form per column, 4. verification on every sample
+    out: List[Optional[AffineExpr]] = []
+    for j, col in enumerate(cols):
+        rhs = n + j
+        # x[pc] = nums[pc] / dens[pc] in lowest terms; den = lcm(dens)
+        nums = [0] * n
+        dens = [1] * n
+        den = 1
+        for row, pc in zip(rows, pivots):
+            b = row[rhs]
+            if b:
+                a = row[pc]
+                g = gcd(a, b)
+                if a < 0:
+                    g = -g
+                a //= g
+                nums[pc] = b // g
+                dens[pc] = a
+                den = den * a // gcd(den, a)
+        coeffs = [x * (den // q) for x, q in zip(nums, dens)]
+        const = coeffs.pop(0)
+        ok = True
+        for p, v in zip(pts, col):
+            num = const
+            for c, x in zip(coeffs, p):
+                num += c * x
+            if num != v * den:
+                ok = False
+                break
+        out.append(AffineExpr.from_normalized(coeffs, const, den) if ok else None)
+    return out
 
 
 def fit_affine_function(
@@ -260,11 +317,9 @@ def fit_affine_function(
     """Fit an affine function for vector labels; all-or-nothing."""
     if not vectors:
         return None
-    m = len(vectors[0])
-    exprs = []
-    for j in range(m):
-        e = fit_affine(points, [v[j] for v in vectors])
-        if e is None:
-            return None
-        exprs.append(e)
+    exprs = fit_affine_many(
+        points, [[v[j] for v in vectors] for j in range(len(vectors[0]))]
+    )
+    if any(e is None for e in exprs):
+        return None
     return AffineFunction(exprs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -46,50 +46,6 @@ def normalize_row(row: Sequence[int]) -> Vector:
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(int(x) * int(y) for x, y in zip(a, b))
-
-
-def solve_rational(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve ``A x = b`` exactly over the rationals.
-
-    Returns one solution (free variables pinned to 0) or ``None`` when
-    the system is inconsistent.  Gaussian elimination with exact
-    :class:`Fraction` arithmetic.
-    """
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    nrows = len(m)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        # find pivot
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    # consistency: rows with zero coefficients but nonzero rhs
-    for i in range(nrows):
-        if all(x == 0 for x in m[i][:ncols]) and m[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for (ri, ci) in pivots:
-        sol[ci] = m[ri][ncols]
-    return sol
 
 
 def nullspace_rational(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
@@ -256,52 +212,3 @@ def integer_solvable(eqs: Sequence[Sequence[int]]) -> bool:
         elif k % g != 0:
             return False
     return True
-
-
-def solve_int(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[List[Fraction]]:
-    """Solve ``A x = b`` exactly for integer input, fraction-free.
-
-    Same contract as :func:`solve_rational` (free variables pinned to
-    0, ``None`` on inconsistency) but eliminates with integer
-    cross-multiplication and gcd normalization, constructing Fractions
-    only for the final back-substitution -- an order of magnitude
-    faster on the folding hot path.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(map(int, r)) + [int(rhs[i])] for i, r in enumerate(rows)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        a = prow[c]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                b = m[i][c]
-                row = m[i]
-                new = [a * x - b * y for x, y in zip(row, prow)]
-                g = vec_gcd(new)
-                if g > 1:
-                    new = [x // g for x in new]
-                m[i] = new
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(nrows):
-        if m[i][ncols] != 0 and not any(m[i][:ncols]):
-            return None
-    sol = [Fraction(0)] * ncols
-    for (ri, ci) in pivots:
-        sol[ci] = Fraction(m[ri][ncols], m[ri][ci])
-    return sol

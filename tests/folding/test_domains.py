@@ -1,9 +1,11 @@
 """Domain folder tests: exact trapezoids, splits, over-approximation."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.folding import DomainFolder
+from repro.folding import DomainFolder, FastDomainFolder
+from repro.poly.polyhedron import Polyhedron
 
 
 def fold_points(points, dim, max_pieces=6):
@@ -142,3 +144,86 @@ class TestProperties:
             assert dom.contains(p)
         if exact:
             assert dom.card() == len(pts)
+
+
+def brute_box(points, dim):
+    return Polyhedron.box([
+        (min(p[i] for p in points), max(p[i] for p in points))
+        for i in range(dim)
+    ])
+
+
+def assert_box(dom, points, dim):
+    """An inexact fold is exactly the per-dimension min/max box."""
+    (piece,) = dom.pieces
+    box = brute_box(points, dim)
+    assert (piece.eqs, piece.ineqs) == (box.eqs, box.ineqs)
+
+
+class TestBoundingBox:
+    @pytest.mark.parametrize(
+        "dim, points",
+        [
+            # modulo holes
+            (1, [(i,) for i in range(-9, 8, 3)]),
+            (2, [(i, j) for i in range(-4, 3) for j in range(-6, 5, 2)]),
+            (3, [
+                (i, j, k)
+                for i in range(-2, 2)
+                for j in range(3)
+                for k in range(-5, 6)
+                if (i + j + k) % 2
+            ]),
+            # data-dependent inner bounds
+            (2, [
+                (i, j)
+                for i in range(-5, 4)
+                for j in range(-3, (i * 37 % 7) - 2)
+            ]),
+            (3, [
+                (i, j, k)
+                for i in range(-3, 1)
+                for j in range(-1, 2)
+                for k in range(-((i * 5 + j * 3) % 4) - 1, 1)
+            ]),
+        ],
+    )
+    def test_inexact_fold_is_point_box(self, dim, points):
+        dom, exact = fold_points(points, dim, max_pieces=2)
+        assert not exact
+        assert_box(dom, points, dim)
+
+    @given(
+        dim=st.integers(1, 3),
+        raw=st.sets(
+            st.tuples(
+                st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_inexact_box(self, dim, raw):
+        points = sorted({p[:dim] for p in raw})
+        dom, exact = fold_points(points, dim, max_pieces=1)
+        if not exact:
+            assert_box(dom, points, dim)
+
+    def test_clone_diverges_after_snapshot(self):
+        shared = [(i, j) for i in range(-3, 1) for j in range(-4, 4, 2)]
+        a = FastDomainFolder(2)
+        for p in shared:
+            a.add(p)
+        a.fold()  # the memoized fold travels with the clone
+        b = a.clone()
+        a.add((1, 7))
+        b.add((1, -9))
+        b.add((2, 0))
+        for folder, points in (
+            (a, shared + [(1, 7)]),
+            (b, shared + [(1, -9), (2, 0)]),
+        ):
+            dom, exact = folder.fold()
+            assert not exact
+            assert_box(dom, points, 2)

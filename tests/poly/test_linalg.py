@@ -1,17 +1,10 @@
 """Unit tests for the exact linear-algebra kernel."""
 
-from fractions import Fraction
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.poly.linalg import (
     hermite_normal_form,
     integer_solvable,
     normalize_row,
     rank,
-    solve_int,
-    solve_rational,
     vec_gcd,
 )
 
@@ -28,52 +21,6 @@ class TestBasics:
         assert normalize_row([0, 0]) == (0, 0)
         assert normalize_row([5]) == (1,)   # single entry: gcd = itself
         assert normalize_row([5, 0]) == (1, 0)
-
-
-class TestSolvers:
-    def test_solve_int_unique(self):
-        # x + y = 3, x - y = 1 -> (2, 1)
-        sol = solve_int([[1, 1], [1, -1]], [3, 1])
-        assert sol == [Fraction(2), Fraction(1)]
-
-    def test_solve_int_inconsistent(self):
-        assert solve_int([[1, 1], [1, 1]], [1, 2]) is None
-
-    def test_solve_int_underdetermined_pins_free(self):
-        sol = solve_int([[1, 1]], [5])
-        assert sol is not None
-        assert sol[0] + sol[1] == 5
-
-    def test_solve_int_rational_result(self):
-        sol = solve_int([[2]], [3])
-        assert sol == [Fraction(3, 2)]
-
-    def test_agreement_with_rational_solver(self):
-        rows = [[2, 1, 0], [0, 3, -1], [1, 0, 1]]
-        rhs = [5, 1, 4]
-        a = solve_int(rows, rhs)
-        b = solve_rational(
-            [[Fraction(x) for x in r] for r in rows],
-            [Fraction(x) for x in rhs],
-        )
-        assert a == b
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-            min_size=1,
-            max_size=4,
-        ),
-        st.integers(-3, 3),
-        st.integers(-3, 3),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_solutions_verify(self, rows, x, y):
-        rhs = [a * x + b * y for (a, b) in rows]
-        sol = solve_int(rows, rhs)
-        assert sol is not None  # consistent by construction
-        for (a, b), r in zip(rows, rhs):
-            assert a * sol[0] + b * sol[1] == r
 
 
 class TestRankHNF:
