@@ -16,8 +16,8 @@ The optimizations, each argued exact:
   but support evolution is *value-independent*: a live component
   appends the point if and only if the point lies outside the affine
   span of the support, and fails only on an in-span contradiction.
-  All live components therefore share one support list and one span
-  basis, turning ``out_dim`` span reductions per point into one.
+  All live components therefore share one support list and one span,
+  turning ``out_dim`` span tests per point into one.
 
 * **Fused accept-and-add** (:meth:`FastVectorFitter.try_add`).  The
   reference piecewise folder calls ``would_accept`` and then ``add``,
@@ -25,21 +25,50 @@ The optimizations, each argued exact:
   twice per point.  ``try_add`` performs one evaluation pass and one
   span test, mutating only when the reference would have accepted.
 
-* **GCD-free span membership**.  Row reduction scales the candidate
-  vector by pivot values; scaling never changes which entries are
-  zero, so the membership test skips the gcd normalization the
-  reference applies per reduction step (normalization is kept when
-  *inserting* rows, so the stored basis is identical to the
-  reference's).  Python's exact big integers make the intermediate
-  growth safe.
+* **Equality-form span** (:meth:`FastVectorFitter._in_span`).  The
+  support span is kept as the integer equalities it satisfies, each a
+  sparse normal with its right-hand side, instead of an echelon basis
+  of difference vectors.  The first point pins every coordinate
+  (``p[j] == origin[j]``); an appended out-of-span point costs one
+  dual step (:func:`_dual_step`), which eliminates one violated
+  equality from the others, so a rank-``r`` span keeps ``d - r``
+  equalities and a full-rank span none.  Membership is then a few
+  sparse dot products -- in practice a compare or two, since almost
+  every equality is a unit one -- with no reduction and no list
+  allocation.  It decides exactly what the reference's echelon
+  reduction decides: both test ``p - origin`` against the same
+  rational subspace.
 
-* **One multi-column refit** (:meth:`FastVectorFitter._refit`).  The
-  first point and every out-of-span mismatch refit all affected
-  components with one :func:`~repro.poly.affine.fit_affine_many` call
-  over the shared support -- one basis and one elimination, with
-  canonical form and verification per component -- instead of one
-  solve per component.  A component whose column fails still fails
-  alone, exactly as a separate solve would.
+* **Steady-state accept** (``FastVectorFitter._shift``).  A fitter
+  whose label has the point's arity tracks the *support shift*: set
+  while every support point satisfies ``value == point + shift``.
+  Every exact fit interpolates the support, and two affine functions
+  that agree on a set agree on its affine hull, so on the span each
+  component's expression equals ``point + shift``.  An in-span point
+  is therefore accepted iff one tuple compare holds -- nothing
+  changes -- and otherwise rejected without mutation, exactly as the
+  expression test would decide.  An appended point off the shift
+  clears it for good, as does a failed component.
+
+* **Inline steady checks** (:meth:`FastFoldingSink.instr_points`,
+  :meth:`FastFoldingSink.dep_points`).  Streams whose every point so
+  far was accepted by label piece 0 (``steady``) run the accept test
+  in the sink loop, with no method call: dependences compare
+  ``dst + shift`` with the producer coordinates, scalar labels
+  compare ``const + coeffs . p`` with ``label * den``, and both then
+  test the span equalities.  A point that passes leaves the fitter
+  unchanged (the reference would accept it and add nothing), so only
+  the counts move; anything else falls through to ``try_add``.  The
+  sink finds a dependence stream by the identity of its key object
+  before falling back to the ``DepKey`` hash.
+
+* **One multi-column refit** (:meth:`FastVectorFitter._refit`).  Every
+  out-of-span mismatch refits all affected components with one
+  :func:`~repro.poly.affine.fit_affine_many` call over the shared
+  support -- one basis and one elimination, with canonical form and
+  verification per component -- instead of one solve per component.  A component whose column fails still fails
+  alone, exactly as a separate solve would.  The first point needs no
+  solve: its canonical one-sample fit is the constant label.
 
 * **Shared domain folders + memoized folds**
   (:class:`FastDomainFolder`, :class:`FastFoldingSink`).  All
@@ -49,19 +78,26 @@ The optimizations, each argued exact:
   per instruction, and one ``fold()`` per group at finalize instead of
   one per statement.  An insertion only walks the prefix tree (no
   per-point min/max: an inexact fold derives its bounding box from the
-  tree), so :meth:`FastDomainFolder.clone` copies the tree alone.
+  tree), and a repeated prefix reuses the last leaf without walking
+  it, so :meth:`FastDomainFolder.clone` copies the tree alone (and
+  drops the leaf cache, which points into the original's tree).
 """
 
 from __future__ import annotations
 
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ddg.graph import Statement, StmtKey
 from ..poly.affine import AffineExpr, AffineFunction, fit_affine_many
+from ..poly.linalg import vec_gcd
 from ..poly.pset import ISet
 from .domains import DomainFolder
-from .fitter import _vec_gcd
 from .folder import FoldingSink
+
+#: one span equality ``sum(coeffs[k] * p[idx[k]]) == rhs``, stored
+#: sparse as ``(idx, coeffs, rhs)``
+Equality = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
 def _copy_tree(node: Dict) -> Dict:
@@ -74,25 +110,101 @@ def _copy_tree(node: Dict) -> Dict:
     return out
 
 
+def _dual_step(eqs: List[Equality], point: Tuple[int, ...]) -> List[Equality]:
+    """Equalities of the span grown by ``point``, which violates at
+    least one of ``eqs``.
+
+    With residuals ``r_k = n_k . point - rhs_k`` and a violated pivot
+    equality ``k0``, the combinations ``r_k0 * n_k - r_k * n_k0``
+    (``k != k0``) hold on the old span and at ``point``, and they are
+    a basis of the grown span's equalities: one fewer than before.
+    The sparsest violated equality is the pivot, so the common unit
+    equalities ``p[j] == c`` stay short.
+    """
+    get = point.__getitem__
+    res = [sum(map(mul, cs, map(get, idx))) - rhs for idx, cs, rhs in eqs]
+    k0 = min(
+        (k for k, r in enumerate(res) if r),
+        key=lambda k: (len(eqs[k][0]), abs(res[k])),
+    )
+    idx0, cs0, rhs0 = eqs[k0]
+    r0 = res[k0]
+    out: List[Equality] = []
+    for k, eq in enumerate(eqs):
+        r = res[k]
+        if k == k0:
+            continue
+        if not r:
+            out.append(eq)
+            continue
+        idx, cs, rhs = eq
+        row = {j: c * r0 for j, c in zip(idx, cs)}
+        for j, c in zip(idx0, cs0):
+            row[j] = row.get(j, 0) - r * c
+        js = sorted(j for j, c in row.items() if c)
+        ncs = [row[j] for j in js]
+        nrhs = rhs * r0 - r * rhs0
+        # every integer support point satisfies the row, so the gcd
+        # of its coefficients divides its rhs
+        g = vec_gcd(ncs)
+        if g > 1:
+            ncs = [c // g for c in ncs]
+            nrhs //= g
+        out.append((tuple(js), tuple(ncs), nrhs))
+    return out
+
+
 class FastDomainFolder(DomainFolder):
-    """DomainFolder with a memoized :meth:`fold` and cheap cloning.
+    """DomainFolder with a memoized :meth:`fold`, a last-prefix leaf
+    cache and cheap cloning.
 
     Shared-group folders are folded once per member statement at
     finalize time; the cache makes every fold after the first free.
-    :meth:`clone` snapshots the folder for the alias-until-divergence
-    sharing the sink does between a stream's domain and the domain of
-    its first label piece.
+    Consecutive points mostly share their outer coordinates (an inner
+    loop), so :meth:`add` keeps the leaf of the last prefix and skips
+    the tree walk while the prefix repeats.  :meth:`clone` snapshots
+    the folder for the alias-until-divergence sharing the sink does
+    between a stream's domain and the domain of its first label piece.
     """
 
-    __slots__ = ("_fold_cache",)
+    __slots__ = ("_fold_cache", "_last_prefix", "_last_leaf")
 
     def __init__(self, dim: int) -> None:
         super().__init__(dim)
         self._fold_cache: Optional[Tuple[int, Tuple[ISet, bool]]] = None
+        self._last_prefix: Optional[Sequence[int]] = None
+        self._last_leaf: Optional[List[int]] = None
 
     def add(self, coords: Sequence[int]) -> None:
         self._fold_cache = None
-        super().add(coords)
+        if len(coords) != self.dim:
+            raise ValueError("coordinate arity mismatch")
+        self.count += 1
+        if not self.dim:
+            return
+        last = coords[-1]
+        prefix = coords[:-1]
+        if prefix == self._last_prefix:
+            leaf = self._last_leaf
+        else:
+            node = self._tree
+            for c in prefix:
+                nxt = node.get(c)
+                if nxt is None:
+                    nxt = {}
+                    node[c] = nxt
+                node = nxt
+            leaf = node.get("__leaf__")
+            if leaf is None:
+                leaf = [last, last, 0]
+                node["__leaf__"] = leaf
+            self._last_prefix = prefix
+            self._last_leaf = leaf
+        if last < leaf[0]:
+            leaf[0] = last
+        elif last > leaf[1]:
+            leaf[1] = last
+        leaf[2] += 1
 
     def fold(self, max_pieces: int = 6) -> Tuple[ISet, bool]:
         cached = self._fold_cache
@@ -103,11 +215,15 @@ class FastDomainFolder(DomainFolder):
         return result
 
     def clone(self) -> "FastDomainFolder":
+        """Deep copy of the tree; the leaf cache points into the
+        original's tree, so the clone starts without one."""
         c = FastDomainFolder.__new__(FastDomainFolder)
         c.dim = self.dim
         c.count = self.count
         c._tree = _copy_tree(self._tree)
         c._fold_cache = self._fold_cache
+        c._last_prefix = None
+        c._last_leaf = None
         return c
 
 
@@ -122,11 +238,17 @@ class FastVectorFitter:
       ``add``;
     * :meth:`add` -- the independent-components protocol of the global
       per-dependence fit, where components fail individually.
+
+    The support span is kept in equality form: ``_eqs`` holds one
+    ``(idx, coeffs, rhs)`` triple per integer equality
+    ``sum(coeffs[k] * p[idx[k]]) == rhs`` the span satisfies (none
+    once it is full rank).  ``_shift`` is the distance ``value -
+    point`` while every support point shares one, else None.
     """
 
     __slots__ = (
         "dim", "out_dim", "count", "failed",
-        "_support", "_values", "_rows", "_pivots", "_origin",
+        "_support", "_values", "_origin", "_eqs", "_shift",
         "_exprs", "_coeffs", "_consts", "_dens", "_comp_failed", "_live",
     )
 
@@ -137,9 +259,9 @@ class FastVectorFitter:
         self.failed = False
         self._support: List[Tuple[int, ...]] = []
         self._values: List[List[int]] = [[] for _ in range(out_dim)]
-        self._rows: List[List[int]] = []
-        self._pivots: List[int] = []
         self._origin: Optional[Tuple[int, ...]] = None
+        self._eqs: List[Equality] = []
+        self._shift: Optional[Tuple[int, ...]] = None
         self._exprs: List[Optional[AffineExpr]] = [None] * out_dim
         self._coeffs: List = [None] * out_dim
         self._consts: List[int] = [0] * out_dim
@@ -150,47 +272,47 @@ class FastVectorFitter:
     # -- shared span -----------------------------------------------------------
 
     def _in_span(self, point: Tuple[int, ...]) -> bool:
-        origin = self._origin
-        if origin is None:
+        if self._origin is None:
             return False
-        rows = self._rows
-        if len(rows) == self.dim:
-            return True
-        v = [b - a for a, b in zip(origin, point)]
-        for row, piv in zip(rows, self._pivots):
-            if v[piv]:
-                a, b = row[piv], v[piv]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        return not any(v)
+        get = point.__getitem__
+        for idx, cs, rhs in self._eqs:
+            if sum(map(mul, cs, map(get, idx))) != rhs:
+                return False
+        return True
 
     def _append(self, point: Tuple[int, ...], values: Sequence[int]) -> None:
         """Grow the shared support (point is outside the span)."""
         self._support.append(point)
         comp_failed = self._comp_failed
         vlists = self._values
+        ints = [int(v) for v in values]
         for i in range(self.out_dim):
             if not comp_failed[i]:
-                vlists[i].append(int(values[i]))
-        origin = self._origin
-        if origin is None:
+                vlists[i].append(ints[i])
+        if self._origin is None:
             self._origin = point
+            self._eqs = [((j,), (1,), x) for j, x in enumerate(point)]
+            if self.dim == self.out_dim:
+                self._shift = tuple(map(sub, ints, point))
             return
-        # insertion keeps the reference's gcd-normalized echelon rows
-        v = [b - a for a, b in zip(origin, point)]
-        rows = self._rows
-        for row, piv in zip(rows, self._pivots):
-            if v[piv]:
-                a, b = row[piv], v[piv]
-                v = [a * x - b * y for x, y in zip(v, row)]
-                g = _vec_gcd(v)
-                if g > 1:
-                    v = [x // g for x in v]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is not None:
-            rows.append(v)
-            self._pivots.append(piv)
+        shift = self._shift
+        if shift is not None and tuple(map(sub, ints, point)) != shift:
+            self._shift = None
+        self._eqs = _dual_step(self._eqs, point)
 
     # -- fitting ----------------------------------------------------------------
+
+    def _start(self, point: Tuple[int, ...], values: Sequence[int]) -> None:
+        """Absorb the first point.  Its canonical one-sample fit is the
+        constant ``value`` per component (``fit_affine_many`` pins
+        every coordinate to 0), built here without the solver."""
+        self._append(point, values)
+        zeros = (0,) * self.dim
+        for i, v in enumerate(self._values):
+            const = v[0]
+            self._exprs[i] = AffineExpr.from_normalized(zeros, const, 1)
+            self._coeffs[i] = zeros
+            self._consts[i] = const
 
     def _refit(self, comps: Sequence[int]) -> None:
         """Refit components ``comps`` over the shared support with one
@@ -211,7 +333,24 @@ class FastVectorFitter:
         self._exprs[i] = None
         self._coeffs[i] = None
         self._values[i] = []
+        self._shift = None
         self._live -= 1
+
+    def _mismatches(self, point, values) -> Optional[List[int]]:
+        """Live components whose expression misses ``values``."""
+        coeffs = self._coeffs
+        consts = self._consts
+        dens = self._dens
+        mismatch: Optional[List[int]] = None
+        for i, c in enumerate(coeffs):
+            if c is None:
+                continue
+            if consts[i] + sum(map(mul, c, point)) != int(values[i]) * dens[i]:
+                if mismatch is None:
+                    mismatch = [i]
+                else:
+                    mismatch.append(i)
+        return mismatch
 
     def try_add(self, point: Sequence[int], values: Sequence[int]) -> bool:
         """Accept-and-absorb, or reject without mutation.
@@ -226,33 +365,27 @@ class FastVectorFitter:
         point = tuple(point)
         if not self._support:
             self.count += 1
-            self._append(point, values)
-            self._refit(range(self.out_dim))
+            self._start(point, values)
             return True
-        coeffs = self._coeffs
-        consts = self._consts
-        dens = self._dens
-        comp_failed = self._comp_failed
-        mismatch: Optional[List[int]] = None
-        for i in range(self.out_dim):
-            if comp_failed[i]:
-                # a dead component rejects everything (reference
-                # would_accept semantics)
+        if self._live != self.out_dim:
+            # a dead component rejects everything (reference
+            # would_accept semantics)
+            return False
+        in_span = self._in_span(point)
+        shift = self._shift
+        if in_span and shift is not None:
+            # on the support's affine hull every fit is point + shift
+            if tuple(map(sub, values, point)) != shift:
                 return False
-            num = consts[i]
-            for c, x in zip(coeffs[i], point):
-                num += c * x
-            if num != int(values[i]) * dens[i]:
-                if mismatch is None:
-                    mismatch = [i]
-                else:
-                    mismatch.append(i)
+            self.count += 1
+            return True
+        mismatch = self._mismatches(point, values)
         if mismatch is None:
             self.count += 1
-            if not self._in_span(point):
+            if not in_span:
                 self._append(point, values)
             return True
-        if self._in_span(point):
+        if in_span:
             return False
         self.count += 1
         self._append(point, values)
@@ -269,30 +402,22 @@ class FastVectorFitter:
             return
         point = tuple(point)
         if not self._support:
-            self._append(point, values)
-            self._refit(range(self.out_dim))
+            self._start(point, values)
             return
-        coeffs = self._coeffs
-        consts = self._consts
-        dens = self._dens
-        comp_failed = self._comp_failed
-        mismatch: Optional[List[int]] = None
-        for i in range(self.out_dim):
-            if comp_failed[i]:
-                continue
-            num = consts[i]
-            for c, x in zip(coeffs[i], point):
-                num += c * x
-            if num != int(values[i]) * dens[i]:
-                if mismatch is None:
-                    mismatch = [i]
-                else:
-                    mismatch.append(i)
+        in_span = self._in_span(point)
+        shift = self._shift
+        if (
+            in_span
+            and shift is not None
+            and tuple(map(sub, values, point)) == shift
+        ):
+            return
+        mismatch = self._mismatches(point, values)
         if mismatch is None:
-            if not self._in_span(point):
+            if not in_span:
                 self._append(point, values)
             return
-        if self._in_span(point):
+        if in_span:
             for i in mismatch:
                 self._comp_fail(i)
             return
@@ -301,8 +426,8 @@ class FastVectorFitter:
 
     def clone(self) -> "FastVectorFitter":
         """Snapshot for alias-until-divergence sharing.  Support point
-        tuples and span rows are immutable after insertion, so only
-        the containers are copied."""
+        tuples and equalities are immutable, so only the containers
+        are copied."""
         c = FastVectorFitter.__new__(FastVectorFitter)
         c.dim = self.dim
         c.out_dim = self.out_dim
@@ -310,9 +435,9 @@ class FastVectorFitter:
         c.failed = self.failed
         c._support = self._support[:]
         c._values = [v[:] for v in self._values]
-        c._rows = self._rows[:]
-        c._pivots = self._pivots[:]
         c._origin = self._origin
+        c._eqs = self._eqs
+        c._shift = self._shift
         c._exprs = self._exprs[:]
         c._coeffs = self._coeffs[:]
         c._consts = self._consts[:]
@@ -405,27 +530,25 @@ class _FastStmtStream:
     with every other statement of the same executed (block, context)
     group and is bound on the group's first batch.
 
-    While ``aliased``, the domain of the stream's first label piece IS
-    the (shared) stream domain: every point so far was labelled and
-    accepted by piece 0, so the two folders would be identical anyway.
-    The alias ends (with a clone snapshot) at the first unlabelled or
-    rejected point."""
+    While ``steady`` is set (to piece 0's fitter), the domain of the
+    stream's first label piece IS the (shared) stream domain: every
+    point so far was labelled and accepted by piece 0, so the two
+    folders would be identical anyway.  The alias ends (with a clone
+    snapshot) at the first unlabelled or rejected point."""
 
-    __slots__ = ("domain", "labels", "label_arity", "aliased")
+    __slots__ = ("domain", "labels", "label_arity", "steady")
 
     def __init__(self) -> None:
         self.domain: Optional[FastDomainFolder] = None
         self.labels: Optional[FastPiecewiseVectorFolder] = None
         self.label_arity: Optional[int] = None
-        self.aliased = False
+        self.steady: Optional[FastVectorFitter] = None
 
     def dealias(self) -> None:
         """Give piece 0 its own domain snapshot (the stream domain is
         about to move ahead of it)."""
-        labels = self.labels
-        f0 = labels.pieces[0][0]
-        labels.pieces[0] = (f0, self.domain.clone())
-        self.aliased = False
+        self.labels.pieces[0] = (self.steady, self.domain.clone())
+        self.steady = None
 
 
 class _FastDepStream:
@@ -434,15 +557,17 @@ class _FastDepStream:
     While ``partial`` is None, every point so far was accepted by label
     piece 0, so the global per-component fitter and piece 0's fitter
     have identical state, as do the stream domain and piece 0's domain
-    -- both are aliased and each point costs one domain insert plus one
-    fused fitter pass.  The first rejected point clones both."""
+    -- both are aliased (``steady`` is that shared fitter) and each
+    point costs one domain insert plus one fused fitter pass.  The
+    first rejected point clones both."""
 
-    __slots__ = ("domain", "labels", "partial", "src_dim")
+    __slots__ = ("domain", "labels", "partial", "steady", "src_dim")
 
     def __init__(self, dst_dim: int, src_dim: int, max_pieces: int) -> None:
         self.domain = FastDomainFolder(dst_dim)
         self.labels = FastPiecewiseVectorFolder(dst_dim, src_dim, max_pieces)
         self.partial: Optional[FastVectorFitter] = None
+        self.steady: Optional[FastVectorFitter] = None
         self.src_dim = src_dim
 
     def add(self, dst_coords, src_coords) -> None:
@@ -450,15 +575,15 @@ class _FastDepStream:
         domain = self.domain
         partial = self.partial
         if partial is None:
-            pieces = labels.pieces
-            if not pieces:
+            f0 = self.steady
+            if f0 is None:
                 labels.count += 1
-                fitter = FastVectorFitter(labels.dim, labels.out_dim)
-                fitter.add(dst_coords, src_coords)
-                pieces.append((fitter, domain))
+                f0 = FastVectorFitter(labels.dim, labels.out_dim)
+                f0.add(dst_coords, src_coords)
+                labels.pieces.append((f0, domain))
+                self.steady = f0
                 domain.add(dst_coords)
                 return
-            f0 = pieces[0][0]
             if f0.try_add(dst_coords, src_coords):
                 labels.count += 1
                 domain.add(dst_coords)
@@ -466,9 +591,10 @@ class _FastDepStream:
             # diverged: snapshot piece 0 before absorbing the point
             # (try_add rejected without mutating, so f0 and the domain
             # hold exactly the pre-point state)
-            pieces[0] = (f0, domain.clone())
+            labels.pieces[0] = (f0, domain.clone())
             partial = f0.clone()
             self.partial = partial
+            self.steady = None
         domain.add(dst_coords)
         labels.add(dst_coords, src_coords)
         partial.add(dst_coords, src_coords)
@@ -477,11 +603,11 @@ class _FastDepStream:
         """Clamped stream: it will never absorb another point (the
         count only grows), so the aliases can be frozen in place."""
         if self.partial is None:
-            pieces = self.labels.pieces
-            if pieces:
-                f0 = pieces[0][0]
-                pieces[0] = (f0, self.domain.clone())
+            f0 = self.steady
+            if f0 is not None:
+                self.labels.pieces[0] = (f0, self.domain.clone())
                 self.partial = f0
+                self.steady = None
             else:
                 self.partial = FastVectorFitter(self.domain.dim, self.src_dim)
         self.domain.count += 1
@@ -489,10 +615,9 @@ class _FastDepStream:
     def partial_results(self) -> Optional[List[Optional[AffineExpr]]]:
         partial = self.partial
         if partial is None:
-            pieces = self.labels.pieces
-            if not pieces:
+            partial = self.steady
+            if partial is None:
                 return None
-            partial = pieces[0][0]
         if partial.failed or not partial.count:
             return None
         out = partial.component_results()
@@ -518,6 +643,12 @@ class FastFoldingSink(FoldingSink):
         #: folder (False marks a group that cannot share, e.g. after a
         #: partially-delivered faulting block)
         self._group_domains: Dict[Tuple[StmtKey, ...], object] = {}
+        #: id of the key object a dependence stream was created with ->
+        #: that stream.  ``_dep_streams`` keeps the key alive, so a live
+        #: object with that id is that key.  The builder reuses its key
+        #: objects, and this lookup skips the dataclass ``__hash__``;
+        #: an equal but distinct key takes the ``_dep_streams`` path.
+        self._dep_ids: Dict[int, _FastDepStream] = {}
 
     # -- declaration ------------------------------------------------------------
 
@@ -555,7 +686,7 @@ class FastFoldingSink(FoldingSink):
             return
         if self.clamp is not None and dom.count >= self.clamp:
             for s in members:
-                if s.aliased:
+                if s.steady is not None:
                     s.dealias()
             self._clamped_stmts.update(gkey)
             dom.count += 1  # one unseen point per member statement
@@ -564,12 +695,14 @@ class FastFoldingSink(FoldingSink):
         max_pieces = self.max_pieces
         dim = len(coords)
         first_block = dom.count == 0
+        get = coords.__getitem__
         i = 0
         for key, label in items:
             s = members[i]
             i += 1
             if label:
                 labels = s.labels
+                f0 = s.steady
                 if labels is None:
                     s.label_arity = len(label)
                     labels = FastPiecewiseVectorFolder(
@@ -580,22 +713,39 @@ class FastFoldingSink(FoldingSink):
                         # every point of this stream so far (just this
                         # one) is labelled: alias piece 0's domain to
                         # the shared stream domain
-                        s.aliased = True
                         labels.count = 1
-                        fitter = FastVectorFitter(dim, len(label))
-                        fitter.add(coords, label)
-                        labels.pieces.append((fitter, dom))
+                        f0 = FastVectorFitter(dim, len(label))
+                        f0.add(coords, label)
+                        labels.pieces.append((f0, dom))
+                        s.steady = f0
                     else:
                         labels.add(coords, label)
-                elif s.aliased:
-                    if labels.pieces[0][0].try_add(coords, label):
+                elif f0 is None:
+                    labels.add(coords, label)
+                else:
+                    # steady state, inline: a live scalar fit that
+                    # matches at an in-span point accepts with no
+                    # change (piece fitters never set ``failed``)
+                    c0 = f0._coeffs[0]
+                    if (
+                        c0 is not None
+                        and len(label) == 1 == f0.out_dim
+                        and f0._consts[0] + sum(map(mul, c0, coords))
+                        == label[0] * f0._dens[0]
+                    ):
+                        for idx, cs, rhs in f0._eqs:
+                            if sum(map(mul, cs, map(get, idx))) != rhs:
+                                break
+                        else:
+                            f0.count += 1
+                            labels.count += 1
+                            continue
+                    if f0.try_add(coords, label):
                         labels.count += 1
                     else:
                         s.dealias()
                         labels.add(coords, label)
-                else:
-                    labels.add(coords, label)
-            elif s.aliased:
+            elif s.steady is not None:
                 # unlabelled point: the shared domain moves ahead of
                 # label piece 0, so the alias ends here
                 s.dealias()
@@ -615,7 +765,7 @@ class FastFoldingSink(FoldingSink):
         # exactly the previous points
         for key, _ in items:
             s = streams[key]
-            if s.aliased:
+            if s.steady is not None:
                 s.dealias()
         decisions: Dict[int, bool] = {}
         for key, label in items:
@@ -652,23 +802,45 @@ class FastFoldingSink(FoldingSink):
         clamp = self.clamp
         max_pieces = self.max_pieces
         dst_dim = len(dst_coords)
+        get = dst_coords.__getitem__
+        by_id = self._dep_ids
         for dep, src_coords in items:
-            d = streams.get(dep)
+            d = by_id.get(id(dep))
             if d is None:
-                d = _FastDepStream(dst_dim, len(src_coords), max_pieces)
-                streams[dep] = d
+                d = streams.get(dep)
+                if d is None:
+                    d = _FastDepStream(dst_dim, len(src_coords), max_pieces)
+                    streams[dep] = d
+                    by_id[id(dep)] = d
             if clamp is not None and d.domain.count >= clamp:
                 self._clamped_deps.add(dep)
                 d.on_clamped()
                 self.clamped_points += 1
                 continue
+            f0 = d.steady
+            if f0 is not None:
+                # steady state, inline: an in-span point at the
+                # support's shift accepts with no change
+                shift = f0._shift
+                if (
+                    shift is not None
+                    and tuple(map(add, dst_coords, shift)) == src_coords
+                ):
+                    for idx, cs, rhs in f0._eqs:
+                        if sum(map(mul, cs, map(get, idx))) != rhs:
+                            break
+                    else:
+                        f0.count += 1
+                        d.labels.count += 1
+                        d.domain.add(dst_coords)
+                        continue
             d.add(dst_coords, src_coords)
 
     # -- unbatched entry points (fallback / mixed use) ---------------------------
 
     def instr_point(self, key, coords, label) -> None:
         s = self._stmt_streams[key]
-        if s.aliased:
+        if s.steady is not None:
             s.dealias()
         if s.domain is None:
             s.domain = FastDomainFolder(len(coords))
@@ -693,6 +865,7 @@ class FastFoldingSink(FoldingSink):
                 len(dst_coords), len(src_coords), self.max_pieces
             )
             self._dep_streams[dep] = d
+            self._dep_ids[id(dep)] = d
         if self.clamp is not None and d.domain.count >= self.clamp:
             self._clamped_deps.add(dep)
             d.on_clamped()

@@ -48,43 +48,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(int(x) * int(y) for x, y in zip(a, b))
 
 
-def nullspace_rational(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the (right) nullspace of a rational matrix."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
-    return basis
-
-
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix (computed over the rationals)."""
     if not rows:

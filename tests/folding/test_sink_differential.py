@@ -1,0 +1,248 @@
+"""Sink-level differential tests: batched ``FastFoldingSink`` against
+per-point delivery into the reference ``FoldingSink``.
+
+Random programs of a few blocks run random loop nests; each block
+execution delivers its statements' labels through ``instr_points`` and
+its dependences through ``dep_points`` (the builder's protocol), and
+the same events go one by one into the reference sink.  The finalized
+folded DDGs must serialize to the same codec bytes.  Dependence
+streams include ``src is dst`` points, constant shifts, general
+affine maps, streams that leave their shift after a steady run, and
+non-affine noise; a clamp is drawn for some programs.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ddg.graph import DEP_KINDS, DepKey, Statement
+from repro.folding import FastFoldingSink, FoldingSink
+from repro.folding.codec import encode_folded_ddg
+from repro.folding.domains import DomainFolder
+from repro.folding.fastpath import FastDomainFolder
+from repro.isa.program import Instr
+
+LABEL_KINDS = ["none", "affine", "affine", "leave", "noise", "sometimes"]
+RELATION_KINDS = ["same", "shift", "shift", "affine", "leave", "noise"]
+
+
+def _stmt(uid, depth, opcode):
+    instr = Instr(uid=uid, opcode=opcode, dest="r0", srcs=("r1", "r2"))
+    ctx = tuple(("f", f"loop{i}") for i in range(depth)) + (("f", "bb"),)
+    return Statement(key=(uid, 0), instr=instr, func="f", context=ctx)
+
+
+def _nest(draw, depth):
+    """Lexicographic iterations of a small nest, maybe with a
+    triangular inner bound and a few out-of-order points."""
+    extents = [draw(st.integers(1, 4)) for _ in range(depth)]
+    tri = depth > 1 and draw(st.booleans())
+    pts = [()]
+    for lvl, n in enumerate(extents):
+        nxt = []
+        for p in pts:
+            hi = p[0] + 1 if tri and lvl == depth - 1 else n
+            nxt.extend(p + (x,) for x in range(hi))
+        pts = nxt
+    for _ in range(draw(st.integers(0, 2))):
+        pts.append(tuple(draw(st.integers(-2, 6)) for _ in range(depth)))
+    return pts
+
+
+def _label_fn(draw, kind, depth, n_points):
+    coef = [draw(st.integers(-3, 3)) for _ in range(depth)]
+    const = draw(st.integers(-5, 5))
+    cut = draw(st.integers(0, max(0, n_points - 1)))
+    noise = draw(st.integers(1, 7))
+
+    def affine(p):
+        return sum(a * x for a, x in zip(coef, p)) + const
+
+    def fn(step, p):
+        if kind == "none":
+            return ()
+        if kind == "affine":
+            return (affine(p),)
+        if kind == "leave":
+            return (affine(p) + (step >= cut),)
+        if kind == "noise":
+            return ((affine(p) * 7 + step * noise) % 5,)
+        # "sometimes": unlabelled points break the domain alias
+        return (affine(p),) if (step + noise) % 4 else ()
+
+    return fn
+
+
+def _dep_fn(draw, kind, depth, n_points):
+    src_depth = depth if kind in ("same", "shift", "leave") else draw(
+        st.integers(0, 3)
+    )
+    shift = tuple(draw(st.integers(-2, 2)) for _ in range(depth))
+    rows = [
+        ([draw(st.integers(-2, 2)) for _ in range(depth)], draw(st.integers(-3, 3)))
+        for _ in range(src_depth)
+    ]
+    cut = draw(st.integers(0, max(0, n_points - 1)))
+
+    def fn(step, p):
+        if kind == "same":
+            return p  # the same tuple object: ``src is dst``
+        if kind == "shift" or (kind == "leave" and step < cut):
+            return tuple(x + s for x, s in zip(p, shift))
+        if kind == "noise":
+            return tuple((x * x + step) % 3 for x in p[:src_depth])
+        return tuple(sum(a * x for a, x in zip(c, p)) + k for c, k in rows)
+
+    return fn
+
+
+@st.composite
+def programs(draw):
+    blocks = []
+    uid = 0
+    for _ in range(draw(st.integers(1, 3))):
+        depth = draw(st.integers(0, 3))
+        pts = _nest(draw, depth)
+        stmts = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(LABEL_KINDS))
+            opcode = draw(st.sampled_from(["add", "load"]))
+            stmts.append((_stmt(uid, depth, opcode), _label_fn(draw, kind, depth, len(pts))))
+            uid += 1
+        deps = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(RELATION_KINDS))
+            src_uid = draw(st.integers(0, uid - 1))
+            dst_uid = draw(st.sampled_from([s.key[0] for s, _ in stmts]))
+            key = DepKey(src=(src_uid, 0), dst=(dst_uid, 0), kind=DEP_KINDS[len(deps)])
+            deps.append((key, _dep_fn(draw, kind, depth, len(pts))))
+        blocks.append((pts, stmts, deps))
+    # interleave the blocks' executions; each keeps its own order
+    order = draw(
+        st.permutations([b for b, (pts, _, _) in enumerate(blocks) for _ in pts])
+    )
+    clamp = draw(st.sampled_from([None, None, None, 3, 8, 20]))
+    return blocks, order, clamp
+
+
+def _run(blocks, order, clamp):
+    fast = FastFoldingSink(clamp=clamp)
+    ref = FoldingSink(clamp=clamp)
+    for _pts, stmts, _deps in blocks:
+        for stmt, _ in stmts:
+            fast.declare_statement(stmt)
+            ref.declare_statement(stmt)
+    steps = [0] * len(blocks)
+    for b in order:
+        pts, stmts, deps = blocks[b]
+        step = steps[b]
+        steps[b] += 1
+        coords = pts[step]
+        items = [(stmt.key, fn(step, coords)) for stmt, fn in stmts]
+        ditems = [(key, fn(step, coords)) for key, fn in deps]
+        fast.instr_points(coords, items)
+        if ditems:
+            fast.dep_points(coords, ditems)
+        for key, label in items:
+            ref.instr_point(key, coords, label)
+        for key, src in ditems:
+            ref.dep_point(key, coords, src)
+    return fast, ref
+
+
+def assert_same_ddg(fast, ref):
+    assert fast.clamped_points == ref.clamped_points
+    got = json.dumps(encode_folded_ddg(fast.finalize()))
+    want = json.dumps(encode_folded_ddg(ref.finalize()))
+    assert got == want
+
+
+class TestSinkDifferential:
+    @given(programs())
+    @settings(deadline=None)
+    def test_batched_fast_equals_per_point_reference(self, program):
+        assert_same_ddg(*_run(*program))
+
+    def test_clamped_steady_streams(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        blocks = [
+            (
+                [(i, j) for i in range(5) for j in range(5)],
+                [(s, lambda step, p: (4 * p[0] + p[1],))],
+                [(dep, lambda step, p: (p[0] - 1, p[1]))],
+            )
+        ]
+        fast, ref = _run(blocks, [0] * 25, clamp=10)
+        assert fast.clamped_points == 30
+        assert_same_ddg(fast, ref)
+
+    def test_stream_leaves_its_shift_after_steady_points(self):
+        s = _stmt(0, 2, "add")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        pts = [(i, j) for i in range(6) for j in range(6)]
+
+        def src(step, p):
+            # 30 steady points at distance (-1, 0), then a new distance
+            return (p[0] - 1, p[1]) if step < 30 else (p[0], p[1] - 1)
+
+        blocks = [(pts, [(s, lambda step, p: (p[0] + p[1],))], [(dep, src)])]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=None)
+        stream = fast._dep_streams[dep]
+        assert stream.steady is None and stream.partial is not None
+        assert_same_ddg(fast, ref)
+
+
+def _rows(folder):
+    return list(folder._rows())
+
+
+class TestDomainFolderClone:
+    def test_clone_after_cached_inserts_diverges_cleanly(self):
+        fast = FastDomainFolder(2)
+        ref = DomainFolder(2)
+        for j in range(4):  # one prefix: inserts hit the leaf cache
+            fast.add((0, j))
+            ref.add((0, j))
+        twin = fast.clone()
+        ref_twin = DomainFolder(2)
+        for j in range(4):
+            ref_twin.add((0, j))
+        # same prefix on both sides, different values
+        fast.add((0, 9))
+        ref.add((0, 9))
+        twin.add((0, -3))
+        ref_twin.add((0, -3))
+        for i in range(1, 3):
+            for j in range(i + 1):
+                fast.add((i, j))
+                ref.add((i, j))
+            twin.add((i, 0))
+            ref_twin.add((i, 0))
+        twin.add((0, 5))  # back to the first prefix
+        ref_twin.add((0, 5))
+        assert _rows(fast) == _rows(ref)
+        assert _rows(twin) == _rows(ref_twin)
+        assert fast.count == ref.count and twin.count == ref_twin.count
+        assert fast.fold() == ref.fold() and twin.fold() == ref_twin.fold()
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=30),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=30),
+    )
+    @settings(deadline=None)
+    def test_clone_then_random_inserts(self, before, after):
+        fast = FastDomainFolder(2)
+        ref = DomainFolder(2)
+        for p in before:
+            fast.add(p)
+            ref.add(p)
+        twin = fast.clone()
+        for p in after:
+            twin.add(p)
+        ref_twin = DomainFolder(2)
+        for p in before + after:
+            ref_twin.add(p)
+        assert _rows(fast) == _rows(ref)
+        assert _rows(twin) == _rows(ref_twin)
