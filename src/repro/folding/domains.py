@@ -75,12 +75,22 @@ class DomainFolder:
     def fold(self, max_pieces: int = 6) -> Tuple[ISet, bool]:
         """Produce (domain, exact).  ``domain`` is always a superset of
         the observed points; ``exact`` means it is *equal* to them."""
+        return self.fold_summary(self.row_summary(), max_pieces)
+
+    def row_summary(self) -> Tuple[Tuple[Tuple[int, ...], int, int, int], ...]:
+        """The ``(prefix, lo, hi, cnt)`` rows in lexicographic order.
+        With ``dim`` and ``count == 0`` they are everything
+        :meth:`fold_summary` reads, so two folders with equal summaries
+        fold to equal results."""
+        return tuple(self._rows())
+
+    def fold_summary(self, rows, max_pieces: int = 6) -> Tuple[ISet, bool]:
+        """:meth:`fold` from this folder's :meth:`row_summary`."""
         space = Space([f"c{i}" for i in range(self.dim)])
         if self.count == 0:
             return ISet.empty(space), True
         if self.dim == 0:
             return ISet(space, [Polyhedron.universe(0)]), True
-        rows = list(self._rows())
         piece = self._fold_rows(rows)
         if piece is not None:
             return ISet(space, [piece]), True
@@ -146,7 +156,9 @@ class DomainFolder:
         lo_row = tuple(-c for c in lo_fn.coeffs) + (1, -lo_fn.const)
         # hi(prefix) - c_{d-1} >= 0
         hi_row = tuple(hi_fn.coeffs) + (-1, hi_fn.const)
-        return Polyhedron(d, eqs=eqs, ineqs=ineqs + [lo_row, hi_row])
+        poly = Polyhedron(d, eqs=eqs, ineqs=ineqs + [lo_row, hi_row])
+        poly.witness = prefixes[0] + (los[0],)  # an observed point
+        return poly
 
     def _fold_split(self, rows, max_pieces: int) -> Optional[List[Polyhedron]]:
         """Greedy segmentation along the outermost coordinate."""
@@ -190,7 +202,9 @@ class DomainFolder:
             for i in range(d - 1)
         ]
         bounds.append((min(r[1] for r in rows), max(r[2] for r in rows)))
-        return ISet(space, [Polyhedron.box(bounds)])
+        box = Polyhedron.box(bounds)
+        box.witness = rows[0][0] + (rows[0][1],)  # an observed point
+        return ISet(space, [box])
 
 
 def fold_under(folder: "DomainFolder", max_pieces: int = 6) -> "ISet":

@@ -81,6 +81,14 @@ The optimizations, each argued exact:
   tree), and a repeated prefix reuses the last leaf without walking
   it, so :meth:`FastDomainFolder.clone` copies the tree alone (and
   drops the leaf cache, which points into the original's tree).
+
+* **One fold per distinct domain** (:meth:`FastFoldingSink.finalize`).
+  Distinct folders often hold the same points -- most often a
+  dependence stream and its destination statement.  Finalize keys
+  every domain folder by ``(dim, count == 0, row summary)``, all that
+  :meth:`~repro.folding.domains.DomainFolder.fold_summary` reads, folds
+  the first folder of each key and seeds the fold cache of the rest
+  with the same result.
 """
 
 from __future__ import annotations
@@ -632,7 +640,8 @@ class FastFoldingSink(FoldingSink):
     Extends :class:`FoldingSink` with the batched ``instr_points`` /
     ``dep_points`` entry points and swaps every per-point structure
     for its fast twin.  Produces bit-identical :class:`FoldedDDG`
-    results; ``finalize`` is inherited.
+    results; ``finalize`` folds each distinct domain once, then runs
+    the inherited pass over the cached folds.
     """
 
     def __init__(
@@ -876,10 +885,56 @@ class FastFoldingSink(FoldingSink):
     # -- finalization ------------------------------------------------------------
 
     def finalize(self, tracer=None):
+        from ..obs import NULL_TRACER
+
+        tracer = tracer if tracer is not None else NULL_TRACER
         # a statement declared but never delivered a point has no
         # bound domain folder yet; give it an empty private one so the
         # inherited finalize sees the reference invariant
         for key, stream in self._stmt_streams.items():
             if stream.domain is None:
                 stream.domain = FastDomainFolder(self.statements[key].depth)
+        with tracer.span("fold.domains", cat="fold") as sp:
+            folds, reused = self._fold_domains()
+        sp.count("folds", folds)
+        sp.count("reused", reused)
         return super().finalize(tracer=tracer)
+
+    def _domain_folders(self):
+        """Every domain folder the inherited finalize folds: statement
+        and dependence domains and the domain of each label piece (a
+        clamped dependence drops its labels unfolded)."""
+        for stream in self._stmt_streams.values():
+            yield stream.domain
+            if stream.labels is not None:
+                for _, dom in stream.labels.pieces:
+                    yield dom
+        clamped = self._clamped_deps
+        for dep, stream in self._dep_streams.items():
+            yield stream.domain
+            if dep not in clamped:
+                for _, dom in stream.labels.pieces:
+                    yield dom
+
+    def _fold_domains(self) -> Tuple[int, int]:
+        """Fold each distinct domain once and hand the result to every
+        folder with the same ``(dim, count == 0, row summary)`` -- all
+        that ``fold_summary`` reads -- through its fold cache; returns
+        ``(folds, reused)``.  Results are shared, not copied: ISet
+        pieces and polyhedron rows are immutable tuples."""
+        max_pieces = self.max_pieces
+        memo: Dict[tuple, Tuple[ISet, bool]] = {}
+        reused = 0
+        for folder in self._domain_folders():
+            if folder._fold_cache is not None:
+                continue  # one folder reached twice (a shared group)
+            rows = folder.row_summary()
+            key = (folder.dim, folder.count == 0, rows)
+            result = memo.get(key)
+            if result is None:
+                result = folder.fold_summary(rows, max_pieces)
+                memo[key] = result
+            else:
+                reused += 1
+            folder._fold_cache = (max_pieces, result)
+        return len(memo), reused

@@ -17,6 +17,15 @@ a constant system) strengthened with an integrality test on the
 equality lattice; for the sets this reproduction manipulates (folded
 iteration domains and dependence relations, which are built from
 actually-executed integer points) this is exact in practice.
+
+A polyhedron may carry a ``witness``: one integer point the folder
+observed inside it.  ``is_empty`` first evaluates the constraint rows
+at the witness.  If the witness satisfies them, the set is non-empty
+-- the answer the exact path gives, since elimination only derives
+constraints every integer point satisfies -- and the elimination is
+skipped.  The witness lives in memory only: ``__eq__``, ``__hash__``,
+``repr`` and the codecs ignore it, so a decoded piece has none and
+takes the exact path.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ Row = Tuple[int, ...]
 class Polyhedron:
     """A conjunction of integer affine constraints over ``d`` variables."""
 
-    __slots__ = ("dim", "eqs", "ineqs")
+    __slots__ = ("dim", "eqs", "ineqs", "witness")
 
     def __init__(
         self,
@@ -40,6 +49,8 @@ class Polyhedron:
         eqs: Iterable[Sequence[int]] = (),
         ineqs: Iterable[Sequence[int]] = (),
     ) -> None:
+        #: an integer point known to lie inside (see the module notes)
+        self.witness: Optional[Tuple[int, ...]] = None
         self.dim = int(dim)
         self.eqs: Tuple[Row, ...] = tuple(
             self._check(normalize_row(r)) for r in eqs
@@ -82,6 +93,7 @@ class Polyhedron:
         are still checked so a structurally wrong payload fails fast.
         """
         p = object.__new__(cls)
+        p.witness = None
         p.dim = dim = int(dim)
         n = dim + 1
         for r in eqs:
@@ -292,7 +304,11 @@ class Polyhedron:
     # -- emptiness / bounds -----------------------------------------------------
 
     def is_empty(self) -> bool:
-        """Exact rational emptiness + equality-lattice integrality test."""
+        """Exact rational emptiness + equality-lattice integrality test,
+        skipped when the witness lies inside."""
+        w = self.witness
+        if w is not None and self.contains(w):
+            return False
         sub = self._substitute_eqs()
         if sub is None:
             return True

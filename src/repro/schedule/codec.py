@@ -1,12 +1,12 @@
 """Codec for dependence vectors (the cached feedback-stage input).
 
-Computing :func:`~repro.schedule.deps.analyze_deps` -- the sign
-pattern and rational bounds of every dependence distance, by
-polyhedral bounding per piece per dimension -- is the one feedback
-stage whose cost is comparable to folding itself.  Its result is a
-pure function of the folded DDG, so the store persists it alongside
-the DDG; the cheap passes downstream (forest analysis, planning) are
-always re-run.
+:func:`~repro.schedule.deps.analyze_deps` computes the sign pattern
+and rational bounds of every dependence distance.  Uniform distances
+and witnessed pieces need no projection, so only varying distances
+pay for polyhedral bounding, and the stage costs a small fraction of
+folding.  Its result is a pure function of the folded DDG, so the
+store persists it alongside the DDG; the passes downstream (forest
+analysis, planning) are always re-run.
 
 A serialized vector references its dependence by
 :class:`~repro.ddg.graph.DepKey`; the decoder resolves it against the

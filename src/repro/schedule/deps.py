@@ -28,6 +28,7 @@ from ..ddg.graph import Statement
 from ..folding.folder import FoldedDDG, FoldedDep
 from ..poly.affine import AffineExpr
 from ..poly.pmap import _sign_pattern
+from ..poly.polyhedron import Polyhedron
 
 Bound = Tuple[Optional[Fraction], Optional[Fraction]]
 
@@ -121,6 +122,31 @@ class DepVector:
         return all(s == "0" for s in self.signs)
 
 
+def _distance_bounds(piece: Polyhedron, e: AffineExpr) -> Bound:
+    """Rational (lo, hi) of the distance ``e`` over a non-empty piece.
+
+    A constant (uniform) distance ``k`` is ``(k, k)`` on any non-empty
+    piece -- exactly what the projection would return -- so only a
+    distance that varies over the piece pays for ``bounds()``."""
+    if not e.is_integral():
+        # scaling by the (positive) denominator preserves signs
+        e = AffineExpr(e.coeffs, e.const, 1)
+    if not any(e.coeffs):
+        k = Fraction(e.const)
+        return k, k
+    return piece.bounds(e.as_row())
+
+
+def _hull(ranges: List[Bound]) -> Bound:
+    """The union of per-piece ranges; ``None`` on either side stays
+    unbounded."""
+    los = [lo for lo, _ in ranges]
+    his = [hi for _, hi in ranges]
+    lo = None if None in los else min(los)
+    hi = None if None in his else max(his)
+    return lo, hi
+
+
 def _delta_info(dep: FoldedDep, common: int) -> Tuple[Tuple[str, ...], Tuple[Bound, ...]]:
     """Sign pattern and bounds of (dst_j - src_j) for each common dim."""
     if common == 0:
@@ -132,42 +158,19 @@ def _delta_info(dep: FoldedDep, common: int) -> Tuple[Tuple[str, ...], Tuple[Bou
         if dep.partial_src is not None:
             return _partial_delta_info(dep, common)
         return ("*",) * common, ((None, None),) * common
+    live = [(p, fn) for p, fn in dep.relation.pieces if not p.is_empty()]
+    if not live:
+        return ("0",) * common, ((Fraction(0), Fraction(0)),) * common
     signs: List[str] = []
     bounds: List[Bound] = []
     d = dep.dst_depth
     for j in range(common):
-        lo_all: Optional[Fraction] = None
-        hi_all: Optional[Fraction] = None
-        lo_unbounded = False
-        hi_unbounded = False
-        seen = False
-        for piece, fn in dep.relation.pieces:
-            if piece.is_empty():
-                continue
-            e = AffineExpr.var(j, d) - fn[j]
-            if not e.is_integral():
-                # scaling by the (positive) denominator preserves signs
-                e = AffineExpr(e.coeffs, e.const, 1)
-            lo, hi = piece.bounds(e.as_row())
-            seen = True
-            if lo is None:
-                lo_unbounded = True
-            elif lo_all is None or lo < lo_all:
-                lo_all = lo
-            if hi is None:
-                hi_unbounded = True
-            elif hi_all is None or hi > hi_all:
-                hi_all = hi
-        if not seen:
-            signs.append("0")
-            bounds.append((Fraction(0), Fraction(0)))
-            continue
-        if lo_unbounded:
-            lo_all = None
-        if hi_unbounded:
-            hi_all = None
-        signs.append(_sign_pattern(lo_all, hi_all))
-        bounds.append((lo_all, hi_all))
+        var = AffineExpr.var(j, d)
+        lo, hi = _hull(
+            [_distance_bounds(piece, var - fn[j]) for piece, fn in live]
+        )
+        signs.append(_sign_pattern(lo, hi))
+        bounds.append((lo, hi))
     return tuple(signs), tuple(bounds)
 
 
@@ -175,44 +178,19 @@ def _partial_delta_info(
     dep: FoldedDep, common: int
 ) -> Tuple[Tuple[str, ...], Tuple[Bound, ...]]:
     d = dep.dst_depth
+    live = [piece for piece in dep.domain.pieces if not piece.is_empty()]
     signs: List[str] = []
     bounds: List[Bound] = []
     for j in range(common):
         expr = dep.partial_src[j] if j < len(dep.partial_src) else None
-        if expr is None:
+        if expr is None or not live:
             signs.append("*")
             bounds.append((None, None))
             continue
         e = AffineExpr.var(j, d) - expr
-        if not e.is_integral():
-            e = AffineExpr(e.coeffs, e.const, 1)
-        lo_all: Optional[Fraction] = None
-        hi_all: Optional[Fraction] = None
-        unb_lo = unb_hi = False
-        seen = False
-        for piece in dep.domain.pieces:
-            if piece.is_empty():
-                continue
-            lo, hi = piece.bounds(e.as_row())
-            seen = True
-            if lo is None:
-                unb_lo = True
-            elif lo_all is None or lo < lo_all:
-                lo_all = lo
-            if hi is None:
-                unb_hi = True
-            elif hi_all is None or hi > hi_all:
-                hi_all = hi
-        if not seen:
-            signs.append("*")
-            bounds.append((None, None))
-            continue
-        if unb_lo:
-            lo_all = None
-        if unb_hi:
-            hi_all = None
-        signs.append(_sign_pattern(lo_all, hi_all))
-        bounds.append((lo_all, hi_all))
+        lo, hi = _hull([_distance_bounds(piece, e) for piece in live])
+        signs.append(_sign_pattern(lo, hi))
+        bounds.append((lo, hi))
     return tuple(signs), tuple(bounds)
 
 

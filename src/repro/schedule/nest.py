@@ -102,9 +102,10 @@ def build_nest_forest(
     attach dependence vectors.
 
     ``deps`` short-circuits :func:`~repro.schedule.deps.analyze_deps`
-    (the one feedback pass whose polyhedral bounding is expensive) with
-    a precomputed vector list -- the artifact store persists it with
-    the folded DDG, since it is a pure function of the DDG.
+    (the one feedback pass that does polyhedral bounding, for varying
+    distances only) with a precomputed vector list -- the artifact
+    store persists it with the folded DDG, since it is a pure function
+    of the DDG.
     """
     forest = NestForest()
     for fs in ddg.statements.values():

@@ -8,10 +8,13 @@ the same events go one by one into the reference sink.  The finalized
 folded DDGs must serialize to the same codec bytes.  Dependence
 streams include ``src is dst`` points, constant shifts, general
 affine maps, streams that leave their shift after a steady run, and
-non-affine noise; a clamp is drawn for some programs.
+non-affine noise; a clamp is drawn for some programs.  Every
+comparison also checks that the fast finalize folds each distinct
+domain once (``TestSharedFolds`` pins the sharing cases).
 """
 
 import json
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from repro.folding.codec import encode_folded_ddg
 from repro.folding.domains import DomainFolder
 from repro.folding.fastpath import FastDomainFolder
 from repro.isa.program import Instr
+from repro.obs import Tracer
 
 LABEL_KINDS = ["none", "affine", "affine", "leave", "noise", "sometimes"]
 RELATION_KINDS = ["same", "shift", "shift", "affine", "leave", "noise"]
@@ -151,11 +155,44 @@ def _run(blocks, order, clamp):
     return fast, ref
 
 
+def _distinct_domains(ref):
+    """``(dim, count == 0, row summary)`` of every domain the
+    reference finalize folds (a clamped dependence's labels are
+    dropped unfolded)."""
+    folders = []
+    for stream in ref._stmt_streams.values():
+        folders.append(stream.domain)
+        if stream.labels is not None:
+            folders.extend(dom for _, dom in stream.labels.pieces)
+    for dep, stream in ref._dep_streams.items():
+        folders.append(stream.domain)
+        if dep not in ref._clamped_deps:
+            folders.extend(dom for _, dom in stream.labels.pieces)
+    return {(f.dim, f.count == 0, f.row_summary()) for f in folders}
+
+
 def assert_same_ddg(fast, ref):
+    """Equal codec bytes, and the fast finalize folds each distinct
+    domain exactly once."""
     assert fast.clamped_points == ref.clamped_points
-    got = json.dumps(encode_folded_ddg(fast.finalize()))
+    distinct = _distinct_domains(ref)
+    folds = []
+    fold_summary = DomainFolder.fold_summary
+
+    def counting(self, rows, max_pieces=6):
+        if type(self) is FastDomainFolder:  # not a prefix sub-fold
+            folds.append(self)
+        return fold_summary(self, rows, max_pieces)
+
+    tracer = Tracer()
+    with patch.object(DomainFolder, "fold_summary", counting):
+        got = json.dumps(encode_folded_ddg(fast.finalize(tracer=tracer)))
     want = json.dumps(encode_folded_ddg(ref.finalize()))
     assert got == want
+    assert len(folds) == len(distinct)
+    (span,) = [r for r in tracer.roots if r.name == "fold.domains"]
+    assert span.counters.get("folds", 0) == len(distinct)
+    return span.counters.get("reused", 0)
 
 
 class TestSinkDifferential:
@@ -192,6 +229,94 @@ class TestSinkDifferential:
         stream = fast._dep_streams[dep]
         assert stream.steady is None and stream.partial is not None
         assert_same_ddg(fast, ref)
+
+
+class TestSharedFolds:
+    """Finalize folds each distinct domain once; every folder with the
+    same row summary gets the same result, byte-identical to the
+    reference's separate folds."""
+
+    def _square(self, n=4):
+        return [(i, j) for i in range(n) for j in range(n)]
+
+    def test_dependence_domain_equals_destination_domain(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        pts = self._square()
+        blocks = [(
+            pts,
+            [(s, lambda step, p: (4 * p[0] + p[1],))],
+            [(dep, lambda step, p: (p[0] - 1, p[1]))],
+        )]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=None)
+        assert fast._dep_streams[dep].domain is not fast._stmt_streams[s.key].domain
+        assert assert_same_ddg(fast, ref) == 1
+
+    def test_statements_of_different_groups_with_equal_rows(self):
+        a, b = _stmt(0, 2, "add"), _stmt(1, 2, "add")
+        pts = self._square()
+        blocks = [
+            (pts, [(a, lambda step, p: ())], []),
+            (pts, [(b, lambda step, p: ())], []),
+        ]
+        fast, ref = _run(blocks, [0, 1] * len(pts), clamp=None)
+        assert fast._stmt_streams[a.key].domain is not fast._stmt_streams[b.key].domain
+        assert assert_same_ddg(fast, ref) == 1
+
+    def test_label_piece_equals_another_streams_domain(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[0])
+        pts = self._square()
+
+        def label(step, p):  # two label pieces: rows i < 2 and i >= 2
+            return (p[0] + p[1],) if p[0] < 2 else (100 + 3 * p[1],)
+
+        blocks = [(pts, [(s, label)], [])]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=None)
+        # a dependence that only fires on the first label piece's rows
+        for p in pts[:8]:
+            fast.dep_points(p, [(dep, (p[0], p[1] - 1))])
+            ref.dep_point(dep, p, (p[0], p[1] - 1))
+        assert len(fast._stmt_streams[s.key].labels.pieces) == 2
+        assert assert_same_ddg(fast, ref) == 1
+
+    def test_clamped_streams_share_folds(self):
+        a, b = _stmt(0, 2, "load"), _stmt(1, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(1, 0), kind=DEP_KINDS[1])
+        pts = self._square(5)
+        blocks = [
+            (pts, [(a, lambda step, p: (p[0] + p[1],))], []),
+            (
+                pts,
+                [(b, lambda step, p: (p[0],))],
+                [(dep, lambda step, p: (p[0], p[1]))],
+            ),
+        ]
+        fast, ref = _run(blocks, [0, 1] * len(pts), clamp=10)
+        assert fast.clamped_points == ref.clamped_points > 0
+        # both statement domains, a's and b's first label pieces and
+        # the dependence domain hold the same ten points: one fold
+        assert assert_same_ddg(fast, ref) == 4
+
+    def test_declared_statements_never_delivered(self):
+        a, top = _stmt(0, 2, "add"), _stmt(1, 0, "add")
+        idle = [
+            _stmt(2, 2, "add"), _stmt(3, 2, "add"), _stmt(4, 1, "add"),
+            _stmt(5, 0, "add"),
+        ]
+        pts = self._square()
+        blocks = [
+            (pts, [(a, lambda step, p: ())], []),
+            ([()], [(top, lambda step, p: ())], []),
+        ]
+        fast, ref = _run(blocks, [0] * len(pts) + [1], clamp=None)
+        for stmt in idle:
+            fast.declare_statement(stmt)
+            ref.declare_statement(stmt)
+        # the two empty 2-D domains share a fold; the empty 1-D one
+        # does not, nor does the empty 0-D one with the executed 0-D
+        # statement (no rows either way, but one is the universe)
+        assert assert_same_ddg(fast, ref) == 1
 
 
 def _rows(folder):
