@@ -60,7 +60,7 @@ CPUS = os.cpu_count() or 1
 
 def _scale_gate():
     """(threshold, enforced, why) for process-vs-thread throughput --
-    hardware-conditional like the parallel-fold gate."""
+    enforced only where there are cores for the processes to use."""
     env = os.environ.get("REPRO_SERVICE_GATE")
     if env:
         return float(env), True, f"REPRO_SERVICE_GATE={env}"

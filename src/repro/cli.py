@@ -20,9 +20,7 @@ drive POLY-PROF over a binary:
 * ``route``                   -- consistent-hash router over replicas
 
 Analysis commands take ``--crosscheck`` (run the dynamic-vs-static
-soundness sanitizers), ``--fold-jobs N`` (fold the stage-2 streams in
-N shard processes, bit-identical to the serial fold; see
-:mod:`repro.parallel`), and ``--cache DIR`` / ``--no-cache``
+soundness sanitizers) and ``--cache DIR`` / ``--no-cache``
 (content-addressed artifact store; the ``REPRO_CACHE_DIR`` environment
 variable supplies a default directory).  ``report`` and ``metrics``
 take ``--format {text,json}``; the JSON documents carry a top-level
@@ -160,7 +158,7 @@ def cmd_report(args) -> int:
         )
     result = analyze(
         spec, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        store=store, baseline=baseline,
     )
     _print_incremental(result)
     bad = result.crosscheck is not None and result.crosscheck.violations
@@ -193,7 +191,7 @@ def cmd_metrics(args) -> int:
         )
     result = analyze(
         spec, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        store=store, baseline=baseline,
     )
     _print_incremental(result)
     if args.format == "json":
@@ -267,7 +265,6 @@ def cmd_trace(args) -> int:
             store=store,
             tracer=tracer,
             extra_observers=[observer],
-            fold_jobs=args.fold_jobs,
             baseline=baseline,
         )
         _print_incremental(result)
@@ -333,7 +330,7 @@ def cmd_regions(args) -> int:
         )
     result = analyze(
         spec, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        store=store, baseline=baseline,
     )
     _print_incremental(result)
     total = result.folded.dyn_ops() or 1
@@ -361,7 +358,7 @@ def cmd_verify(args) -> int:
         )
     result = analyze(
         spec, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        store=store, baseline=baseline,
     )
     _print_incremental(result)
     bad = 0
@@ -503,7 +500,6 @@ def cmd_serve(args) -> int:
         default_timeout=args.job_timeout,
         drain_grace=args.drain_grace,
         retain_jobs=args.retain_jobs,
-        max_fold_jobs=args.max_fold_jobs,
         execution=args.execution,
         replica_id=args.replica_id,
     )
@@ -537,7 +533,6 @@ def cmd_suite(args) -> int:
         crosscheck=args.crosscheck,
         cache_dir=_cache_dir_from_args(args),
         cache_max_bytes=None if max_mb is None else max_mb * 1024 * 1024,
-        fold_jobs=args.fold_jobs,
     )
     print(render_suite_table(results))
     if not all(r.ok for r in results):
@@ -574,7 +569,6 @@ def cmd_sweep(args) -> int:
                 points,
                 clamp=args.clamp,
                 crosscheck=args.crosscheck,
-                fold_jobs=args.fold_jobs,
                 jobs=args.jobs,
                 timeout=args.timeout,
                 cache_dir=_cache_dir_from_args(args),
@@ -609,17 +603,6 @@ def _add_cache_args(p) -> None:
         "--no-cache",
         action="store_true",
         help="disable the artifact store even if REPRO_CACHE_DIR is set",
-    )
-
-
-def _add_fold_jobs_arg(p) -> None:
-    p.add_argument(
-        "--fold-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fold the stage-2 point streams in N shard worker "
-        "processes (bit-identical to the serial fold; 1 = in-process)",
     )
 
 
@@ -664,7 +647,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name, help=help_)
         p.add_argument("workload")
         _add_crosscheck_arg(p)
-        _add_fold_jobs_arg(p)
         _add_cache_args(p)
         _add_baseline_arg(p)
         if name in ("report", "metrics"):
@@ -735,7 +717,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stdout format: indented span tree (text) or the "
         "versioned trace document (json)",
     )
-    _add_fold_jobs_arg(p)
     _add_cache_args(p)
     _add_baseline_arg(p)
     p = sub.add_parser(
@@ -789,7 +770,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="per-stream folding point clamp",
     )
     _add_crosscheck_arg(p)
-    _add_fold_jobs_arg(p)
     _add_cache_args(p)
     p.add_argument(
         "--cache-max-mb",
@@ -841,7 +821,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "analysis service byte-for-byte",
     )
     _add_crosscheck_arg(p)
-    _add_fold_jobs_arg(p)
     _add_cache_args(p)
     p.add_argument(
         "--cache-max-mb",
@@ -900,21 +879,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="finished jobs kept for polling/dedup before eviction",
     )
     p.add_argument(
-        "--max-fold-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on per-job fold_jobs requests (default: cpu_count "
-        "// workers, so in-flight fold processes never oversubscribe "
-        "the host)",
-    )
-    p.add_argument(
         "--execution",
         choices=("thread", "process"),
         default="thread",
-        help="run analyses in worker threads (warm-optimized default) "
-        "or long-lived worker processes (cold throughput scales with "
-        "cores)",
+        help="run analyses in worker threads (default) or long-lived "
+        "worker processes (crash isolation: a dying analysis takes "
+        "down only its worker, which is respawned)",
     )
     p.add_argument(
         "--replica-id",

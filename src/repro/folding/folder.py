@@ -290,8 +290,8 @@ def canonical_ddg(
     ``(uid, ctx)`` key, dependences by ``(src, dst, kind)``.
 
     The codec serializes dicts in insertion order, so every path that
-    materializes a :class:`FoldedDDG` -- the serial fold, the sharded
-    merge, the incremental stitch -- normalizes here.  That makes the
+    materializes a :class:`FoldedDDG` -- the fold and the incremental
+    stitch -- normalizes here.  That makes the
     artifact bytes a function of the folded *set*, independent of the
     first-occurrence order of streams, which is exactly what lets a
     frontier-only re-analysis (which never observes the skipped

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ddg.graph import DepKey, StmtKey
+from ..ddg.graph import StmtKey
 from ..folding.folder import FoldedDDG, canonical_ddg
 from ..isa.fingerprint import function_ordered_uids
 from ..isa.instructions import Instr

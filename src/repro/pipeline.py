@@ -271,12 +271,6 @@ class AnalysisResult:
     #: root span of this call's trace (every analyze() is traced at
     #: stage granularity; deep traces add execution counters/memory)
     trace: Optional[Span] = None
-    #: fold worker processes this call ran with (1 = serial in-process)
-    fold_jobs: int = 1
-    #: per-shard fold busy seconds when ``fold_jobs > 1`` (these
-    #: overlap each other and the execution -- informational only,
-    #: never part of the StageTimings parts-sum-to-total accounting)
-    shard_seconds: Optional[List[float]] = None
     #: what the incremental machinery did when ``analyze(baseline=...)``
     #: was used (:class:`~repro.incr.IncrementalInfo`); deliberately
     #: *not* part of any report/metrics document -- incremental output
@@ -303,7 +297,6 @@ def analyze(
     store: Optional["ArtifactStore"] = None,
     extra_observers: Sequence = (),
     tracer: Optional[Tracer] = None,
-    fold_jobs: int = 1,
     baseline: Optional[str] = None,
 ) -> AnalysisResult:
     """The full POLY-PROF pipeline: profile, fold, analyze, plan.
@@ -319,8 +312,8 @@ def analyze(
     specification the fast engine must reproduce bit for bit).  This
     is the only place an engine is chosen; every layer above runs the
     fast engine.  The reference engine is serial and uncached:
-    combining it with ``store``, ``baseline`` or ``fold_jobs > 1``
-    raises :class:`ValueError`.
+    combining it with ``store`` or ``baseline`` raises
+    :class:`ValueError`.
 
     ``crosscheck`` additionally runs the dynamic-vs-static soundness
     sanitizers (:mod:`repro.dataflow.crosscheck`) over the finished
@@ -345,15 +338,6 @@ def analyze(
     unavailable).  They are deliberately *not* part of the cache key:
     an observer must never change what is computed, only watch it (or
     abort it by raising).
-
-    ``fold_jobs`` folds the stage-2 point streams in that many worker
-    processes (:mod:`repro.parallel`): the event stream is sharded by
-    statement/dependence key and folded concurrently with the
-    instrumented execution, then merged bit-identically to the serial
-    result.  Deliberately *not* part of the cache key: serial and
-    parallel folds produce the same ``ddg-`` artifact bytes, so a warm
-    hit folded either way serves both.  ``1`` (the default) keeps the
-    serial in-process fold.
 
     ``tracer`` collects the hierarchical span tree of this call
     (:mod:`repro.obs`).  When omitted a private stage-granularity
@@ -383,12 +367,10 @@ def analyze(
         from .obs.context import new_trace_context
 
         tracer = Tracer(context=new_trace_context())
-    if engine != "fast" and (
-        store is not None or baseline is not None or fold_jobs > 1
-    ):
+    if engine != "fast" and (store is not None or baseline is not None):
         raise ValueError(
-            "only the fast engine runs with store, baseline or "
-            "fold_jobs > 1 (the reference engine is serial and uncached)"
+            "only the fast engine runs with store or baseline "
+            "(the reference engine is serial and uncached)"
         )
     if baseline is not None and store is None:
         raise ValueError("analyze(baseline=...) requires an artifact store")
@@ -472,60 +454,29 @@ def analyze(
                     store.put(keys.stage1, encode_control_profile(control))
 
         # -- stage 2: DDG streams + folding ------------------------------------
-        shard_seconds = None
-        with tracer.span("instr2_fold", cat="stage") as stage2_span:
+        with tracer.span("instr2_fold", cat="stage"):
             dep_vectors = None
             loaded = None
 
             def run_stage2(emit_funcs):
                 """One instrumented stage-2 execution + fold; ``None``
                 emits everything (cold), a set emits only the frontier."""
-                nonlocal shard_seconds
-                if fold_jobs > 1:
-                    from .parallel import ParallelFoldManager
-
-                    manager = ParallelFoldManager(
-                        fold_jobs, max_pieces=max_pieces, clamp=clamp
-                    )
-                    try:
-                        ddgp = profile_ddg(
-                            spec,
-                            control,
-                            sink=manager.router,
-                            track_anti_output=track_anti_output,
-                            build_schedule_tree=build_schedule_tree,
-                            fuel=fuel,
-                            extra_observers=extra_observers,
-                            tracer=tracer,
-                            emit_funcs=emit_funcs,
-                        )
-                        with tracer.span(
-                            "fold.finalize", cat="fold", fold_jobs=manager.jobs
-                        ):
-                            folded = manager.finalize()
-                        manager.attach_spans(stage2_span)
-                        shard_seconds = manager.shard_busy_seconds()
-                    finally:
-                        manager.close()
-                else:
-                    sink_cls = (
-                        FastFoldingSink if engine == "fast" else FoldingSink
-                    )
-                    sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
-                    ddgp = profile_ddg(
-                        spec,
-                        control,
-                        sink=sink,
-                        track_anti_output=track_anti_output,
-                        build_schedule_tree=build_schedule_tree,
-                        fuel=fuel,
-                        engine=engine,
-                        extra_observers=extra_observers,
-                        tracer=tracer,
-                        emit_funcs=emit_funcs,
-                    )
-                    with tracer.span("fold.finalize", cat="fold"):
-                        folded = sink.finalize(tracer=tracer)
+                sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
+                sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
+                ddgp = profile_ddg(
+                    spec,
+                    control,
+                    sink=sink,
+                    track_anti_output=track_anti_output,
+                    build_schedule_tree=build_schedule_tree,
+                    fuel=fuel,
+                    engine=engine,
+                    extra_observers=extra_observers,
+                    tracer=tracer,
+                    emit_funcs=emit_funcs,
+                )
+                with tracer.span("fold.finalize", cat="fold"):
+                    folded = sink.finalize(tracer=tracer)
                 return ddgp, folded
 
             if store is not None:
@@ -636,8 +587,6 @@ def analyze(
         track_anti_output=track_anti_output,
         timings=timings,
         trace=root if tracer.enabled else None,
-        fold_jobs=max(1, fold_jobs),
-        shard_seconds=shard_seconds,
         incremental=incr_plan.info if incr_plan is not None else None,
     )
     if crosscheck:

@@ -64,14 +64,6 @@ class WorkloadResult:
     #: this worker's store counters (hits/misses/puts/evictions/errors);
     #: None when the run was uncached
     cache_stats: Optional[Dict[str, int]] = None
-    #: fold worker processes the analysis ran with (1 = serial fold)
-    fold_jobs: int = 1
-    #: per-shard fold busy seconds when ``fold_jobs > 1``.  Shards run
-    #: concurrently with each other *and* with the instrumented
-    #: execution, so these overlap ``t_instr2_fold`` and are kept out
-    #: of the StageTimings parts-sum-to-total invariant (instr1 +
-    #: instr2_fold + feedback still equals the root span exactly).
-    t_shards: Optional[List[float]] = None
     #: summary of the analysis when ``ok``
     dyn_instrs: int = 0
     statements: int = 0
@@ -169,7 +161,6 @@ def _analyze_task(
     crosscheck: bool = False,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    fold_jobs: int = 1,
     trace: Optional[dict] = None,
 ) -> WorkloadResult:
     """Worker body: analyze one workload, never raise.
@@ -207,7 +198,6 @@ def _analyze_task(
                 result = analyze(
                     spec, fuel=fuel, clamp=clamp,
                     crosscheck=crosscheck, store=store, tracer=tracer,
-                    fold_jobs=fold_jobs,
                 )
                 report = None
                 if with_report:
@@ -226,8 +216,6 @@ def _analyze_task(
             t_instr2_fold=result.timings.instr2_fold,
             t_feedback=result.timings.feedback,
             cache_hit=result.timings.cache_hit,
-            fold_jobs=result.fold_jobs,
-            t_shards=result.shard_seconds,
             cache_stats=store.stats.as_dict() if store else None,
             trace=tracer.to_dicts(),
             dyn_instrs=result.ddg_profile.builder.instr_count,
@@ -271,15 +259,9 @@ def run_suite(
     crosscheck: bool = False,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    fold_jobs: int = 1,
     trace: Optional[dict] = None,
 ) -> List[WorkloadResult]:
     """Analyze ``tasks``, ``jobs`` at a time; results in task order.
-
-    ``fold_jobs > 1`` folds each workload's stage 2 in that many shard
-    processes (:mod:`repro.parallel`); total process fan-out is then
-    ``jobs x (1 + fold_jobs)``, so callers on small hosts should trade
-    one against the other.
 
     ``jobs`` defaults to the CPU count.  ``timeout`` bounds each
     workload's wall time (None = unbounded).  Failures degrade to
@@ -308,8 +290,7 @@ def run_suite(
                 results_inline.append(
                     _analyze_task(
                         t, fuel, clamp, timeout, with_report,
-                        crosscheck, cache_dir, cache_max_bytes, fold_jobs,
-                        trace,
+                        crosscheck, cache_dir, cache_max_bytes, trace,
                     )
                 )
         except KeyboardInterrupt:
@@ -326,8 +307,7 @@ def run_suite(
         futures = [
             pool.submit(
                 _analyze_task, t, fuel, clamp, timeout,
-                with_report, crosscheck, cache_dir, cache_max_bytes,
-                fold_jobs, trace,
+                with_report, crosscheck, cache_dir, cache_max_bytes, trace,
             )
             for t in tasks
         ]
@@ -381,20 +361,10 @@ def _mark_interrupted(
         results.append(_interrupted_record(t))
 
 
-def _shard_spread(t_shards: Optional[List[float]]) -> str:
-    """``min~max`` per-shard fold seconds -- the suite table's load-
-    balance column (a wide spread means one hot shard is the critical
-    path)."""
-    if not t_shards:
-        return "-"
-    return f"{min(t_shards):.2f}~{max(t_shards):.2f}s"
-
-
 def render_suite_table(results: Sequence[WorkloadResult]) -> str:
     """A compact text table of suite results."""
     crosschecked = any(r.soundness_violations is not None for r in results)
     cached = any(r.cache_stats is not None for r in results)
-    parallel = any(r.fold_jobs > 1 for r in results)
     # the name column grows with the longest workload name (sweep point
     # tasks render as e.g. "pathfinder[cols=12,rows=20]") but never
     # shrinks below the historical 16, keeping short-name output stable
@@ -403,8 +373,6 @@ def render_suite_table(results: Sequence[WorkloadResult]) -> str:
         f"{'workload':{name_w}s} {'status':8s} {'wall':>7s} {'dyn ops':>10s} "
         f"{'stmts':>6s} {'deps':>6s} {'plans':>6s} {'hot':>8s}"
     )
-    if parallel:
-        header += f" {'fj':>3s} {'shards':>12s}"
     if cached:
         header += f" {'cache':>6s}"
     if crosschecked:
@@ -417,10 +385,6 @@ def render_suite_table(results: Sequence[WorkloadResult]) -> str:
                 f"{r.dyn_instrs:10d} {r.statements:6d} {r.deps:6d} "
                 f"{r.plans:6d} {r.hot_phase():>8s}"
             )
-            if parallel:
-                line += (
-                    f" {r.fold_jobs:3d} {_shard_spread(r.t_shards):>12s}"
-                )
             if cached:
                 if r.cache_stats is None:
                     line += f" {'-':>6s}"

@@ -26,7 +26,10 @@ Two execution modes share that front half unchanged
   the GIL.
 * ``process`` -- each worker thread *proxies* its claimed job to a
   dedicated long-lived worker process (:mod:`repro.service.procpool`),
-  so cold throughput scales with cores.  Queueing, dedup, drain,
+  so a crashing analysis kills only its worker, which is respawned
+  while the daemon keeps serving.  It is crash isolation, not speed:
+  on one core it ran at 0.34x thread mode's cold throughput
+  (``benchmarks/results/BENCH_service.json``).  Queueing, dedup, drain,
   cancellation, heartbeats, and metrics all still happen here in the
   daemon; only ``pipeline.analyze`` moves out-of-process.  The workers
   share the daemon's cache *directory* (the store is cross-process
@@ -45,7 +48,6 @@ the HTTP server stops and the process exits 0.
 from __future__ import annotations
 
 import json
-import os
 import re
 import signal
 import threading
@@ -86,21 +88,6 @@ _TRACE_PATH = re.compile(
 EXECUTION_MODES = ("thread", "process")
 
 
-def _fold_shard_seconds(span_docs) -> list:
-    """Durations of every ``fold.shard`` span in a span-doc forest
-    (the per-shard busy windows the parallel fold synthesized)."""
-    out = []
-    stack = list(span_docs or [])
-    while stack:
-        doc = stack.pop()
-        if doc.get("name") == "fold.shard":
-            out.append(
-                max(0.0, doc.get("t1", 0.0) - doc.get("t0", 0.0))
-            )
-        stack.extend(doc.get("children", ()))
-    return out
-
-
 class Draining(Exception):
     """The service is shutting down (HTTP 503)."""
 
@@ -111,8 +98,8 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; read the bound port off the service
     workers: int = 2
     #: "thread" executes analyses in worker threads (warm-optimized),
-    #: "process" proxies each to a long-lived worker process
-    #: (cold-throughput scales with cores); see the module docstring
+    #: "process" proxies each to a long-lived, respawned worker process
+    #: (crash isolation); see the module docstring
     execution: str = "thread"
     #: identity this daemon reports in /healthz and /metrics when it
     #: runs as one replica of a sharded deployment; None = standalone
@@ -126,11 +113,6 @@ class ServiceConfig:
     #: seconds to let in-flight jobs finish on drain before
     #: cooperatively cancelling them
     drain_grace: float = 30.0
-    #: cap on per-job ``fold_jobs`` requests.  None derives the cap as
-    #: ``max(1, cpu_count // workers)`` so worker-thread concurrency
-    #: times fold processes can never oversubscribe the host; an
-    #: explicit value overrides (e.g. for tests on small machines)
-    max_fold_jobs: Optional[int] = None
     log_stream: Optional[IO[str]] = None
     log_level: str = "info"
 
@@ -142,21 +124,12 @@ class AnalysisService:
     def __init__(self, config: ServiceConfig) -> None:
         if config.workers < 1:
             raise ValueError("need at least one worker")
-        if config.max_fold_jobs is not None and config.max_fold_jobs < 1:
-            raise ValueError("max_fold_jobs must be >= 1")
         if config.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {config.execution!r}; "
                 f"choose from {EXECUTION_MODES}"
             )
         self.config = config
-        #: effective bound on per-job fold_jobs: queue concurrency
-        #: (worker threads) x fold processes stays <= cpu_count
-        self.fold_jobs_cap = (
-            config.max_fold_jobs
-            if config.max_fold_jobs is not None
-            else max(1, (os.cpu_count() or 1) // config.workers)
-        )
         self.logger = JsonLogger(
             stream=config.log_stream, level=config.log_level
         ).bind(service="repro.service")
@@ -278,10 +251,6 @@ class AnalysisService:
             "repro_service_worker_exec_seconds",
             "Wall seconds a worker slot owned the job (incl. pipe "
             "transit in process mode).",
-        )
-        self.h_fold_shard = m.histogram(
-            "repro_service_fold_shard_seconds",
-            "Per-shard fold.shard span seconds of completed jobs.",
         )
         self.g_queue_capacity.set(self.config.queue_depth)
         self.g_workers.set(self.config.workers)
@@ -508,7 +477,6 @@ class AnalysisService:
         return build_options(
             body,
             default_timeout=self.config.default_timeout,
-            fold_jobs_cap=self.fold_jobs_cap,
             has_store=self.store is not None,
         )
 
@@ -712,8 +680,6 @@ class AnalysisService:
                 self.h_instr1.observe(job.timings.get("instr1", 0.0))
                 self.h_instr2.observe(job.timings.get("instr2_fold", 0.0))
                 self.h_feedback.observe(job.timings.get("feedback", 0.0))
-                for shard_seconds in _fold_shard_seconds(job.span_docs):
-                    self.h_fold_shard.observe(shard_seconds)
                 if job.cache_hit:
                     self.c_warm.inc()
             elif job.state == JobState.TIMEOUT:
@@ -753,7 +719,6 @@ class AnalysisService:
             "execution": self.config.execution,
             "replica": self.config.replica_id,
             "busy": int(self.g_busy.value),
-            "fold_jobs_cap": self.fold_jobs_cap,
             "queue_depth": len(self.queue),
             "queue_capacity": self.config.queue_depth,
             "jobs": self.registry.counts(),

@@ -163,7 +163,6 @@ def run_analysis(
             store=store,
             extra_observers=[observer, progress],
             tracer=tracer,
-            fold_jobs=options.fold_jobs,
             baseline=options.baseline if store is not None else None,
         )
         _beat(phase="done", dyn_instrs=progress.dyn_instrs)
@@ -280,7 +279,6 @@ def run_sweep_analysis(
                 fuel=options.fuel,
                 clamp=options.clamp,
                 crosscheck=options.crosscheck,
-                fold_jobs=options.fold_jobs,
                 jobs=1,
                 store=store,
                 tracer=tracer,

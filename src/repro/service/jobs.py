@@ -50,9 +50,6 @@ class JobOptions:
     clamp: Optional[int] = None
     fuel: int = 50_000_000
     timeout: Optional[float] = None
-    #: fold worker processes for stage 2 (bounded by the service's
-    #: fold-jobs cap at submission time; 1 = serial in-process fold)
-    fold_jobs: int = 1
     #: baseline program fingerprint for incremental re-analysis
     #: (``baseline_fingerprint`` on POST /v1/analyze); None = cold
     baseline: Optional[str] = None
@@ -63,7 +60,6 @@ class JobOptions:
             "clamp": self.clamp,
             "fuel": self.fuel,
             "timeout": self.timeout,
-            "fold_jobs": self.fold_jobs,
             "baseline": self.baseline,
         }
 
@@ -75,13 +71,10 @@ def derive_job_key(spec, options: JobOptions) -> str:
     fingerprints + pipeline options), then folds in the options that
     change the *response* but not the cached artifacts.  ``timeout`` is
     deliberately excluded: it bounds how long we wait, not what is
-    computed.  ``fold_jobs`` is excluded for the same reason: serial
-    and parallel folds are bit-identical (:mod:`repro.parallel`), so a
-    ``fold_jobs=4`` request rightly coalesces onto an identical
-    ``fold_jobs=1`` job and vice versa.  ``baseline`` is excluded too:
-    incremental and cold runs of the same program produce byte-identical
-    artifacts, so an incremental request rightly coalesces onto a cold
-    job of the same program and vice versa.
+    computed.  ``baseline`` is excluded too: incremental and cold runs
+    of the same program produce byte-identical artifacts, so an
+    incremental request rightly coalesces onto a cold job of the same
+    program and vice versa.
     """
     from ..store import keys_for_spec
 

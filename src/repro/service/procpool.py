@@ -1,12 +1,14 @@
 """Process-pool job execution: one long-lived worker process per slot.
 
-The thread pool's economics stop at one core: every analysis executes
-pure Python under one GIL, so ``--workers 8`` buys concurrency but not
-throughput.  This module moves execution into worker *processes* while
+A worker thread shares the daemon's fate: an analysis that is killed,
+segfaults or wedges outside observed code takes the daemon or its slot
+with it.  This module moves execution into worker *processes* while
 keeping the daemon's front half (queue, dedup, registry, drain)
 untouched: each daemon worker thread owns one :class:`ProcessWorker`
 and proxies claimed jobs to it, so a thread slot becomes a process
-slot and cold throughput scales with cores.
+slot that can be killed and respawned.  Its reason to exist is that
+isolation, not speed: on one core process mode ran at 0.34x thread
+mode's cold throughput (``benchmarks/results/BENCH_service.json``).
 
 Wire protocol (two ``multiprocessing`` pipes per worker)::
 

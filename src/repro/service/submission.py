@@ -68,38 +68,53 @@ def build_spec(body: dict) -> Tuple[object, str, bool]:
     return spec, spec.name, True
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, but ``true`` is
+    not a number)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_options(
     body: dict,
     default_timeout: Optional[float] = None,
-    fold_jobs_cap: Optional[int] = None,
     has_store: bool = True,
 ) -> JobOptions:
     """A validated :class:`JobOptions` from a submission body.
 
-    ``fold_jobs_cap`` silently clamps (never rejects): the capped
-    request still computes the identical result, just with less
-    parallelism.  ``has_store=False`` rejects ``baseline_fingerprint``
-    the way a store-less daemon must.
+    Every option is type-checked: a mistyped value is a
+    :class:`BadRequest`, never a coerced guess (``bool("false")`` is
+    true) or an uncaught conversion error.  ``fold_jobs`` survives only
+    as a legacy field: absent or ``1`` (the one serial fold) is
+    accepted and changes nothing.  ``has_store=False`` rejects
+    ``baseline_fingerprint`` the way a store-less daemon must.
     """
     if body.get("engine", "fast") != "fast":
         raise BadRequest(
             "the reference engine is no longer served; omit 'engine' "
             "or send \"fast\""
         )
+    fold_jobs = body.get("fold_jobs", 1)
+    if not (_is_int(fold_jobs) and fold_jobs == 1):
+        raise BadRequest(
+            "parallel folding is no longer served; omit 'fold_jobs' "
+            "or send 1"
+        )
     timeout = body.get("timeout", default_timeout)
     if timeout is not None:
+        if not (_is_int(timeout) or isinstance(timeout, float)):
+            raise BadRequest("timeout must be a number of seconds")
         timeout = float(timeout)
         if timeout <= 0:
             raise BadRequest("timeout must be positive")
     clamp = body.get("clamp")
-    try:
-        fold_jobs = int(body.get("fold_jobs", 1))
-    except (TypeError, ValueError) as exc:
-        raise BadRequest("fold_jobs must be an integer") from exc
-    if fold_jobs < 1:
-        raise BadRequest("fold_jobs must be >= 1")
-    if fold_jobs_cap is not None:
-        fold_jobs = min(fold_jobs, fold_jobs_cap)
+    if clamp is not None and not _is_int(clamp):
+        raise BadRequest("clamp must be an integer")
+    fuel = body.get("fuel", 50_000_000)
+    if not _is_int(fuel):
+        raise BadRequest("fuel must be an integer")
+    crosscheck = body.get("crosscheck", False)
+    if not isinstance(crosscheck, bool):
+        raise BadRequest("crosscheck must be true or false")
     baseline = body.get("baseline_fingerprint")
     if baseline is not None:
         if not (
@@ -116,11 +131,10 @@ def build_options(
                 "with an artifact store (cache_dir)"
             )
     return JobOptions(
-        crosscheck=bool(body.get("crosscheck", False)),
-        clamp=None if clamp is None else int(clamp),
-        fuel=int(body.get("fuel", 50_000_000)),
+        crosscheck=crosscheck,
+        clamp=clamp,
+        fuel=fuel,
         timeout=timeout,
-        fold_jobs=fold_jobs,
         baseline=baseline,
     )
 
@@ -175,10 +189,9 @@ def routing_key(body: dict) -> str:
     """The content key one submission body routes by.
 
     Identical to the daemon-side dedup key for the same body --
-    options that the daemon would clamp or reject per-config
-    (``fold_jobs``, ``baseline``) deliberately do not move the key, so
-    a request clamped differently by two replicas still routes
-    consistently.  A ``sweep`` submission routes by its parent
+    ``baseline``, which a replica may reject per-config, deliberately
+    does not move the key, so the request routes consistently either
+    way.  A ``sweep`` submission routes by its parent
     key (derived from the sorted child keys), so a whole sweep -- the
     parent and every child it fans out -- lands on one replica and
     shares one store.  Raises :class:`BadRequest` for bodies no
@@ -187,13 +200,9 @@ def routing_key(body: dict) -> str:
     """
     if not isinstance(body, dict):
         raise BadRequest("request body must be a JSON object")
-    options = build_options(
-        body,
-        # key-neutral knobs: clamp to 1 / allow baseline so a router
-        # without a store never rejects what a replica would accept
-        fold_jobs_cap=1,
-        has_store=True,
-    )
+    # allow baseline so a router without a store never rejects what a
+    # replica would accept
+    options = build_options(body, has_store=True)
     points = sweep_points(body)
     if points is not None:
         return derive_sweep_key(

@@ -7,10 +7,10 @@ so two sweeps over the same workload/points/options share one ``swp-``
 key regardless of submission order -- and any change to any run's
 identity moves the sweep key.
 
-Payload: folded DDGs are bit-identical across ``--fold-jobs``
-settings (pinned by the parallel-fold test suite), so the merged
-model -- a pure function of the folded DDGs -- serializes identically
-too.  The determinism tests byte-diff exactly this payload.
+Payload: the merged model is a pure function of the folded DDGs, so
+it serializes identically whenever they do (warm or cold, in any
+submission order).  The determinism tests byte-diff exactly this
+payload.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List
 
-from .merge import DepIdent, MergedEntity, MergedModel, StmtIdent
+from .merge import MergedEntity, MergedModel, StmtIdent
 
 #: bump on ANY change to the swp- payload layout or key derivation
 SWEEP_FORMAT_VERSION = 1

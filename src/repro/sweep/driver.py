@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from .codec import encode_sweep, sweep_key
 from .grid import Point, complete_points, default_grid, point_bindings
@@ -92,7 +92,6 @@ def run_sweep(
     fuel: int = 50_000_000,
     clamp: Optional[int] = None,
     crosscheck: bool = False,
-    fold_jobs: int = 1,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     store=None,
@@ -153,7 +152,6 @@ def run_sweep(
                 clamp=clamp,
                 cache_dir=store.root,
                 cache_max_bytes=store.max_bytes,
-                fold_jobs=fold_jobs,
                 trace=warm_ctx.as_dict() if warm_ctx else None,
             )
 
@@ -185,7 +183,6 @@ def run_sweep(
                     store=store,
                     extra_observers=extra_observers,
                     tracer=tracer,
-                    fold_jobs=fold_jobs,
                 )
             except Exception as exc:
                 raise SweepError(

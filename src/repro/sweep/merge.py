@@ -15,8 +15,7 @@ domains unioned across runs, and sweep-aware verdicts attached
 (:mod:`.verdict`).  The merge is a pure function of the profile *set*
 -- profiles arrive in canonical point order, idents are sorted, and
 every payload comparison is on canonical JSON -- which is what makes
-the ``swp-`` artifact byte-identical across submission orders and
-``--fold-jobs`` settings.
+the ``swp-`` artifact byte-identical across submission orders.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ input.  Across a sweep, each loop's claim gets a **confidence**:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .classify import INPUT_DEPENDENT, SHAPE_SCALING
 from .merge import MergedModel, NestPath, RunProfile, stmt_loop_path

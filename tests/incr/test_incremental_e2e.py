@@ -2,9 +2,9 @@
 
 The contract under test: ``analyze(baseline=...)`` may reuse whatever
 it wants, but the rendered report and metrics documents must be
-byte-identical to a cold full analysis of the same program -- plain,
-under ``--crosscheck``, and under parallel folding.  (Only the fast
-engine reads the store; the reference engine is serial and uncached.)
+byte-identical to a cold full analysis of the same program -- plain
+and under ``--crosscheck``.  (Only the fast engine reads the store;
+the reference engine is serial and uncached.)
 """
 
 import pytest
@@ -40,26 +40,15 @@ def _renumbered_spec():
     return renumbered_spec(_spec(), offset=1000)
 
 
-@pytest.mark.parametrize(
-    "engine,fold_jobs,crosscheck",
-    [
-        ("fast", 1, False),
-        ("fast", 1, True),
-        ("fast", 2, False),
-    ],
-)
-def test_incremental_byte_identical_to_cold(
-    tmp_path, engine, fold_jobs, crosscheck
-):
+@pytest.mark.parametrize("crosscheck", [False, True])
+def test_incremental_byte_identical_to_cold(tmp_path, crosscheck):
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
-    analyze(_spec(), engine=engine, store=store, fold_jobs=fold_jobs)
+    analyze(_spec(), store=store)
 
     inc = analyze(
         edited_spec(_spec(), "assign_points"),
-        engine=engine,
         store=store,
-        fold_jobs=fold_jobs,
         crosscheck=crosscheck,
         baseline=baseline,
     )
@@ -75,12 +64,7 @@ def test_incremental_byte_identical_to_cold(
         assert inc.crosscheck is not None
         assert not inc.crosscheck.violations, inc.crosscheck.render()
 
-    cold = analyze(
-        edited_spec(_spec(), "assign_points"),
-        engine=engine,
-        fold_jobs=fold_jobs,
-        crosscheck=crosscheck,
-    )
+    cold = analyze(edited_spec(_spec(), "assign_points"), crosscheck=crosscheck)
     assert _docs(inc) == _docs(cold)
 
 

@@ -107,50 +107,13 @@ def test_engines_identical(name):
     )
 
 
-# -- engine x fold_jobs matrix -------------------------------------------------
-#
-# Parallel sharded folding (repro.parallel) promises the same
-# invisibility the fast engine does: analyze(fold_jobs=N) must be
-# codec-identical to the serial fold for every N.  Only the fast
-# engine folds in parallel (the reference engine is serial); the
-# single-valued engine axis keeps the test ids stable.
-# The full matrix over every workload would dominate suite runtime;
-# two structurally different small workloads suffice here -- the whole
-# registry is already pinned serial-vs-serial above, and
-# tests/parallel covers the parallel machinery itself.
-
-MATRIX_WORKLOADS = ("nn", "backprop")
-
-
-@pytest.mark.parametrize("engine", ("fast",))
-@pytest.mark.parametrize("fold_jobs", (2, 3))
-@pytest.mark.parametrize("name", MATRIX_WORKLOADS)
-def test_parallel_fold_matrix(name, fold_jobs, engine):
-    from repro.folding.codec import encode_folded_ddg
-
-    serial = analyze(all_workloads()[name](), engine=engine)
-    par = analyze(
-        all_workloads()[name](), engine=engine, fold_jobs=fold_jobs
-    )
-    assert encode_folded_ddg(par.folded) == encode_folded_ddg(serial.folded)
-    assert set(par.folded.statements) == set(serial.folded.statements)
-    for key, fs in par.folded.statements.items():
-        assert stmt_sig(fs) == stmt_sig(serial.folded.statements[key]), key
-    for key, fd in par.folded.deps.items():
-        assert dep_sig(fd) == dep_sig(serial.folded.deps[key]), key
-    assert render_report(par.forest, par.plans) == render_report(
-        serial.forest, serial.plans
-    )
-
-
-@pytest.mark.parametrize("option", ["store", "baseline", "fold_jobs"])
+@pytest.mark.parametrize("option", ["store", "baseline"])
 def test_reference_engine_is_serial_and_uncached(tmp_path, option):
     from repro.store import ArtifactStore
 
     value = {
         "store": ArtifactStore(str(tmp_path)),
         "baseline": "ab" * 32,
-        "fold_jobs": 2,
     }[option]
     with pytest.raises(ValueError, match="serial and uncached"):
         analyze(all_workloads()["nn"](), engine="reference", **{option: value})

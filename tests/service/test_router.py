@@ -100,6 +100,13 @@ class TestRoutedTopology:
         with pytest.raises(ServiceError) as err:
             router.client.submit(workload="no_such_workload")
         assert err.value.status == 400
+        # mistyped options and parallel folding are refused at the edge
+        # by the same parser the replicas run
+        for body in ({"fuel": "abc"}, {"fold_jobs": 2}):
+            status, _, raw = router.client.request_raw(
+                "POST", "/v1/analyze", {"workload": "nn", **body}
+            )
+            assert status == 400, (body, raw)
         samples = parse_samples(router.client.service_metrics())
         assert samples["repro_router_forwards_total"] == 0
 

@@ -213,6 +213,38 @@ class TestHttpErrors:
         )
         assert status == 202
 
+    def test_mistyped_options_are_400s(self, make_service):
+        """Option values of the wrong JSON type are client errors, never
+        an internal error, and ``fold_jobs`` accepts only the serial
+        fold."""
+        live = make_service()
+        cases = [
+            {"fuel": "abc"},
+            {"fuel": [1]},
+            {"clamp": "x"},
+            {"timeout": "soon"},
+            {"crosscheck": "false"},
+            {"fold_jobs": 2},
+            {"fold_jobs": 0},
+            {"fold_jobs": "1"},
+            {"fold_jobs": 1.5},
+        ]
+        for body in cases:
+            status, _, raw = live.client.request_raw(
+                "POST", "/v1/analyze", {"workload": "nn", **body}
+            )
+            assert status == 400, (body, raw)
+        samples = parse_samples(live.client.service_metrics())
+        assert samples["repro_service_jobs_executed_total"] == 0
+
+    def test_fold_jobs_one_dedups_onto_the_plain_request(self, make_service):
+        live = make_service()
+        first = live.client.submit(workload="nn")
+        second = live.client.submit(workload="nn", fold_jobs=1)
+        assert second["job"] == first["job"]
+        assert second["deduplicated"] is True
+        live.client.wait(first["job"])
+
     def test_non_json_body_rejected(self, make_service):
         live = make_service()
         import http.client

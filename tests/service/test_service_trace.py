@@ -78,18 +78,21 @@ class TestProgressHeartbeats:
         live = make_service()
         program, state = counting_loop_docs(400_000, name="hb_loop")
         sub = live.client.submit(program=program, state=state)
-        phases = set()
+        running_phase = None
         try:
+            # poll only until the first heartbeat of a running job: the
+            # loop itself would take far longer to finish than to show
             for _ in range(2_000):
                 doc = live.client.job(sub["job"])
-                phases.update(
-                    p for p in [doc.get("progress", {}).get("phase")] if p
-                )
-                if doc["state"] != "running" and doc["state"] != "queued":
+                phase = doc.get("progress", {}).get("phase")
+                if doc["state"] == "running" and phase:
+                    running_phase = phase
+                    break
+                if doc["state"] not in ("queued", "running"):
                     break
         finally:
             live.client.cancel(sub["job"])
-        # the on_phase callback surfaced at least the pipeline root
-        # while the job was in flight
-        assert phases & {"analyze", "instr1", "instr2_fold", "feedback",
-                         "done"}
+        # the on_phase callback surfaced a pipeline phase while the job
+        # was in flight
+        assert running_phase in {"analyze", "instr1", "instr2_fold",
+                                 "feedback", "done"}

@@ -17,6 +17,7 @@ from repro.service import (
     parse_samples,
 )
 from repro.service.jsonlog import JsonLogger
+from repro.service.submission import BadRequest, build_options, routing_key
 
 
 def _job(key="k" * 64, job_id="j000001-kkkkkkkk"):
@@ -210,3 +211,73 @@ class TestJsonLogger:
         log.info("odd", thing=object())
         (line,) = stream.getvalue().splitlines()
         assert json.loads(line)["event"] == "odd"
+
+
+#: bodies whose option values have the wrong JSON type; each must be a
+#: client error, never an uncaught conversion error or a coerced guess
+MISTYPED_BODIES = [
+    {"fuel": "abc"},
+    {"fuel": [1]},
+    {"fuel": 1.5},
+    {"fuel": True},
+    {"clamp": "x"},
+    {"clamp": 2.5},
+    {"timeout": "soon"},
+    {"timeout": [1]},
+    {"timeout": True},
+    {"crosscheck": "false"},
+    {"crosscheck": 1},
+    {"fold_jobs": 2},
+    {"fold_jobs": 0},
+    {"fold_jobs": "1"},
+    {"fold_jobs": 1.5},
+    {"fold_jobs": 1.0},
+    {"fold_jobs": True},
+    {"fold_jobs": None},
+]
+
+
+class TestBuildOptions:
+    def test_defaults(self):
+        opts = build_options({})
+        assert opts == JobOptions()
+        assert "fold_jobs" not in opts.as_dict()
+
+    def test_well_typed_values_pass_through(self):
+        opts = build_options(
+            {"fuel": 1000, "clamp": 64, "timeout": 5, "crosscheck": True}
+        )
+        assert (opts.fuel, opts.clamp, opts.crosscheck) == (1000, 64, True)
+        assert opts.timeout == 5.0 and isinstance(opts.timeout, float)
+        assert build_options({"timeout": 0.5}).timeout == 0.5
+        assert build_options({"clamp": None}).clamp is None
+
+    def test_default_timeout_applies_when_absent(self):
+        assert build_options({}, default_timeout=3.0).timeout == 3.0
+        assert build_options({"timeout": 1}, default_timeout=3.0).timeout == 1
+
+    def test_fold_jobs_one_is_the_absent_field(self):
+        assert build_options({"fold_jobs": 1}) == build_options({})
+
+    @pytest.mark.parametrize("body", MISTYPED_BODIES, ids=repr)
+    def test_mistyped_values_are_bad_requests(self, body):
+        with pytest.raises(BadRequest):
+            build_options(body)
+
+
+class TestRoutingKey:
+    @pytest.mark.parametrize("body", MISTYPED_BODIES, ids=repr)
+    def test_mistyped_values_are_bad_requests(self, body):
+        with pytest.raises(BadRequest):
+            routing_key({"workload": "nn", **body})
+
+    def test_fold_jobs_one_routes_like_the_absent_field(self):
+        assert routing_key({"workload": "nn", "fold_jobs": 1}) == routing_key(
+            {"workload": "nn"}
+        )
+
+    def test_options_that_change_the_answer_move_the_key(self):
+        base = routing_key({"workload": "nn"})
+        assert routing_key({"workload": "nn", "fuel": 1000}) != base
+        assert routing_key({"workload": "nn", "crosscheck": True}) != base
+        assert routing_key({"workload": "nn", "timeout": 9}) == base
