@@ -9,8 +9,10 @@ claims:
   end (spec construction, artifact decode, feedback re-analysis and
   report rendering all included in the warm time);
 * the warm feedback reports are **bit-identical** to the cold ones;
-* every folded DDG survives an encode -> decode -> encode round trip
-  byte-identically (the codec is a fixpoint, not merely lossless).
+* every stage-2 payload (the folded DDG as per-function regions,
+  profile metadata, dependence vectors) survives an encode -> decode
+  -> encode round trip byte-identically (the codec is a fixpoint, not
+  merely lossless).
 
 The warm side is best-of-N (noise is additive, the minimum is the
 estimator); the cold side is a single run, since its noise only makes
@@ -23,10 +25,9 @@ import tempfile
 import time
 
 from _harness import emit, format_table, once, results_path
-from repro.folding.codec import decode_folded_ddg, encode_folded_ddg
 from repro.pipeline import analyze
 from repro.runner import run_suite
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, decode_stage2, encode_stage2
 from repro.workloads import rodinia_workloads
 
 #: warm repetitions (best-of)
@@ -61,15 +62,22 @@ def run_cache():
         store_objects = len(store.entries())
         store_bytes = store.total_bytes()
 
-        # round-trip fixpoint: re-encoding a decoded folded DDG must
-        # reproduce the encoding exactly, for every workload
+        # round-trip fixpoint: re-encoding a decoded stage-2 payload
+        # must reproduce the encoding exactly, for every workload
         roundtrip_failures = []
         for name, factory in rodinia_workloads().items():
             spec = factory()
             result = analyze(spec, store=store)
-            enc = encode_folded_ddg(result.folded)
-            dec = decode_folded_ddg(enc, spec.program)
-            if encode_folded_ddg(dec) != enc:
+            enc = json.dumps(encode_stage2(
+                spec.program, result.folded, result.ddg_profile,
+                result.forest.deps,
+            ))
+            folded, ddgp, vectors = decode_stage2(
+                json.loads(enc), spec.program
+            )
+            if json.dumps(
+                encode_stage2(spec.program, folded, ddgp, vectors)
+            ) != enc:
                 roundtrip_failures.append(name)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -101,7 +109,7 @@ def test_cache_speed(benchmark):
     ]
     assert not mismatched, f"warm reports differ: {mismatched}"
     assert not r["roundtrip_failures"], (
-        f"folded-DDG codec not a fixpoint for: {r['roundtrip_failures']}"
+        f"stage-2 codec not a fixpoint for: {r['roundtrip_failures']}"
     )
 
     rows = []

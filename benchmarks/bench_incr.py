@@ -1,8 +1,9 @@
 """Incremental re-analysis benchmark: edit-to-report latency vs cold.
 
 For each workload of the suite a baseline analysis populates an
-artifact store (``man-`` manifest + per-function ``rgn-`` regions),
-then two classes of program edit are re-analyzed against it:
+artifact store (``man-`` manifest + ``ddg-`` stage-2 payload, whose
+folded DDG is stored as per-function regions), then two classes of
+program edit are re-analyzed against it:
 
 * **renumber** -- a uid-renumbered twin
   (:func:`repro.incr.renumbered_spec`): the recompiled-after-a-
@@ -52,6 +53,7 @@ from repro.isa import fingerprint_program
 from repro.pipeline import analyze
 from repro.store import ArtifactStore
 from repro.workloads import all_workloads
+from repro.workloads.polybench import build_jacobi2d, build_seidel2d
 
 #: required suite-total renumber-edit speedup (cold / incremental)
 GATE = 5.0
@@ -71,9 +73,11 @@ def _suite_specs():
     """name -> zero-arg spec factory, multi-function Rodinia plus two
     scaled stencils (execution-bound single-function cases)."""
     w = all_workloads()
+    # the registered pb_* factories declare no params, so the scaled
+    # stencils are built directly
     return {
-        "jacobi2d_s16": lambda: w["pb_jacobi2d"](steps=STEPS),
-        "seidel2d_s16": lambda: w["pb_seidel2d"](steps=STEPS),
+        "jacobi2d_s16": lambda: build_jacobi2d(steps=STEPS),
+        "seidel2d_s16": lambda: build_seidel2d(steps=STEPS),
         "heartwall": w["heartwall"],
         "gemsfdtd": w["gemsfdtd"],
         "lavaMD": w["lavaMD"],

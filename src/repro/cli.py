@@ -613,7 +613,7 @@ def _add_baseline_arg(p) -> None:
         default=None,
         help="incremental re-analysis against this baseline: a "
         "workload name or a 64-hex program fingerprint whose manifest "
-        "and region artifacts are in the store; only the invalidated "
+        "and stage-2 artifact are in the store; only the invalidated "
         "frontier is re-instrumented (requires --cache); output stays "
         "byte-identical to a cold run, the incremental summary goes "
         "to stderr",
@@ -805,7 +805,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--timeout",
         type=float,
         default=None,
-        help="per-point wall-clock limit in seconds (warm phase)",
+        help="per-point wall-clock limit in seconds; an overrun fails "
+        "the sweep and names the point",
     )
     p.add_argument(
         "--clamp",

@@ -141,9 +141,6 @@ class LintReport:
         """No errors and no warnings (infos allowed)."""
         return not self.errors and not self.warnings
 
-    def rules_hit(self) -> Set[str]:
-        return {d.rule for d in self.diagnostics}
-
     def sorted(self) -> List[Diagnostic]:
         rank = {s: i for i, s in enumerate(SEVERITIES)}
         return sorted(

@@ -10,7 +10,6 @@ from .stride import (
     GOOD_STRIDES,
     access_stride,
     good_stride_fraction,
-    potential_reuse_percent,
     reuse_percent,
     stride_scores,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "compute_region_metrics",
     "good_stride_fraction",
     "nest_report",
-    "potential_reuse_percent",
     "region_closure",
     "render_flamegraph_svg",
     "render_report",

@@ -9,7 +9,8 @@ affine function of the canonical iterators).  An access has stride
 * ``%reuse``  -- fraction of dynamic loads/stores that are stride-0/1
   along the innermost dimension of the *existing* loop order;
 * ``%Preuse`` -- the maximum of that fraction over all legal loop
-  permutations (what interchange could achieve), reported per region.
+  permutations (what interchange could achieve), reported per region
+  by :mod:`repro.feedback.metrics` from the helpers here.
 """
 
 from __future__ import annotations
@@ -78,35 +79,3 @@ def reuse_percent(forest: NestForest) -> float:
             if s is not None and s in GOOD_STRIDES:
                 good += fs.count
     return 100.0 * good / total if total else 0.0
-
-
-def potential_reuse_percent(forest: NestForest) -> float:
-    """%Preuse: best achievable via legal loop permutations.
-
-    For every statement-carrying node we take the best stride score
-    over the dimensions reachable innermost by a legal permutation of
-    its band (conservatively: any dimension of the node's permutable
-    band, since a fully permutable band allows any rotation; outside
-    the band, only the existing innermost)."""
-    from ..schedule.analysis import permutation_legal
-
-    total = 0
-    good = 0.0
-    for node in forest.walk():
-        stmts = [s for s in node.stmts if s.stmt.instr.is_mem]
-        if not stmts:
-            continue
-        d = node.depth
-        candidates = [d - 1]
-        for inner in range(d - 1):
-            perm = tuple([j for j in range(d) if j != inner] + [inner])
-            # legality is evaluated on the innermost nest containing
-            # this node; for non-leaf stmt carriers use the node itself
-            if permutation_legal(forest, node, perm):
-                candidates.append(inner)
-        best = max(good_stride_fraction(stmts, dim) for dim in candidates)
-        cnt = sum(fs.count for fs in stmts)
-        total += cnt
-        good += best * cnt
-    return 100.0 * good / total if total else 0.0
-

@@ -1,18 +1,17 @@
-"""Codec for the folded polyhedral DDG (the paper's compact summary).
+"""Codec for the statements and dependences of a folded polyhedral DDG.
 
 The :class:`~repro.folding.folder.FoldedDDG` is precisely the artifact
 POLY-PROF exists to produce -- persisting it turns re-analysis of an
-unchanged workload into a lookup.  Statements and dependences are
-serialized in dict insertion order (declaration order during the
-profiled run), so a decoded DDG iterates identically to the one the
-folder built: reports, metrics, and dependence vectors derived from it
-are byte-identical.
+unchanged workload into a lookup.  This module encodes single folded
+statements and dependences; :mod:`repro.incr.regions` groups them into
+the per-function regions the store persists, and
+:mod:`repro.incr.stitch` decodes them back into a canonically ordered
+DDG.  :func:`encode_folded_ddg` is the program-free whole-DDG form used
+to compare two folds byte for byte.
 
 Static :class:`~repro.isa.instructions.Instr` objects are *not*
 serialized: a statement references its instruction by uid, resolved
-against the program at decode time.  The store's fingerprint covers
-the whole program IR, so a cached artifact can never be decoded
-against a program whose uids mean something else.
+against the program at decode time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Dict, Optional
 
 from ..ddg.graph import DepKey, Statement, StmtKey
 from ..isa.instructions import Instr
-from ..isa.program import Program
 from ..poly.codec import (
     decode_expr,
     decode_function,
@@ -146,21 +144,3 @@ def encode_folded_ddg(ddg: FoldedDDG) -> dict:
         ],
         "deps": [_encode_dep(fd) for fd in ddg.deps.values()],
     }
-
-
-def decode_folded_ddg(data: dict, program: Program) -> FoldedDDG:
-    """Rebuild a folded DDG, resolving instructions against ``program``."""
-    instr_of: Dict[int, Instr] = {
-        ins.uid: ins for _fn, _bb, ins in program.all_instrs()
-    }
-    statements: Dict[StmtKey, FoldedStatement] = {}
-    for item in data["statements"]:
-        fs = _decode_statement(item, instr_of)
-        statements[fs.stmt.key] = fs
-    deps: Dict[DepKey, FoldedDep] = {}
-    for item in data["deps"]:
-        fd = _decode_dep(item)
-        deps[fd.key] = fd
-    # is_scev flags are serialized verbatim (run_scev_recognition is
-    # *not* re-run: the flags are part of the artifact's identity)
-    return FoldedDDG(statements=statements, deps=deps)

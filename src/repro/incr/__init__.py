@@ -18,9 +18,10 @@ This package extends the warm path from "identical program" to
    machine-readable reasons per region.
 
 The pipeline (:func:`repro.pipeline.analyze` with ``baseline=``) then
-re-instruments only the frontier, reuses per-function ``rgn-``
-artifacts for everything else, and stitches (:mod:`.stitch`) a folded
-DDG that is byte-identical to a cold full analysis.
+re-instruments only the frontier, reuses the per-function regions
+(:mod:`.regions`) of the baseline's stage-2 artifact for everything
+else, and stitches (:mod:`.stitch`) a folded DDG that is
+byte-identical to a cold full analysis.
 """
 
 from .diff import FunctionStatus, ProgramDiff, diff_document, diff_manifests

@@ -5,14 +5,15 @@ before any execution, and decides between three modes:
 
 * ``identical`` -- the diff is all-unchanged (uid renumbering,
   function reordering): the baseline execution is bit-identical, so
-  *nothing* runs; baseline stage-1/stage-2 metadata and every region
-  artifact are reused verbatim.
+  *nothing* runs; the baseline stage-1 artifact and the baseline
+  stage-2 payload (metadata and every region) are reused verbatim.
 * ``incremental`` -- a proper subset of functions is on the frontier:
   stage 2 re-executes with the DDG builder emitting only frontier
-  functions, and the rest is stitched from ``rgn-`` artifacts.
-* ``cold`` -- nothing reusable (manifest missing, frontier covers the
-  whole program, baseline is this very program, ...): the ordinary
-  pipeline runs; ``reason`` says why.
+  functions, and the rest is stitched from the regions of the
+  baseline's stage-2 (``ddg-``) payload.
+* ``cold`` -- nothing reusable (manifest or stage-2 payload missing,
+  frontier covers the whole program, baseline is this very program,
+  ...): the ordinary pipeline runs; ``reason`` says why.
 
 The plan also carries :class:`IncrementalInfo`, the machine-readable
 account (mode, diff summary, frontier reasons, regions reused) that
@@ -31,7 +32,7 @@ from .alias import AccessRoots
 from .diff import ProgramDiff, diff_manifests
 from .manifest import build_manifest, manifest_ok
 from .regions import region_ok
-from .slice import Frontier, FrontierReason, compute_frontier
+from .slice import Frontier, compute_frontier
 
 
 @dataclass
@@ -72,9 +73,11 @@ class IncrementalPlan:
     frontier: Optional[Frontier] = None
     #: functions the DDG builder fully instruments (incremental mode)
     emit_funcs: Optional[Set[str]] = None
-    #: loaded, validated region payloads to stitch (non-frontier funcs)
+    #: validated region payloads to stitch (non-frontier funcs)
     regions: Dict[str, dict] = field(default_factory=dict)
     base_keys: Optional[ArtifactKeys] = None
+    #: the baseline's stage-2 payload the regions were taken from
+    base_payload: Optional[dict] = None
 
 
 def _cold(
@@ -138,22 +141,6 @@ def plan_incremental(
     emit_funcs = set(frontier.funcs)
     reuse_funcs = [f for f in program.functions if f not in emit_funcs]
 
-    # load region artifacts for every reusable function; misses join
-    # the frontier (their data must be recomputed anyway)
-    regions: Dict[str, dict] = {}
-    with tracer.span("incr.load", cat="incr") as sp:
-        for func in reuse_funcs:
-            payload = store.get(base_keys.region(func))
-            if region_ok(payload):
-                regions[func] = payload
-            else:
-                emit_funcs.add(func)
-                frontier.funcs.add(func)
-                frontier.add(
-                    func, FrontierReason(rule="artifact-miss")
-                )
-        sp.count("regions", len(regions))
-
     info = IncrementalInfo(
         baseline=baseline,
         mode="incremental",
@@ -163,7 +150,6 @@ def plan_incremental(
             for name in sorted(frontier.funcs)
         },
         funcs_total=len(program.functions),
-        regions_reused=len(regions),
     )
     plan = IncrementalPlan(
         mode="incremental",
@@ -172,24 +158,31 @@ def plan_incremental(
         diff=diff,
         frontier=frontier,
         emit_funcs=emit_funcs,
-        regions=regions,
         base_keys=base_keys,
     )
+    if not reuse_funcs:
+        plan.mode = info.mode = "cold"
+        info.reason = "frontier-covers-program"
+        return plan
 
-    if not emit_funcs and diff.all_unchanged:
-        # no execution needed at all *if* the baseline stage-2 metadata
-        # is also available; otherwise run stage 2 with nothing emitted
-        if store.contains(base_keys.stage2):
-            plan.mode = "identical"
-            info.mode = "identical"
-        else:
-            info.reason = "baseline-stage2-meta-miss"
-    elif len(regions) == 0:
-        plan.mode = "cold"
-        info.mode = "cold"
+    # every reusable function's region comes out of the baseline's one
+    # stage-2 payload; without a sound payload nothing is reusable
+    with tracer.span("incr.load", cat="incr") as sp:
+        payload = store.get(base_keys.stage2)
+        stored = payload.get("regions") if isinstance(payload, dict) else None
+        if isinstance(stored, dict) and all(
+            region_ok(stored.get(f)) for f in reuse_funcs
+        ):
+            plan.regions = {f: stored[f] for f in reuse_funcs}
+            plan.base_payload = payload
+        sp.count("regions", len(plan.regions))
+    if not plan.regions:
+        plan.mode = info.mode = "cold"
         info.reason = (
-            "frontier-covers-program"
-            if len(emit_funcs) >= len(program.functions)
-            else "no-reusable-regions"
+            "baseline-stage2-miss" if payload is None
+            else "baseline-stage2-corrupt"
         )
+    elif not emit_funcs and diff.all_unchanged:
+        plan.mode = info.mode = "identical"
+    info.regions_reused = len(plan.regions)
     return plan

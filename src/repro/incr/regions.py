@@ -1,8 +1,9 @@
-"""Per-function folded-DDG region artifacts (the ``rgn-`` store level).
+"""Per-function folded-DDG regions: the stored form of a folded DDG.
 
-A full stage-2 artifact is one monolithic folded DDG; region artifacts
-carve the same data per function so an incremental run can reuse the
-untouched functions' slices.  Identities are stored
+The stage-2 (``ddg-``) artifact stores its folded DDG exactly once,
+carved into one region per function, so a warm hit can rebuild the
+whole DDG and an incremental run can reuse the untouched functions'
+slices from the same payload.  Identities are stored
 *position-independently*: statements carry their function-local
 ordinal (canonical traversal order, see
 :func:`repro.isa.fingerprint.function_uid_ordinals`) and their interned
@@ -30,7 +31,8 @@ from ..folding.folder import FoldedDDG
 from ..isa.fingerprint import function_uid_ordinals
 from ..isa.program import Program
 
-#: bump on any change to the region payload layout
+#: bump on any change to the region payload layout (regions travel
+#: inside stage-2 artifacts, so a bump also needs STORE_FORMAT_VERSION)
 REGION_FORMAT_VERSION = 1
 
 # re-exported for the stitcher (shared single point of codec truth)
@@ -91,7 +93,7 @@ def encode_regions(program: Program, folded: FoldedDDG) -> Dict[str, dict]:
 
 
 def region_ok(payload: object) -> bool:
-    """Structural sanity of a (possibly store-loaded) region payload."""
+    """Structural sanity of one (possibly store-loaded) region payload."""
     return (
         isinstance(payload, dict)
         and payload.get("format") == REGION_FORMAT_VERSION

@@ -45,7 +45,7 @@ class FrontierReason:
     """Why one region is on the re-analysis frontier."""
 
     rule: str            # modified | added | removed | callee-of-changed |
-                         # caller-uses-result | may-alias | artifact-miss
+                         # caller-uses-result | may-alias
     via: Optional[str] = None   # the already-affected function that pulled us in
     detail: str = ""
 

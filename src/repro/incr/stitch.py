@@ -1,8 +1,9 @@
-"""Stitch fresh frontier folds with reused region artifacts.
+"""Stitch fresh frontier folds with reused regions.
 
 The incremental stage 2 produces a *partial* folded DDG covering only
-the frontier functions; everything else is decoded from baseline
-``rgn-`` artifacts and re-mapped onto the submitted program:
+the frontier functions; everything else is decoded from the regions of
+the baseline's stage-2 artifact and re-mapped onto the submitted
+program:
 
 * a statement's global uid is recovered from its function-local
   ordinal (rename/renumber-invariant);
@@ -10,15 +11,17 @@ the frontier functions; everything else is decoded from baseline
   table, so reused and fresh statements share one id space (on the
   no-execution fast path the baseline ids are taken verbatim -- an
   all-unchanged diff implies a bit-identical execution and therefore a
-  bit-identical interning sequence).
+  bit-identical interning sequence).  A warm stage-2 hit takes the
+  same verbatim path with every region of its own payload and no fresh
+  fold.
 
 Every inconsistency -- a context the live run never observed, an
 ordinal past the function's end, a key landing on both sides -- raises
 :class:`IncrementalMismatch`, which the pipeline answers with a cold
-re-fold.  The stitched result passes through
-:func:`repro.folding.canonical_ddg`, making it byte-identical (through
-the codec and every report) to a cold full analysis of the same
-program.
+re-fold (a warm decode treats it as a store miss).  The stitched
+result passes through :func:`repro.folding.canonical_ddg`, making it
+byte-identical (through the codec and every report) to a cold full
+analysis of the same program.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ def function_uid_ordinals(fn: Function) -> Dict[int, int]:
     The ordinal of an instruction depends only on the function's own
     content, never on where the function sits in the program or how
     the frontend numbered it -- the basis of position-independent
-    function fingerprints and of re-mapping cached per-region artifacts
+    function fingerprints and of re-mapping cached per-function regions
     onto a re-numbered program.
     """
     ordinals: Dict[int, int] = {}

@@ -281,9 +281,6 @@ class AnalysisResult:
     def schedule_tree(self):
         return self.ddg_profile.builder.schedule_tree
 
-    def total_wall_seconds(self) -> float:
-        return self.control.wall_seconds + self.ddg_profile.wall_seconds
-
 
 def analyze(
     spec: ProgramSpec,
@@ -351,9 +348,10 @@ def analyze(
     previously analyzed baseline: the spec's program is statically
     diffed against the baseline's manifest, the invalidated dependence
     frontier is sliced (:mod:`repro.incr`), and only the frontier is
-    re-instrumented -- everything else is stitched from per-function
-    ``rgn-`` region artifacts.  The result is byte-identical to a cold
-    full analysis; what the machinery did is reported on
+    re-instrumented -- everything else is stitched from the
+    per-function regions of the baseline's stage-2 artifact.  The
+    result is byte-identical to a cold full analysis; what the
+    machinery did is reported on
     ``result.incremental``.  Any dynamic boundary violation or stitch
     inconsistency falls back to a cold run automatically.
     """
@@ -397,7 +395,7 @@ def analyze(
     with tracer.span(
         "analyze", cat="pipeline", workload=spec.name, engine=engine
     ) as root:
-        # -- incremental planning: diff + slice + region loads -----------------
+        # -- incremental planning: diff + slice + baseline payload -------------
         incr_plan = None
         if baseline is not None:
             from .ddg import FrontierViolation
@@ -406,7 +404,6 @@ def analyze(
                 plan_incremental,
                 stitch_folded,
             )
-            from .store import decode_stage2_meta
 
             incr_plan = plan_incremental(
                 spec,
@@ -493,15 +490,14 @@ def analyze(
             elif incr_plan is not None and incr_plan.mode == "identical":
                 try:
                     with tracer.span("incr.stitch", cat="incr") as sp:
-                        base_payload = store.get(incr_plan.base_keys.stage2)
-                        if base_payload is None:
-                            raise IncrementalMismatch(
-                                "baseline stage-2 artifact vanished"
-                            )
-                        folded = stitch_folded(
-                            spec.program, None, incr_plan.regions, None
+                        # the baseline's uid-keyed dependence vectors do
+                        # not fit the renumbered program; feedback
+                        # recomputes them
+                        folded, ddgp, _ = decode_stage2(
+                            incr_plan.base_payload,
+                            spec.program,
+                            dep_vectors=False,
                         )
-                        ddgp = decode_stage2_meta(base_payload)
                         sp.count("regions_reused", len(incr_plan.regions))
                     stage2_cached = True
                 except IncrementalMismatch as exc:
@@ -541,15 +537,18 @@ def analyze(
             if store is not None and not store.contains(keys.stage2):
                 with tracer.span("stage2.put", cat="cache"):
                     store.put(
-                        keys.stage2, encode_stage2(folded, ddgp, forest.deps)
+                        keys.stage2,
+                        encode_stage2(
+                            spec.program, folded, ddgp, forest.deps
+                        ),
                     )
             if store is not None:
-                # write-through the incremental levels (manifest +
-                # per-function regions) on every stored run, so *this*
-                # analysis can serve as a future baseline
-                from .incr import build_manifest, encode_regions
+                # write the manifest on every stored run, so *this*
+                # analysis (its ddg- payload carries the per-function
+                # regions) can serve as a future baseline
+                from .incr import build_manifest
 
-                with tracer.span("incr.put", cat="cache") as sp:
+                with tracer.span("incr.put", cat="cache"):
                     if not store.contains(keys.manifest):
                         manifest = (
                             incr_plan.new_manifest
@@ -558,16 +557,6 @@ def analyze(
                             else build_manifest(spec.program)
                         )
                         store.put(keys.manifest, manifest)
-                    missing = [
-                        f
-                        for f in spec.program.functions
-                        if not store.contains(keys.region(f))
-                    ]
-                    if missing:
-                        payloads = encode_regions(spec.program, folded)
-                        for func in missing:
-                            store.put(keys.region(func), payloads[func])
-                    sp.count("regions_written", len(missing))
 
     timings = (
         StageTimings.from_span_tree(root, stage1_cached, stage2_cached)

@@ -112,15 +112,6 @@ class DepVector:
         return all(self.may_be_zero(j) for j in range(level)) and \
             self.may_be_nonzero(level)
 
-    def carried_somewhere_within(self, first: int) -> bool:
-        """May the dependence be carried at any level >= first?"""
-        return any(
-            self.may_be_carried_at(l) for l in range(first, self.common)
-        )
-
-    def is_loop_independent(self) -> bool:
-        return all(s == "0" for s in self.signs)
-
 
 def _distance_bounds(piece: Polyhedron, e: AffineExpr) -> Bound:
     """Rational (lo, hi) of the distance ``e`` over a non-empty piece.

@@ -9,7 +9,6 @@ keys (:mod:`repro.store.keys`), persist/recover stage artifacts
 from .artifacts import (
     decode_control_profile,
     decode_stage2,
-    decode_stage2_meta,
     encode_control_profile,
     encode_stage2,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "StoreStats",
     "decode_control_profile",
     "decode_stage2",
-    "decode_stage2_meta",
     "derive_keys",
     "encode_control_profile",
     "encode_stage2",

@@ -6,11 +6,15 @@ Two artifacts per (workload, options) pair:
   -- dynamic CFGs, call graph, and run statistics; loop forests and
   the recursive-component-set are recomputed on load (they are pure
   functions of the graphs, see :mod:`repro.cfg.codec`).
-* **stage 2** (``ddg-*``): the folded polyhedral DDG, the
-  Instrumentation-II metadata a warm :class:`~repro.pipeline.AnalysisResult`
-  must still expose (dynamic instruction count, run statistics, the
-  dynamic schedule tree for flame graphs), and the dependence vectors
-  that feed the feedback stages.
+* **stage 2** (``ddg-*``): the folded polyhedral DDG, stored once, as
+  the per-function position-independent regions of
+  :mod:`repro.incr.regions`; the Instrumentation-II metadata a warm
+  :class:`~repro.pipeline.AnalysisResult` must still expose (dynamic
+  instruction count, run statistics, the dynamic schedule tree for
+  flame graphs); and the dependence vectors that feed the feedback
+  stages.  A warm hit and an incremental run read the same regions:
+  the first rebuilds the whole DDG from them, the second reuses the
+  untouched functions' regions against an edited program.
 
 Wall-clock fields are preserved verbatim: a decoded artifact reports
 the profiling time it *avoided*; the fresh cost of a warm run lives in
@@ -29,7 +33,6 @@ from ..cfg.codec import (
     encode_callgraph,
     encode_cfgs,
 )
-from ..folding.codec import decode_folded_ddg, encode_folded_ddg
 from ..folding.folder import FoldedDDG
 from ..iiv.schedule_tree import DynamicScheduleTree, DynNode
 from ..isa.vm import RunStats
@@ -157,9 +160,11 @@ class CachedInstrumentation:
         self.schedule_tree = schedule_tree
 
 
-def encode_stage2(folded: FoldedDDG, ddgp, dep_vectors) -> dict:
+def encode_stage2(program, folded: FoldedDDG, ddgp, dep_vectors) -> dict:
+    from ..incr.regions import encode_regions
+
     return {
-        "folded": encode_folded_ddg(folded),
+        "regions": encode_regions(program, folded),
         "instr_count": ddgp.builder.instr_count,
         "stats": encode_run_stats(ddgp.stats),
         "wall_seconds": ddgp.wall_seconds,
@@ -169,27 +174,20 @@ def encode_stage2(folded: FoldedDDG, ddgp, dep_vectors) -> dict:
 
 
 def decode_stage2(
-    data: dict, program
-) -> Tuple[FoldedDDG, object, List[DepVector]]:
+    data: dict, program, dep_vectors: bool = True
+) -> Tuple[FoldedDDG, object, Optional[List[DepVector]]]:
+    """Rebuild the folded DDG from the payload's regions (verbatim
+    context ids), plus the profile metadata and dependence vectors.
+
+    The metadata is uid-free; the dependence vectors are not.  The
+    incremental ``identical`` mode decodes a *baseline* payload against
+    a renumbered program, so it passes ``dep_vectors=False`` and the
+    feedback stage recomputes them (``None`` is returned instead)."""
+    from ..incr.stitch import stitch_folded
     from ..pipeline import DDGProfile
 
-    folded = decode_folded_ddg(data["folded"], program)
-    ddgp = decode_stage2_meta(data)
-    dep_vectors = decode_dep_vectors(data["dep_vectors"], folded)
-    return folded, ddgp, dep_vectors
-
-
-def decode_stage2_meta(data: dict):
-    """Only the profile metadata of a stage-2 artifact: run stats,
-    schedule tree, instruction count, wall seconds -- everything that
-    is *uid-free*.  The incremental no-execution fast path reuses a
-    baseline program's metadata (an all-unchanged diff implies a
-    bit-identical execution) while the folded DDG itself is rebuilt
-    from region artifacts against the submitted program's uids, so the
-    monolithic folded payload here is deliberately not decoded."""
-    from ..pipeline import DDGProfile
-
-    return DDGProfile(
+    folded = stitch_folded(program, None, data["regions"], None)
+    ddgp = DDGProfile(
         builder=CachedInstrumentation(
             int(data["instr_count"]),
             decode_schedule_tree(data["schedule_tree"]),
@@ -198,3 +196,9 @@ def decode_stage2_meta(data: dict):
         stats=decode_run_stats(data["stats"]),
         wall_seconds=float(data["wall_seconds"]),
     )
+    vectors = (
+        decode_dep_vectors(data["dep_vectors"], folded)
+        if dep_vectors
+        else None
+    )
+    return folded, ddgp, vectors

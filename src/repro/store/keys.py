@@ -13,14 +13,12 @@ but still reuses the cached :class:`~repro.pipeline.ControlProfile`.
 Both keys are salted with :data:`~repro.store.store.STORE_FORMAT_VERSION`
 so a format bump makes every old artifact an orderly miss.
 
-Two further levels serve incremental re-analysis (:mod:`repro.incr`):
-
-* the **manifest key** (``man-``) covers the static program manifest --
-  per-function fingerprints, call edges, access roots -- and depends on
-  the program digest alone;
-* the **region keys** (``rgn-``, one per function) extend the stage-2
-  key material with the function name, caching that function's slice
-  of the folded DDG for frontier-only re-analysis.
+One further level serves incremental re-analysis (:mod:`repro.incr`):
+the **manifest key** (``man-``) covers the static program manifest --
+per-function fingerprints, call edges, access roots -- and depends on
+the program digest alone.  The per-function slices of the folded DDG
+that an incremental run reuses live inside the stage-2 artifact, so
+they need no key of their own.
 
 Only the production (fast) pipeline reads or writes the store, so no
 execution-path choice enters the key material.
@@ -47,23 +45,6 @@ class ArtifactKeys:
     #: program manifest artifact ("man-<sha256>"); static-only, so it
     #: depends on the program digest alone (see manifest_key)
     manifest: str = ""
-    #: raw stage-2 key material the per-function region keys extend
-    region_base: str = ""
-
-    def region(self, func: str) -> str:
-        """Per-function folded-region artifact key ("rgn-<sha256>").
-
-        Extends the full stage-2 key material (program, state, fuel,
-        folding options) with the function name -- a region artifact is
-        only reusable under the *same* dynamic conditions the stage-2
-        artifact would be.  The name is length-prefixed so adversarial
-        names cannot collide with the option fields.
-        """
-        if not self.region_base:
-            raise ValueError("ArtifactKeys built without region_base")
-        return "rgn-" + _hex(
-            self.region_base + f"|region[{len(func)}]={func}"
-        )
 
 
 def _hex(text: str) -> str:
@@ -76,7 +57,7 @@ def manifest_key(program_digest: str) -> str:
     Keyed by the program digest alone: the manifest is pure static
     analysis (per-function fingerprints, call edges, access roots), so
     it is shared across states, fuel budgets, and folding
-    options.  Dynamic mismatches surface naturally as rgn-/ddg- misses.
+    options.  Dynamic mismatches surface naturally as ddg- misses.
     """
     return "man-" + _hex(f"v{STORE_FORMAT_VERSION}|manifest={program_digest}")
 
@@ -107,7 +88,6 @@ def derive_keys(
         program_digest=program_digest,
         state_digest=state_digest,
         manifest=manifest_key(program_digest),
-        region_base=stage2,
     )
 
 

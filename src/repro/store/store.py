@@ -58,9 +58,11 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: stores simply miss instead of mis-decoding
 #: v2: explicit function-boundary tokens in the program fingerprint
 #: stream, canonical (key-sorted) folded-DDG serialization order, and
-#: the man-/rgn- incremental artifact levels
+#: the incremental artifact levels (manifest, per-function region files)
 #: v3: the execution engine left the key material (one production engine)
-STORE_FORMAT_VERSION = 3
+#: v4: the folded DDG is stored once, as per-function regions inside the
+#: stage-2 artifact
+STORE_FORMAT_VERSION = 4
 
 
 @dataclass

@@ -109,8 +109,12 @@ def run_sweep(
     shared store parallel warm runs could not hand their artifacts to
     the collect phase).  Remaining options mirror
     :func:`repro.pipeline.analyze` and apply to every point.
+    ``timeout`` bounds each point's analysis, in the warm phase and
+    in the collect phase alike; a collect-phase overrun raises
+    :class:`SweepError` naming the point.
     """
     from ..pipeline import analyze
+    from ..runner import WorkloadTimeout, _deadline, run_suite
     from ..store.keys import keys_for_spec
     from ..workloads import all_workloads
 
@@ -134,8 +138,6 @@ def run_sweep(
         store = ArtifactStore(cache_dir, max_bytes=cache_max_bytes)
 
     if store is not None and (jobs is None or jobs > 1) and len(grid) > 1:
-        from ..runner import run_suite
-
         with tracer.span(
             "sweep.warm", cat="sweep", workload=workload, points=len(grid)
         ):
@@ -175,15 +177,21 @@ def run_sweep(
             point=_PointTask(workload, point).__name__,
         ):
             try:
-                result = analyze(
-                    spec,
-                    fuel=fuel,
-                    clamp=clamp,
-                    crosscheck=crosscheck,
-                    store=store,
-                    extra_observers=extra_observers,
-                    tracer=tracer,
-                )
+                with _deadline(timeout):
+                    result = analyze(
+                        spec,
+                        fuel=fuel,
+                        clamp=clamp,
+                        crosscheck=crosscheck,
+                        store=store,
+                        extra_observers=extra_observers,
+                        tracer=tracer,
+                    )
+            except WorkloadTimeout:
+                raise SweepError(
+                    f"sweep point {point_bindings(point)} timed out "
+                    f"after {timeout:g}s"
+                ) from None
             except Exception as exc:
                 raise SweepError(
                     f"sweep point {point_bindings(point)} failed: {exc}"

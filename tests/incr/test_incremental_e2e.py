@@ -7,6 +7,8 @@ and under ``--crosscheck``.  (Only the fast engine reads the store;
 the reference engine is serial and uncached.)
 """
 
+import os
+
 import pytest
 
 from repro.ddg import FrontierViolation
@@ -123,20 +125,25 @@ def test_baseline_without_store_raises():
         analyze(_spec(), baseline="ab" * 32)
 
 
+def _stage2_key():
+    return keys_for_spec(
+        _spec(), fuel=50_000_000, max_pieces=6, clamp=None,
+        track_anti_output=True, build_schedule_tree=True,
+    ).stage2
+
+
 def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
-    """A structurally-valid but inconsistent region artifact must trip
-    the stitcher and land on the cold path with identical output."""
+    """A structurally-valid but inconsistent region inside the baseline
+    ddg- payload must trip the stitcher and land on the cold path with
+    identical output."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
 
-    keys = keys_for_spec(
-        _spec(), fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
-    key = keys.region("main")  # the region an assign_points edit reuses
+    key = _stage2_key()
     payload = store.get(key)
-    payload["statements"][0]["ord"] = 10**6
+    # main is the region an assign_points edit reuses
+    payload["regions"]["main"]["statements"][0]["ord"] = 10**6
     store.put(key, payload)
 
     inc = analyze(
@@ -148,29 +155,41 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     assert _docs(inc) == _docs(cold)
 
 
-def test_missing_region_artifact_joins_frontier(tmp_path):
-    """A rgn- miss for a reusable function is an artifact-miss reason,
-    not a failure: the function just gets re-instrumented too."""
+@pytest.mark.parametrize("edit", ["renumber", "assign_points"])
+def test_missing_baseline_stage2_goes_cold_identically(tmp_path, edit):
+    """Without the baseline's ddg- payload nothing is reusable: the run
+    is cold, says why, and renders the same bytes as a cold analysis."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
-    keys = keys_for_spec(
-        _spec(), fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
-    import os
+    os.unlink(store.path_of(_stage2_key()))
 
-    os.unlink(store.path_of(keys.region("main")))
+    def make():
+        if edit == "renumber":
+            return _renumbered_spec()
+        return edited_spec(_spec(), edit)
 
-    inc = analyze(
-        edited_spec(_spec(), "assign_points"), store=store, baseline=baseline
-    )
+    inc = analyze(make(), store=store, baseline=baseline)
     info = inc.incremental
-    # every function is on the frontier now -> nothing left to reuse
     assert info.mode == "cold"
-    assert info.reason == "frontier-covers-program"
-    cold = analyze(edited_spec(_spec(), "assign_points"))
-    assert _docs(inc) == _docs(cold)
+    assert info.reason == "baseline-stage2-miss"
+    assert info.regions_reused == 0
+    assert _docs(inc) == _docs(analyze(make()))
+
+
+def test_corrupt_baseline_stage2_goes_cold(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    baseline = fingerprint_program(_spec().program)
+    analyze(_spec(), store=store)
+    key = _stage2_key()
+    payload = store.get(key)
+    del payload["regions"]["main"]
+    store.put(key, payload)
+
+    inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
+    assert inc.incremental.mode == "cold"
+    assert inc.incremental.reason == "baseline-stage2-corrupt"
+    assert _docs(inc) == _docs(analyze(_renumbered_spec()))
 
 
 def test_incr_spans_cover_the_pipeline(tmp_path):

@@ -8,6 +8,7 @@ Two properties per codec:
   cached artifact re-encodes to the same bytes forever (no drift).
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from repro.poly.codec import (
 from repro.poly.pmap import IMap
 from repro.poly.polyhedron import Polyhedron
 from repro.poly.pset import ISet, Space
-from repro.folding.codec import decode_folded_ddg, encode_folded_ddg
+from repro.folding.codec import encode_folded_ddg
+from repro.incr import encode_regions, stitch_folded
 from repro.schedule.codec import decode_dep_vectors, encode_dep_vectors
 from repro.store.artifacts import (
     decode_control_profile,
@@ -39,7 +41,7 @@ from repro.store.artifacts import (
     encode_schedule_tree,
     encode_stage2,
 )
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, rodinia_workloads
 
 #: enough variety to cover every codec path: loops, recursion
 #: (btree), multi-piece domains, reductions, SCEV streams
@@ -149,10 +151,13 @@ def test_control_profile_roundtrip(name):
 
 @pytest.mark.parametrize("name", SAMPLE)
 def test_folded_ddg_fixpoint(name):
+    """The stored per-function regions decode back to the very DDG
+    the folder built (same order, same resolved instructions)."""
     spec = all_workloads()[name]()
     result = analyze(spec)
     enc = encode_folded_ddg(result.folded)
-    dec = decode_folded_ddg(enc, spec.program)
+    regions = encode_regions(spec.program, result.folded)
+    dec = stitch_folded(spec.program, None, regions, None)
 
     assert list(dec.statements) == list(result.folded.statements)
     assert list(dec.deps) == list(result.folded.deps)
@@ -205,14 +210,18 @@ def test_schedule_tree_roundtrip(name):
     assert encode_schedule_tree(None) is None
 
 
-@pytest.mark.parametrize("name", SAMPLE)
+@pytest.mark.parametrize("name", list(rodinia_workloads()))
 def test_stage2_roundtrip(name):
     spec = all_workloads()[name]()
     result = analyze(spec)
     enc = encode_stage2(
-        result.folded, result.ddg_profile, result.forest.deps
+        spec.program, result.folded, result.ddg_profile, result.forest.deps
     )
-    folded, ddgp, vectors = decode_stage2(enc, spec.program)
+    # decode what the store would read back: the JSON of the payload
+    folded, ddgp, vectors = decode_stage2(
+        json.loads(json.dumps(enc)), spec.program
+    )
+    assert encode_folded_ddg(folded) == encode_folded_ddg(result.folded)
     assert (
         ddgp.builder.instr_count
         == result.ddg_profile.builder.instr_count
@@ -224,6 +233,7 @@ def test_stage2_roundtrip(name):
         == result.schedule_tree.render_text()
     )
     assert len(vectors) == len(result.forest.deps)
-    assert (
-        encode_stage2(folded, ddgp, vectors) == enc
-    )
+    # fixpoint down to the bytes the store writes
+    again = encode_stage2(spec.program, folded, ddgp, vectors)
+    assert json.dumps(again) == json.dumps(enc)
+

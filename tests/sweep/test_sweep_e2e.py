@@ -77,6 +77,12 @@ class TestDriver:
         with pytest.raises(SweepError):
             run_sweep("no_such_workload", POINTS, jobs=1)
 
+    def test_timeout_bounds_every_collected_point(self):
+        """Without a warm phase the deadline must still bound the
+        inline per-point analyses, and the error names the point."""
+        with pytest.raises(SweepError, match=r"n.: 8.*timed out"):
+            run_sweep("nw", POINTS, jobs=1, timeout=1e-4)
+
     def test_default_grid_requires_declared_sweeps(self):
         from repro.sweep.grid import GridError
 
@@ -114,6 +120,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "confidence" in out
         assert "nw" in out
+
+    def test_timeout_exits_nonzero_naming_the_point(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "lud", "-j", "1", "--timeout", "0.0001",
+                  "--no-cache"])
+        assert "timed out after" in str(exc.value.code)
+        assert "sweep point {" in str(exc.value.code)
 
     def test_bad_point_is_a_clean_error(self, capsys):
         with pytest.raises(SystemExit):
