@@ -54,9 +54,11 @@ The optimizations, each argued exact:
   :meth:`FastFoldingSink.dep_points`).  Streams whose every point so
   far was accepted by label piece 0 (``steady``) run the accept test
   in the sink loop, with no method call: dependences compare
-  ``dst + shift`` with the producer coordinates, scalar labels
-  compare ``const + coeffs . p`` with ``label * den``, and both then
-  test the span equalities.  A point that passes leaves the fitter
+  ``dst + shift`` with the producer coordinates (a ``src is dst``
+  point just checks for a zero shift), scalar labels compare
+  ``const + coeffs . p`` with ``label * den``, and a stream that
+  tracks its group (below) skips the span test, which the group ran
+  once for the execution.  A point that passes leaves the fitter
   unchanged (the reference would accept it and add nothing), so only
   the counts move; anything else falls through to ``try_add``.  The
   sink finds a dependence stream by the identity of its key object
@@ -66,42 +68,72 @@ The optimizations, each argued exact:
   out-of-span mismatch refits all affected components with one
   :func:`~repro.poly.affine.fit_affine_many` call over the shared
   support -- one basis and one elimination, with canonical form and
-  verification per component -- instead of one solve per component.  A component whose column fails still fails
-  alone, exactly as a separate solve would.  The first point needs no
-  solve: its canonical one-sample fit is the constant label.
+  verification per component -- instead of one solve per component.
+  The solver picks its basis from the point columns alone, so a
+  column's fit does not depend on the columns beside it: a component
+  whose column fails still fails alone, exactly as a separate solve
+  would, and the tracking streams of a group share one call too.  The
+  first point needs no solve: its canonical one-sample fit is the
+  constant label.
 
-* **Shared domain folders + memoized folds**
-  (:class:`FastDomainFolder`, :class:`FastFoldingSink`).  All
-  statements of one executed (block, context) receive exactly the
-  same coordinate stream, so the sink folds their common iteration
-  domain once: one tree insertion per block execution instead of one
-  per instruction, and one ``fold()`` per group at finalize instead of
-  one per statement.  An insertion only walks the prefix tree (no
-  per-point min/max: an inexact fold derives its bounding box from the
-  tree), and a repeated prefix reuses the last leaf without walking
-  it, so :meth:`FastDomainFolder.clone` copies the tree alone (and
-  drops the leaf cache, which points into the original's tree).
+* **Group-tracking streams** (:class:`_Group`, :class:`FastDomainFolder`,
+  :class:`FastFoldingSink`).  All statements of one executed (block,
+  context) receive exactly the same coordinate stream, so the sink
+  keeps one group per (block, context) that owns their common domain
+  folder and the span equalities of its coordinates.  A stream
+  *tracks* its group while it has taken exactly one point from every
+  execution since the group's first: a steady statement label fitter,
+  or a dependence that fired exactly once per execution of its
+  destination's group (paper section 5: a dependence domain is a
+  subset of its destination statement's, and usually equal to it).
+  Support growth is value-independent, so a tracking fitter's support
+  and equalities are the group's.  Per block execution the group
+  makes one domain insert and one span test; an in-span tracking
+  stream accepts with a value compare (the shift, or each component's
+  affine expression), a tracking dependence makes no insert of its
+  own, and its domain and piece 0's are the group's folder.  On an
+  out-of-span execution the group runs one dual step and hands every
+  tracking fitter the same grown equalities, and their mismatching
+  columns are refit with one ``fit_affine_many`` call when the
+  execution lands.  The domain insert lands at the sink's next entry
+  (the block's ``dep_points``, the next ``instr_points``, an
+  unbatched call or ``finalize``), so a dependence that skipped the
+  execution or fires twice in it snapshots the folder
+  (:meth:`FastDomainFolder.clone`) before the point lands and goes on
+  alone; a dependence whose labels diverge keeps tracking the domain.
+  Streams that start late, runs with a clamp, and batches that do not
+  match their group keep per-stream state.  An insertion only walks
+  the prefix tree (no per-point min/max: an inexact fold derives its
+  bounding box from the tree), and a repeated prefix reuses the last
+  leaf without walking it, so :meth:`FastDomainFolder.clone` copies
+  the tree alone (and drops the leaf cache, which points into the
+  original's tree).
 
 * **One fold per distinct domain** (:meth:`FastFoldingSink.finalize`).
-  Distinct folders often hold the same points -- most often a
-  dependence stream and its destination statement.  Finalize keys
-  every domain folder by ``(dim, count == 0, row summary)``, all that
-  :meth:`~repro.folding.domains.DomainFolder.fold_summary` reads, folds
-  the first folder of each key and seeds the fold cache of the rest
-  with the same result.
+  Folders shared by a group fold once, and distinct folders often
+  hold the same points -- most often two dependences into one block
+  that both do not track its group, e.g. because both started after
+  its first execution (a loop-carried dependence has no producer in
+  the first iteration).  Finalize keys every domain folder by
+  ``(dim, count == 0, row summary)``, all that
+  :meth:`~repro.folding.domains.DomainFolder.fold_summary` reads,
+  folds the first folder of each key and seeds the fold cache of the
+  rest with the same result.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ddg.graph import Statement, StmtKey
+from ..ddg.graph import DepKey, Statement, StmtKey
 from ..poly.affine import AffineExpr, AffineFunction, fit_affine_many
 from ..poly.linalg import vec_gcd
 from ..poly.pset import ISet
 from .domains import DomainFolder
 from .folder import FoldingSink
+
+_first = itemgetter(0)
 
 #: one span equality ``sum(coeffs[k] * p[idx[k]]) == rhs``, stored
 #: sparse as ``(idx, coeffs, rhs)``
@@ -288,8 +320,15 @@ class FastVectorFitter:
                 return False
         return True
 
-    def _append(self, point: Tuple[int, ...], values: Sequence[int]) -> None:
-        """Grow the shared support (point is outside the span)."""
+    def _append(
+        self,
+        point: Tuple[int, ...],
+        values: Sequence[int],
+        eqs: Optional[List[Equality]] = None,
+    ) -> None:
+        """Grow the shared support (point is outside the span).  A
+        caller that already knows the grown span's equalities passes
+        them as ``eqs`` (support growth is value-independent)."""
         self._support.append(point)
         comp_failed = self._comp_failed
         vlists = self._values
@@ -306,7 +345,7 @@ class FastVectorFitter:
         shift = self._shift
         if shift is not None and tuple(map(sub, ints, point)) != shift:
             self._shift = None
-        self._eqs = _dual_step(self._eqs, point)
+        self._eqs = _dual_step(self._eqs, point) if eqs is None else eqs
 
     # -- fitting ----------------------------------------------------------------
 
@@ -326,7 +365,14 @@ class FastVectorFitter:
         """Refit components ``comps`` over the shared support with one
         multi-column solve."""
         vlists = self._values
-        exprs = fit_affine_many(self._support, [vlists[i] for i in comps])
+        self._set_fits(
+            comps, fit_affine_many(self._support, [vlists[i] for i in comps])
+        )
+
+    def _set_fits(
+        self, comps: Sequence[int], exprs: Sequence[Optional[AffineExpr]]
+    ) -> None:
+        """Install the refit ``exprs`` of components ``comps``."""
         for i, expr in zip(comps, exprs):
             if expr is None:
                 self._comp_fail(i)
@@ -398,6 +444,31 @@ class FastVectorFitter:
         self.count += 1
         self._append(point, values)
         self._refit(mismatch)
+        return True
+
+    def _track_out(
+        self,
+        point: Tuple[int, ...],
+        values: Sequence[int],
+        eqs: List[Equality],
+        refits: List,
+    ) -> bool:
+        """:meth:`try_add` of a point outside the span, for a fitter
+        that tracks a group: ``eqs`` are the grown span's equalities,
+        which the group computed once, and a mismatch is queued on
+        ``refits`` as ``(fitter, components)`` for the group's batched
+        solve instead of being refit here."""
+        if (
+            self.failed
+            or self._live != self.out_dim
+            or len(values) != self.out_dim
+        ):
+            return False
+        mismatch = self._mismatches(point, values)
+        self.count += 1
+        self._append(point, values, eqs)
+        if mismatch is not None:
+            refits.append((self, mismatch))
         return True
 
     def add(self, point: Sequence[int], values: Sequence[int]) -> None:
@@ -536,13 +607,14 @@ class FastPiecewiseVectorFolder:
 class _FastStmtStream:
     """Per-statement stream state; the domain folder may be shared
     with every other statement of the same executed (block, context)
-    group and is bound on the group's first batch.
+    group (:class:`_Group`) and is bound on the group's first batch.
 
     While ``steady`` is set (to piece 0's fitter), the domain of the
     stream's first label piece IS the (shared) stream domain: every
     point so far was labelled and accepted by piece 0, so the two
-    folders would be identical anyway.  The alias ends (with a clone
-    snapshot) at the first unlabelled or rejected point."""
+    folders would be identical anyway, and the stream tracks its
+    group.  The alias ends (with a clone snapshot) at the first
+    unlabelled or rejected point."""
 
     __slots__ = ("domain", "labels", "label_arity", "steady")
 
@@ -567,9 +639,17 @@ class _FastDepStream:
     have identical state, as do the stream domain and piece 0's domain
     -- both are aliased (``steady`` is that shared fitter) and each
     point costs one domain insert plus one fused fitter pass.  The
-    first rejected point clones both."""
+    first rejected point clones both.
 
-    __slots__ = ("domain", "labels", "partial", "steady", "src_dim")
+    While ``group`` is set, the stream tracks its destination's
+    :class:`_Group`: it has fired exactly once in every execution of
+    the group since the group's first, so its domain IS the group's
+    folder, and while it is also steady its fitter's span is the
+    group's.  ``seen`` is the index of the group execution it last
+    fired in."""
+
+    __slots__ = ("domain", "labels", "partial", "steady", "src_dim",
+                 "group", "seen")
 
     def __init__(self, dst_dim: int, src_dim: int, max_pieces: int) -> None:
         self.domain = FastDomainFolder(dst_dim)
@@ -577,10 +657,13 @@ class _FastDepStream:
         self.partial: Optional[FastVectorFitter] = None
         self.steady: Optional[FastVectorFitter] = None
         self.src_dim = src_dim
+        self.group: Optional[_Group] = None
+        self.seen = -1
 
     def add(self, dst_coords, src_coords) -> None:
+        """Absorb one point; a stream that tracks its group leaves the
+        domain insert to the group."""
         labels = self.labels
-        domain = self.domain
         partial = self.partial
         if partial is None:
             f0 = self.steady
@@ -588,24 +671,23 @@ class _FastDepStream:
                 labels.count += 1
                 f0 = FastVectorFitter(labels.dim, labels.out_dim)
                 f0.add(dst_coords, src_coords)
-                labels.pieces.append((f0, domain))
+                labels.pieces.append((f0, self.domain))
                 self.steady = f0
-                domain.add(dst_coords)
-                return
-            if f0.try_add(dst_coords, src_coords):
+            elif f0.try_add(dst_coords, src_coords):
                 labels.count += 1
-                domain.add(dst_coords)
-                return
-            # diverged: snapshot piece 0 before absorbing the point
-            # (try_add rejected without mutating, so f0 and the domain
-            # hold exactly the pre-point state)
-            labels.pieces[0] = (f0, domain.clone())
-            partial = f0.clone()
-            self.partial = partial
-            self.steady = None
-        domain.add(dst_coords)
-        labels.add(dst_coords, src_coords)
-        partial.add(dst_coords, src_coords)
+            else:
+                # diverged: snapshot piece 0 before absorbing the point
+                # (try_add rejected without mutating, so f0 and the
+                # domain hold exactly the pre-point state)
+                labels.pieces[0] = (f0, self.domain.clone())
+                partial = f0.clone()
+                self.partial = partial
+                self.steady = None
+        if partial is not None:
+            labels.add(dst_coords, src_coords)
+            partial.add(dst_coords, src_coords)
+        if self.group is None:
+            self.domain.add(dst_coords)
 
     def on_clamped(self) -> None:
         """Clamped stream: it will never absorb another point (the
@@ -634,6 +716,63 @@ class _FastDepStream:
         return out
 
 
+class _Group:
+    """The statements of one executed (block, context): they receive
+    exactly the same coordinate stream, so they share one domain folder
+    (``dom``) and one support span (``eqs``, the equalities of every
+    coordinate the group has executed at; None once nothing tracks
+    the group).
+
+    A stream *tracks* the group while it has taken exactly one point
+    from every execution since the group's first: the steady label
+    fitters of ``members``, and the dependences keyed in ``deps``
+    (keys, not streams: a dependence stream points at its group, and
+    the structure stays free of reference cycles).  Support growth is
+    value-independent, so every tracking fitter's span is the
+    group's; the sink tests the span once per execution and the
+    trackers compare values only.
+
+    An execution stays pending (``coords``, ``in_span``) from its
+    ``instr_points`` until the sink's next entry, which lands the
+    domain insert (:meth:`FastFoldingSink._flush`): a tracking
+    dependence that skipped it, or fires twice in it, snapshots the
+    folder before the point lands.  ``fired`` counts the tracking
+    dependences that fired in the pending execution; ``tracked`` the
+    members that still tracked after their point of it; ``refits``
+    queues its ``(fitter, components)`` mismatch refits for one
+    batched solve."""
+
+    __slots__ = ("dom", "members", "eqs", "coords", "in_span", "deps",
+                 "fired", "tracked", "refits")
+
+    def __init__(self, dom: FastDomainFolder, members: List) -> None:
+        self.dom = dom
+        self.members = members
+        self.eqs: Optional[List[Equality]] = None
+        self.coords: Optional[Tuple[int, ...]] = None
+        self.in_span = False
+        self.deps: List[DepKey] = []
+        self.fired = 0
+        self.tracked = 0
+        self.refits: List = []
+
+
+def _settle(refits: List) -> None:
+    """Run a group execution's queued refits with one
+    :func:`~repro.poly.affine.fit_affine_many` call.  Every queued
+    fitter's support is the group's, and the solver picks its basis
+    from the point columns alone, so each column gets exactly the
+    result of a separate solve."""
+    cols = [f._values[i] for f, comps in refits for i in comps]
+    exprs = fit_affine_many(refits[0][0]._support, cols)
+    k = 0
+    for f, comps in refits:
+        n = len(comps)
+        f._set_fits(comps, exprs[k:k + n])
+        k += n
+    refits.clear()
+
+
 class FastFoldingSink(FoldingSink):
     """The folding sink of the fast engine.
 
@@ -648,10 +787,14 @@ class FastFoldingSink(FoldingSink):
         self, max_pieces: int = 6, clamp: Optional[int] = None
     ) -> None:
         super().__init__(max_pieces=max_pieces, clamp=clamp)
-        #: statement-key tuple of one executed block -> shared domain
-        #: folder (False marks a group that cannot share, e.g. after a
-        #: partially-delivered faulting block)
-        self._group_domains: Dict[Tuple[StmtKey, ...], object] = {}
+        #: statement-key tuple of one executed block -> its group
+        #: (False marks a batch that cannot share, e.g. a faulting
+        #: block's partial delivery)
+        self._groups: Dict[Tuple[StmtKey, ...], object] = {}
+        #: statement key -> the group it is a member of
+        self._stmt_groups: Dict[StmtKey, _Group] = {}
+        #: the group whose execution's domain insert is pending
+        self._pending: Optional[_Group] = None
         #: id of the key object a dependence stream was created with ->
         #: that stream.  ``_dep_streams`` keeps the key alive, so a live
         #: object with that id is that key.  The builder reuses its key
@@ -666,33 +809,78 @@ class FastFoldingSink(FoldingSink):
             self.statements[stmt.key] = stmt
             self._stmt_streams[stmt.key] = _FastStmtStream()
 
+    # -- group tracking ------------------------------------------------------------
+
+    def _flush(self) -> None:
+        """Land the pending execution's domain insert, after its
+        queued refits and after every tracking dependence that
+        skipped it has stopped tracking."""
+        g = self._pending
+        self._pending = None
+        if g.refits:
+            _settle(g.refits)
+        deps = g.deps
+        if g.fired != len(deps):
+            n = g.dom.count
+            streams = self._dep_streams
+            for dep in [k for k in deps if streams[k].seen != n]:
+                self._untrack(streams[dep], dep)
+        g.fired = 0
+        g.dom.add(g.coords)
+
+    def _untrack(self, d: _FastDepStream, dep: DepKey) -> None:
+        """End ``d``'s tracking: it gets its own snapshot of the group
+        folder, holding exactly its points so far, and continues on
+        the per-stream path."""
+        g = d.group
+        dom = g.dom.clone()
+        if g is self._pending and d.seen == dom.count:
+            # fired in the pending execution, whose insert has not
+            # landed yet
+            if g.refits:
+                _settle(g.refits)
+            dom.add(g.coords)
+            g.fired -= 1
+        g.deps.remove(dep)
+        d.group = None
+        d.domain = dom
+        if d.steady is not None:
+            d.labels.pieces[0] = (d.steady, dom)
+
+    def _release(self, g: _Group) -> None:
+        """Untrack every dependence of ``g`` before its folder takes
+        a point that is not one of its executions."""
+        streams = self._dep_streams
+        for dep in g.deps[:]:
+            self._untrack(streams[dep], dep)
+
     # -- batched entry points ----------------------------------------------------
 
     def instr_points(self, coords, items) -> None:
+        if self._pending is not None:
+            self._flush()
         streams = self._stmt_streams
-        gkey = tuple(k for k, _ in items)
-        entry = self._group_domains.get(gkey)
-        if entry is None:
+        gkey = tuple(map(_first, items))
+        g = self._groups.get(gkey)
+        if g is None:
             members = [streams[k] for k in gkey]
-            first = members[0].domain
-            if first is None and all(m.domain is None for m in members):
-                dom = FastDomainFolder(len(coords))
+            if all(m.domain is None for m in members):
+                g = _Group(FastDomainFolder(len(coords)), members)
                 for m in members:
-                    m.domain = dom
-            elif first is not None and all(m.domain is first for m in members):
-                # a prefix of an already-shared group (a faulting
-                # block's partial delivery): fold into the same folder
-                dom = first
+                    m.domain = g.dom
+                for k in gkey:
+                    self._stmt_groups[k] = g
             else:
-                dom = False
-            entry = (dom, members)
-            self._group_domains[gkey] = entry
-        dom, members = entry
-        if dom is False:
-            # mixed bindings (batched/unbatched interleaving): degrade
-            # to per-point semantics, each distinct folder fed once
+                # a prefix of an already-bound group (a faulting
+                # block's partial delivery) or mixed bindings
+                # (batched/unbatched interleaving)
+                g = False
+            self._groups[gkey] = g
+        if g is False:
             self._mixed_instr_points(coords, items)
             return
+        dom = g.dom
+        members = g.members
         if self.clamp is not None and dom.count >= self.clamp:
             for s in members:
                 if s.steady is not None:
@@ -704,7 +892,27 @@ class FastFoldingSink(FoldingSink):
         max_pieces = self.max_pieces
         dim = len(coords)
         first_block = dom.count == 0
-        get = coords.__getitem__
+        eqs = g.eqs
+        in_span = False
+        if first_block:
+            eqs = g.eqs = [((j,), (1,), x) for j, x in enumerate(coords)]
+        elif eqs is not None:
+            if not g.tracked and not g.deps:
+                # nothing tracks the group, and nothing can start to
+                eqs = g.eqs = None
+            else:
+                get = coords.__getitem__
+                for idx, cs, rhs in eqs:
+                    if sum(map(mul, cs, map(get, idx))) != rhs:
+                        eqs = g.eqs = _dual_step(eqs, coords)
+                        break
+                else:
+                    in_span = True
+        g.coords = coords
+        g.in_span = in_span
+        self._pending = g
+        refits = g.refits
+        tracked = 0
         i = 0
         for key, label in items:
             s = members[i]
@@ -725,13 +933,15 @@ class FastFoldingSink(FoldingSink):
                         labels.count = 1
                         f0 = FastVectorFitter(dim, len(label))
                         f0.add(coords, label)
+                        f0._eqs = eqs
                         labels.pieces.append((f0, dom))
                         s.steady = f0
+                        tracked += 1
                     else:
                         labels.add(coords, label)
                 elif f0 is None:
                     labels.add(coords, label)
-                else:
+                elif in_span:
                     # steady state, inline: a live scalar fit that
                     # matches at an in-span point accepts with no
                     # change (piece fitters never set ``failed``)
@@ -742,25 +952,26 @@ class FastFoldingSink(FoldingSink):
                         and f0._consts[0] + sum(map(mul, c0, coords))
                         == label[0] * f0._dens[0]
                     ):
-                        for idx, cs, rhs in f0._eqs:
-                            if sum(map(mul, cs, map(get, idx))) != rhs:
-                                break
-                        else:
-                            f0.count += 1
-                            labels.count += 1
-                            continue
-                    if f0.try_add(coords, label):
+                        f0.count += 1
                         labels.count += 1
+                        tracked += 1
+                    elif f0.try_add(coords, label):
+                        labels.count += 1
+                        tracked += 1
                     else:
                         s.dealias()
                         labels.add(coords, label)
+                elif f0._track_out(coords, label, eqs, refits):
+                    labels.count += 1
+                    tracked += 1
+                else:
+                    s.dealias()
+                    labels.add(coords, label)
             elif s.steady is not None:
                 # unlabelled point: the shared domain moves ahead of
                 # label piece 0, so the alias ends here
                 s.dealias()
-        # the shared insert happens after the member loop so dealias
-        # snapshots see exactly the previous blocks' points
-        dom.add(coords)
+        g.tracked = tracked
 
     def _mixed_instr_points(self, coords, items) -> None:
         """Per-point delivery for a batch whose member statements do
@@ -772,10 +983,13 @@ class FastFoldingSink(FoldingSink):
         dim = len(coords)
         # end any aliases up front, while every folder still holds
         # exactly the previous points
+        groups = self._stmt_groups
         for key, _ in items:
             s = streams[key]
             if s.steady is not None:
                 s.dealias()
+            if key in groups:
+                self._release(groups[key])
         decisions: Dict[int, bool] = {}
         for key, label in items:
             s = streams[key]
@@ -812,7 +1026,17 @@ class FastFoldingSink(FoldingSink):
         max_pieces = self.max_pieces
         dst_dim = len(dst_coords)
         get = dst_coords.__getitem__
+        # the shift at which a fit accepts a ``src is dst`` point
+        zeros = (0,) * dst_dim
         by_id = self._dep_ids
+        g = self._pending
+        if g is not None and dst_coords is not g.coords:
+            if dst_coords != g.coords:
+                g = None  # not a batch of the pending execution
+        n = in_span = None
+        if g is not None:
+            n = g.dom.count
+            in_span = g.in_span
         for dep, src_coords in items:
             d = by_id.get(id(dep))
             if d is None:
@@ -821,6 +1045,72 @@ class FastFoldingSink(FoldingSink):
                     d = _FastDepStream(dst_dim, len(src_coords), max_pieces)
                     streams[dep] = d
                     by_id[id(dep)] = d
+                    if (
+                        g is not None
+                        and not n
+                        and clamp is None
+                        and self._stmt_groups.get(dep.dst) is g
+                    ):
+                        # fires in the group's first execution: track
+                        # it, on the group's folder
+                        f0 = FastVectorFitter(dst_dim, len(src_coords))
+                        f0.add(dst_coords, src_coords)
+                        f0._eqs = g.eqs
+                        d.labels.count = 1
+                        d.labels.pieces.append((f0, g.dom))
+                        d.steady = f0
+                        d.domain = g.dom
+                        d.group = g
+                        d.seen = 0
+                        g.deps.append(dep)
+                        g.fired += 1
+                        continue
+            dg = d.group
+            if dg is not None:
+                if dg is g and d.seen != n:
+                    d.seen = n
+                    g.fired += 1
+                    f0 = d.steady
+                    if f0 is not None:
+                        if in_span:
+                            # value compare only: the span test was the
+                            # group's
+                            shift = f0._shift
+                            if shift is not None:
+                                if src_coords is dst_coords:
+                                    ok = shift == zeros
+                                else:
+                                    ok = (
+                                        tuple(map(add, dst_coords, shift))
+                                        == src_coords
+                                    )
+                            else:
+                                ok = len(src_coords) == f0.out_dim
+                                if ok:
+                                    for c, k, den, v in zip(
+                                        f0._coeffs, f0._consts, f0._dens,
+                                        src_coords,
+                                    ):
+                                        if (
+                                            c is None
+                                            or k + sum(map(mul, c, dst_coords))
+                                            != v * den
+                                        ):
+                                            ok = False
+                                            break
+                            if ok:
+                                f0.count += 1
+                                d.labels.count += 1
+                                continue
+                        elif f0._track_out(dst_coords, src_coords, g.eqs, g.refits):
+                            d.labels.count += 1
+                            continue
+                    # the labels diverged, now or before: they go on
+                    # per stream, and the domain insert stays the
+                    # group's
+                    d.add(dst_coords, src_coords)
+                    continue
+                self._untrack(d, dep)
             if clamp is not None and d.domain.count >= clamp:
                 self._clamped_deps.add(dep)
                 d.on_clamped()
@@ -831,9 +1121,10 @@ class FastFoldingSink(FoldingSink):
                 # steady state, inline: an in-span point at the
                 # support's shift accepts with no change
                 shift = f0._shift
-                if (
-                    shift is not None
-                    and tuple(map(add, dst_coords, shift)) == src_coords
+                if shift is not None and (
+                    shift == zeros
+                    if src_coords is dst_coords
+                    else tuple(map(add, dst_coords, shift)) == src_coords
                 ):
                     for idx, cs, rhs in f0._eqs:
                         if sum(map(mul, cs, map(get, idx))) != rhs:
@@ -844,13 +1135,20 @@ class FastFoldingSink(FoldingSink):
                         d.domain.add(dst_coords)
                         continue
             d.add(dst_coords, src_coords)
+        if self._pending is not None:
+            self._flush()
 
     # -- unbatched entry points (fallback / mixed use) ---------------------------
 
     def instr_point(self, key, coords, label) -> None:
+        if self._pending is not None:
+            self._flush()
         s = self._stmt_streams[key]
         if s.steady is not None:
             s.dealias()
+        g = self._stmt_groups.get(key)
+        if g is not None:
+            self._release(g)
         if s.domain is None:
             s.domain = FastDomainFolder(len(coords))
         if self.clamp is not None and s.domain.count >= self.clamp:
@@ -868,6 +1166,8 @@ class FastFoldingSink(FoldingSink):
             s.labels.add(coords, label)
 
     def dep_point(self, dep, dst_coords, src_coords) -> None:
+        if self._pending is not None:
+            self._flush()
         d = self._dep_streams.get(dep)
         if d is None:
             d = _FastDepStream(
@@ -875,6 +1175,8 @@ class FastFoldingSink(FoldingSink):
             )
             self._dep_streams[dep] = d
             self._dep_ids[id(dep)] = d
+        elif d.group is not None:
+            self._untrack(d, dep)
         if self.clamp is not None and d.domain.count >= self.clamp:
             self._clamped_deps.add(dep)
             d.on_clamped()
@@ -888,6 +1190,8 @@ class FastFoldingSink(FoldingSink):
         from ..obs import NULL_TRACER
 
         tracer = tracer if tracer is not None else NULL_TRACER
+        if self._pending is not None:
+            self._flush()
         # a statement declared but never delivered a point has no
         # bound domain folder yet; give it an empty private one so the
         # inherited finalize sees the reference invariant
@@ -898,6 +1202,10 @@ class FastFoldingSink(FoldingSink):
             folds, reused = self._fold_domains()
         sp.count("folds", folds)
         sp.count("reused", reused)
+        sp.count(
+            "aliased",
+            sum(1 for d in self._dep_streams.values() if d.group is not None),
+        )
         return super().finalize(tracer=tracer)
 
     def _domain_folders(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..poly.affine import AffineExpr
-from .deps import DepVector
+from .deps import DepVector, _distance_bounds
 from .nest import NestForest, NestNode
 
 #: a loop counts as a component above this fraction of region ops
@@ -85,10 +85,7 @@ def _fusion_legal(
         for piece, fn in rel.pieces:
             if piece.is_empty():
                 continue
-            e = AffineExpr.var(axis, d) - fn[axis]
-            if not e.is_integral():
-                e = AffineExpr(e.coeffs, e.const, 1)
-            lo, _ = piece.bounds(e.as_row())
+            lo, _ = _distance_bounds(piece, AffineExpr.var(axis, d) - fn[axis])
             if lo is None or lo < 0:
                 return False
     return True

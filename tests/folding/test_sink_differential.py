@@ -8,9 +8,13 @@ the same events go one by one into the reference sink.  The finalized
 folded DDGs must serialize to the same codec bytes.  Dependence
 streams include ``src is dst`` points, constant shifts, general
 affine maps, streams that leave their shift after a steady run, and
-non-affine noise; a clamp is drawn for some programs.  Every
-comparison also checks that the fast finalize folds each distinct
-domain once (``TestSharedFolds`` pins the sharing cases).
+non-affine noise.  A dependence fires once per execution of its
+destination's block, or skips some executions, fires twice in some,
+starts after the first or stops before the last -- the cases that end
+a stream's tracking of its destination's group.  A clamp is drawn for
+some programs.  Every comparison also checks that the fast finalize
+folds each distinct domain once (``TestSharedFolds`` pins the sharing
+cases).
 """
 
 import json
@@ -20,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ddg.graph import DEP_KINDS, DepKey, Statement
-from repro.folding import FastFoldingSink, FoldingSink
+from repro.folding import FastFoldingSink, FoldingSink, fastpath
 from repro.folding.codec import encode_folded_ddg
 from repro.folding.domains import DomainFolder
 from repro.folding.fastpath import FastDomainFolder
@@ -29,6 +33,7 @@ from repro.obs import Tracer
 
 LABEL_KINDS = ["none", "affine", "affine", "leave", "noise", "sometimes"]
 RELATION_KINDS = ["same", "shift", "shift", "affine", "leave", "noise"]
+FIRING_KINDS = ["every", "every", "every", "skip", "twice", "late", "early"]
 
 
 def _stmt(uid, depth, opcode):
@@ -78,6 +83,26 @@ def _label_fn(draw, kind, depth, n_points):
     return fn
 
 
+def _firing_fn(draw, kind, n_points):
+    """How many times a dependence fires in execution ``step`` of its
+    destination's block."""
+    at = draw(st.integers(0, max(0, n_points - 1)))
+    period = draw(st.integers(2, 4))
+
+    def times(step):
+        if kind == "skip":
+            return 0 if step % period == at % period else 1
+        if kind == "twice":
+            return 2 if step % period == at % period else 1
+        if kind == "late":
+            return 1 if step >= at else 0
+        if kind == "early":
+            return 1 if step <= at else 0
+        return 1
+
+    return times
+
+
 def _dep_fn(draw, kind, depth, n_points):
     src_depth = depth if kind in ("same", "shift", "leave") else draw(
         st.integers(0, 3)
@@ -120,7 +145,12 @@ def programs(draw):
             src_uid = draw(st.integers(0, uid - 1))
             dst_uid = draw(st.sampled_from([s.key[0] for s, _ in stmts]))
             key = DepKey(src=(src_uid, 0), dst=(dst_uid, 0), kind=DEP_KINDS[len(deps)])
-            deps.append((key, _dep_fn(draw, kind, depth, len(pts))))
+            firing = draw(st.sampled_from(FIRING_KINDS))
+            deps.append((
+                key,
+                _dep_fn(draw, kind, depth, len(pts)),
+                _firing_fn(draw, firing, len(pts)),
+            ))
         blocks.append((pts, stmts, deps))
     # interleave the blocks' executions; each keeps its own order
     order = draw(
@@ -128,6 +158,19 @@ def programs(draw):
     )
     clamp = draw(st.sampled_from([None, None, None, 3, 8, 20]))
     return blocks, order, clamp
+
+
+def _dep_items(deps, step, coords):
+    """The ``dep_points`` batch of one execution.  A dependence is
+    ``(key, src_fn)``, firing once per execution, or ``(key, src_fn,
+    times)``; a second firing comes after every first one, with the
+    next step's producer."""
+    out = []
+    for r in range(2):
+        for key, fn, *times in deps:
+            if (times[0](step) if times else 1) > r:
+                out.append((key, fn(step + r, coords)))
+    return out
 
 
 def _run(blocks, order, clamp):
@@ -144,10 +187,13 @@ def _run(blocks, order, clamp):
         steps[b] += 1
         coords = pts[step]
         items = [(stmt.key, fn(step, coords)) for stmt, fn in stmts]
-        ditems = [(key, fn(step, coords)) for key, fn in deps]
+        ditems = _dep_items(deps, step, coords)
         fast.instr_points(coords, items)
         if ditems:
-            fast.dep_points(coords, ditems)
+            # now and then an equal coordinate tuple that is not the
+            # same object (nor, then, any ``src is dst`` producer)
+            dst = tuple(list(coords)) if step % 3 == 2 else coords
+            fast.dep_points(dst, ditems)
         for key, label in items:
             ref.instr_point(key, coords, label)
         for key, src in ditems:
@@ -228,6 +274,250 @@ class TestSinkDifferential:
         fast, ref = _run(blocks, [0] * len(pts), clamp=None)
         stream = fast._dep_streams[dep]
         assert stream.steady is None and stream.partial is not None
+        # its labels diverged, but it still fires once per execution:
+        # the domain is still the group's
+        assert stream.group is not None
+        assert_same_ddg(fast, ref)
+
+
+def _square(n=4):
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
+def _feed(sinks, coords, items=None, ditems=None):
+    """One block's events: batched into the fast sink (first), point
+    by point into the reference."""
+    fast, ref = sinks
+    if items is not None:
+        fast.instr_points(coords, items)
+        for key, label in items:
+            ref.instr_point(key, coords, label)
+    if ditems:
+        fast.dep_points(coords, ditems)
+        for key, src in ditems:
+            ref.dep_point(key, coords, src)
+
+
+class TestGroupTracking:
+    """Dependences that fire exactly once per execution of their
+    destination's group share its domain folder and its span test;
+    every way of leaving that state snapshots the folder exactly."""
+
+    def _sinks(self, *stmts):
+        sinks = (FastFoldingSink(), FoldingSink())
+        for sink in sinks:
+            for stmt in stmts:
+                sink.declare_statement(stmt)
+        return sinks
+
+    def test_skipping_only_the_last_execution(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        pts = _square()
+        last = len(pts) - 1
+        blocks = [(
+            pts,
+            [(s, lambda step, p: (4 * p[0] + p[1],))],
+            [(dep, lambda step, p: (p[0] - 1, p[1]), lambda step: step < last)],
+        )]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=None)
+        stream = fast._dep_streams[dep]
+        # the last block made no dep_points call, so its insert is
+        # still pending: only the finalize flush sees the skip
+        assert fast._pending is not None and stream.group is not None
+        assert assert_same_ddg(fast, ref) == 0
+        assert stream.group is None
+        assert stream.domain.count == last
+        assert fast._stmt_streams[s.key].domain.count == last + 1
+
+    def test_block_without_dep_points_flushed_by_another_block(self):
+        a, b = _stmt(0, 2, "load"), _stmt(1, 1, "add")
+        dep = DepKey(src=(1, 0), dst=(0, 0), kind=DEP_KINDS[0])
+        pts = _square()
+        blocks = [
+            (
+                pts,
+                [(a, lambda step, p: (p[0] + 2 * p[1],))],
+                [(dep, lambda step, p: (p[1],), lambda step: step != 5)],
+            ),
+            ([(i,) for i in range(len(pts))], [(b, lambda step, p: ())], []),
+        ]
+        fast, ref = _run(blocks, [0, 1] * len(pts), clamp=None)
+        stream = fast._dep_streams[dep]
+        assert stream.group is None and stream.domain.count == len(pts) - 1
+        # the pending insert of b's last execution lands in finalize
+        assert fast._pending is fast._stmt_groups[b.key]
+        assert_same_ddg(fast, ref)
+
+    def test_second_firing_in_one_execution(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        sinks = self._sinks(s)
+        for step, p in enumerate(_square()):
+            ditems = [(dep, (p[0] - 1, p[1]))]
+            if step == 6:
+                ditems.append((dep, (p[0], p[1] - 1)))
+            _feed(sinks, p, [(s.key, (4 * p[0] + p[1],))], ditems)
+            stream = sinks[0]._dep_streams[dep]
+            assert (stream.group is None) == (step >= 6)
+        # one point per execution, plus the second firing
+        assert stream.domain.count == len(_square()) + 1
+        assert_same_ddg(*sinks)
+
+    def test_diverged_labels_then_skip(self):
+        s = _stmt(0, 2, "add")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        pts = _square(6)
+
+        def src(step, p):
+            # steady for 20 executions, then off the shift for good
+            return (p[0] - 1, p[1]) if step < 20 else (p[0] * p[1] % 5, 0)
+
+        blocks = [(
+            pts,
+            [(s, lambda step, p: (p[0] + p[1],))],
+            [(dep, src, lambda step: step != 27)],
+        )]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=None)
+        stream = fast._dep_streams[dep]
+        assert stream.group is None and stream.partial is not None
+        assert stream.domain.count == len(pts) - 1
+        assert_same_ddg(fast, ref)
+
+    def test_dep_points_without_its_destinations_instr_points(self):
+        a, b = _stmt(0, 2, "load"), _stmt(1, 2, "add")
+        dep = DepKey(src=(1, 0), dst=(0, 0), kind=DEP_KINDS[0])
+        sinks = self._sinks(a, b)
+        pts = _square()
+        for step, p in enumerate(pts):
+            items_a = [(a.key, (p[0] + p[1],))]
+            ditem = [(dep, (p[0], p[1] + 1))]
+            if step != 9:
+                _feed(sinks, p, items_a, ditem)
+                _feed(sinks, p, [(b.key, ())])
+            else:
+                # a's execution is flushed by b's instr_points before
+                # the dependence arrives
+                _feed(sinks, p, items_a)
+                _feed(sinks, p, [(b.key, ())])
+                assert sinks[0]._dep_streams[dep].group is None
+                _feed(sinks, p, ditems=ditem)
+        assert sinks[0]._dep_streams[dep].domain.count == len(pts)
+        assert_same_ddg(*sinks)
+
+    def test_dep_points_at_other_coordinates(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        sinks = self._sinks(s)
+        pts = _square()
+        for step, p in enumerate(pts):
+            # execution 6's batch names the previous execution's point
+            q = pts[step - 1] if step == 6 else p
+            _feed(sinks, p, [(s.key, (4 * p[0] + p[1],))])
+            sinks[0].dep_points(q, [(dep, (q[0] - 1, q[1]))])
+            sinks[1].dep_point(dep, q, (q[0] - 1, q[1]))
+        assert sinks[0]._dep_streams[dep].group is None
+        assert_same_ddg(*sinks)
+
+    def test_partial_delivery_releases_tracking_dependences(self):
+        """A batch that only partly matches a group (a faulting
+        block's prefix) inserts into the group's folder without being
+        one of its executions; the dependences tracking the group
+        leave it first, keeping exactly their own points."""
+        a, b = _stmt(0, 1, "load"), _stmt(1, 1, "add")
+        dep = DepKey(src=(1, 0), dst=(0, 0), kind=DEP_KINDS[0])
+        fast, ref = self._sinks(a, b)
+        for i in range(6):
+            _feed((fast, ref), (i,), [(a.key, (i,)), (b.key, (2 * i,))],
+                  [(dep, (i - 1,))])
+        assert fast._dep_streams[dep].group is not None
+        fast.instr_points((6,), [(a.key, (6,))])
+        want = ref._dep_streams[dep].domain
+        got = fast._dep_streams[dep].domain
+        assert fast._dep_streams[dep].group is None
+        assert got.count == want.count == 6
+        assert got.row_summary() == want.row_summary()
+
+    def test_unbatched_dep_point_ends_tracking(self):
+        s = _stmt(0, 1, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        fast, ref = self._sinks(s)
+        for i in range(8):
+            p = (i,)
+            _feed((fast, ref), p, [(s.key, (3 * i,))])
+            # the builder's batch, or one unbatched call
+            if i == 4:
+                fast.dep_point(dep, p, (i - 1,))
+                assert fast._dep_streams[dep].group is None
+            else:
+                fast.dep_points(p, [(dep, (i - 1,))])
+            ref.dep_point(dep, p, (i - 1,))
+        assert_same_ddg(fast, ref)
+
+    def test_one_batched_refit_per_out_of_span_execution(self):
+        """Every tracking stream's mismatching columns go to one solve
+        per execution, and a column that fails kills only its own
+        component: equal to per-point delivery, where each fitter
+        solves alone.  No integer column over an affinely independent
+        support fails to fit, so the solver is patched to fail columns
+        that hold 13."""
+        a, b = _stmt(0, 2, "load"), _stmt(1, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(1, 0), kind=DEP_KINDS[1])
+        fit = fastpath.fit_affine_many
+        calls = []
+
+        def failing(points, columns):
+            calls.append(len(columns))
+            out = fit(points, columns)
+            return [None if 13 in c else e for c, e in zip(columns, out)]
+
+        def run(batched):
+            sink = FastFoldingSink()
+            for stmt in (a, b):
+                sink.declare_statement(stmt)
+            for p in _square(3):
+                i, j = p
+                items = [
+                    (a.key, (3 * i + j,)),
+                    (b.key, (13 if p == (1, 0) else i + j,)),
+                ]
+                ditems = [(dep, (2 * i - 1, j))]
+                if batched:
+                    sink.instr_points(p, items)
+                    sink.dep_points(p, ditems)
+                else:
+                    for key, label in items:
+                        sink.instr_point(key, p, label)
+                    for key, src in ditems:
+                        sink.dep_point(key, p, src)
+            return sink
+
+        with patch.object(fastpath, "fit_affine_many", failing):
+            batched = run(True)
+            # (0, 1) and (1, 0) grow the span and refit a, b and dep
+            # together; b's later label pieces fit on their own
+            assert calls[:3] == [3, 3, 1]
+            assert batched._dep_streams[dep].group is not None
+            del calls[:]
+            single = run(False)
+            assert calls[:7] == [1, 1, 1, 1, 1, 1, 1]
+        b_fit = batched._stmt_streams[b.key].labels.pieces[0][0]
+        assert b_fit._comp_failed == [True]
+        assert json.dumps(encode_folded_ddg(batched.finalize())) == json.dumps(
+            encode_folded_ddg(single.finalize())
+        )
+
+    def test_clamped_runs_never_track(self):
+        s = _stmt(0, 2, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        pts = _square()
+        blocks = [(
+            pts,
+            [(s, lambda step, p: (4 * p[0] + p[1],))],
+            [(dep, lambda step, p: (p[0] - 1, p[1]))],
+        )]
+        fast, ref = _run(blocks, [0] * len(pts), clamp=30)
+        assert fast._dep_streams[dep].group is None
         assert_same_ddg(fast, ref)
 
 
@@ -249,8 +539,11 @@ class TestSharedFolds:
             [(dep, lambda step, p: (p[0] - 1, p[1]))],
         )]
         fast, ref = _run(blocks, [0] * len(pts), clamp=None)
-        assert fast._dep_streams[dep].domain is not fast._stmt_streams[s.key].domain
-        assert assert_same_ddg(fast, ref) == 1
+        # the dependence fired once per execution of its destination's
+        # group: its domain, the statement's, and both first label
+        # pieces' are one folder, folded once
+        assert fast._dep_streams[dep].domain is fast._stmt_streams[s.key].domain
+        assert assert_same_ddg(fast, ref) == 0
 
     def test_statements_of_different_groups_with_equal_rows(self):
         a, b = _stmt(0, 2, "add"), _stmt(1, 2, "add")

@@ -294,6 +294,24 @@ class TestFitAffineOracle:
             assert _key(fit_affine(pts, col)) == want
             assert _key(e) == want
 
+    @given(fit_systems(), fit_systems(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_many_columns_are_independent(self, system, other, split):
+        """The basis comes from the point columns alone, so a column's
+        fit does not depend on the columns beside it: one batched call
+        equals the concatenated separate calls (the fast folding sink
+        refits all of a group's streams with one call)."""
+        pts, cols = system
+        a, b = cols[:split], cols[split:]
+        # columns of another system, re-sampled on these points
+        b = b + [
+            [c[i % len(c)] for i in range(len(pts))] for c in other[1]
+        ]
+        both = [_key(e) for e in fit_affine_many(pts, a + b)]
+        apart = [_key(e) for e in fit_affine_many(pts, a)]
+        apart += [_key(e) for e in fit_affine_many(pts, b)]
+        assert both == apart
+
     def test_many_empty(self):
         assert fit_affine_many([], [[], []]) == [None, None]
         assert fit_affine_many([(1, 2)], []) == []
