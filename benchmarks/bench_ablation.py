@@ -17,7 +17,7 @@ qualitatively; these ablations measure them:
 
 
 from _harness import emit, format_table, once
-from repro.folding import FoldingSink
+from repro.folding import FastFoldingSink, FoldingSink
 from repro.pipeline import analyze, profile_control, profile_ddg
 from repro.schedule import analyze_forest, build_nest_forest
 from repro.workloads import rodinia_workloads
@@ -41,6 +41,12 @@ def parallel_fraction(folded, forest):
     return 100.0 * par / total if total else 0.0
 
 
+def fold_with(spec, control, sink, **ddg_options):
+    """Stage 2 alone, into ``sink``, with non-default builder options."""
+    profile_ddg(spec, control, sink=sink, **ddg_options)
+    return sink.finalize()
+
+
 def run_ablations():
     rows = []
     for name in BENCHES:
@@ -53,23 +59,21 @@ def run_ablations():
 
         # 1. SCEV recognition off: readmit the induction chains
         control = profile_control(spec)
-        sink = FoldingSink()
-        profile_ddg(spec, control, sink=sink)
-        noscev = sink.finalize()
+        noscev = fold_with(spec, control, FoldingSink())
         for fs in noscev.statements.values():
             fs.is_scev = False
         forest_ns = analyze_forest(build_nest_forest(noscev))
         noscev_par = parallel_fraction(noscev, forest_ns)
 
         # 2. single-piece label folding (the paper-era folder)
-        single = analyze(spec, max_pieces=1)
-        single_aff = (
-            100.0 * single.folded.affine_ops() / single.folded.dyn_ops()
-        )
+        single = fold_with(spec, control, FastFoldingSink(max_pieces=1))
+        single_aff = 100.0 * single.affine_ops() / single.dyn_ops()
 
         # 3. no anti/output tracking: fewer dependences to fold
-        lean = analyze(spec, track_anti_output=False)
-        lean_deps = len(lean.folded.deps)
+        lean = fold_with(
+            spec, control, FastFoldingSink(), track_anti_output=False
+        )
+        lean_deps = len(lean.deps)
         full_deps = len(base.folded.deps)
 
         rows.append([

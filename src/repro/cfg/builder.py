@@ -27,9 +27,6 @@ class DynCFG:
     def successors(self, bb: str) -> List[str]:
         return sorted(dst for (src, dst) in self.edges if src == bb)
 
-    def predecessors(self, bb: str) -> List[str]:
-        return sorted(src for (src, dst) in self.edges if dst == bb)
-
 
 @dataclass
 class DynCallGraph:

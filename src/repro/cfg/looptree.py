@@ -40,9 +40,6 @@ class Loop:
     #: ``inLoops`` stack of Algorithms 1-2
     is_cfg: bool = True
 
-    def contains_block(self, bb: str) -> bool:
-        return bb in self.region
-
     def __repr__(self) -> str:
         return f"Loop({self.id}, header={self.header}, region={sorted(self.region)})"
 

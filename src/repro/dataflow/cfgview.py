@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..isa.instructions import Call, CondBr, Halt, Instr, Return
+from ..isa.instructions import Call, CondBr, Halt, Return
 from ..isa.program import BasicBlock, Function
 
 
@@ -90,12 +90,3 @@ def terminator_defs(term) -> Tuple[str, ...]:
     if isinstance(term, Call) and term.dest is not None:
         return (term.dest,)
     return ()
-
-
-def block_uses_defs(
-    bb: BasicBlock,
-) -> Tuple[Tuple[Tuple[Instr, Tuple[str, ...]], ...], Tuple[str, ...]]:
-    """Per-instruction register reads plus the block's terminator reads
-    folded in as a pseudo-instruction (``None`` instr)."""
-    items = tuple((ins, ins.reg_reads()) for ins in bb.instrs)
-    return items, terminator_uses(bb.terminator)

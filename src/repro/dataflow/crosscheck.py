@@ -197,7 +197,6 @@ def _check_recount(result, opts: CheckOptions, report: CrosscheckReport) -> None
         result.spec,
         result.control,
         sink=sink,
-        track_anti_output=getattr(result, "track_anti_output", True),
         build_schedule_tree=False,
         fuel=opts.fuel,
         engine=engine,

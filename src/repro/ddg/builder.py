@@ -56,15 +56,18 @@ class FrontierViolation(RuntimeError):
 class DDGBuilder(Instrumentation):
     """Builds the DDG point streams for one execution.
 
-    When ``emit_funcs`` is given (incremental re-analysis), the builder
-    runs two-tier: functions in the set get the full treatment, while
-    the rest still execute with live contexts, register definitions,
-    and shadow-memory state (so cross-boundary effects are *observed*)
-    but emit nothing to the sink -- their folded regions are reused
-    from baseline artifacts.  Non-emitted shadow references carry a
+    When ``emit_funcs`` is given (incremental re-analysis), the
+    batched path (``on_block``, the fast engine's) runs two-tier:
+    functions in the set get the full treatment, while the rest still
+    execute with live contexts, register definitions, and
+    shadow-memory state (so cross-boundary effects are *observed*) but
+    emit nothing to the sink -- their folded regions are reused from
+    baseline artifacts.  Non-emitted shadow references carry a
     sentinel context id of ``-1``; either tier seeing the other tier's
     kind of reference in a memory-dependence result raises
-    :class:`FrontierViolation`.
+    :class:`FrontierViolation`.  The per-instruction ``on_instr``
+    always emits everything (:func:`~repro.pipeline.profile_ddg`
+    refuses the reference engine with ``emit_funcs``).
     """
 
     def __init__(
@@ -183,10 +186,6 @@ class DDGBuilder(Instrumentation):
         return self._cached_ctx_id, self._cached_coords
 
     def on_instr(self, instr, frame_id: int, value, addr) -> None:
-        filtering = self._emit_funcs is not None
-        if filtering and self._current_func not in self._emit_funcs:
-            self._slim_instr(instr, frame_id, addr)
-            return
         self.instr_count += 1
         cid, coords = self._context_view()
         key: StmtKey = (instr.uid, cid)
@@ -230,11 +229,6 @@ class DDGBuilder(Instrumentation):
         if instr.is_load:
             w = self.shadow.on_read(addr, me)
             if w is not None:
-                if filtering and w[0][1] == -1:
-                    raise FrontierViolation(
-                        f"flow dep from non-emitted uid {w[0][0]} into "
-                        f"{self._current_func!r}"
-                    )
                 self.sink.dep_point(
                     DepKey(src=w[0], dst=key, kind=MEM_FLOW), coords, w[1]
                 )
@@ -242,22 +236,12 @@ class DDGBuilder(Instrumentation):
             prev, readers = self.shadow.on_write(addr, me)
             if self.track_anti_output:
                 if prev is not None:
-                    if filtering and prev[0][1] == -1:
-                        raise FrontierViolation(
-                            f"output dep from non-emitted uid {prev[0][0]} "
-                            f"into {self._current_func!r}"
-                        )
                     self.sink.dep_point(
                         DepKey(src=prev[0], dst=key, kind=MEM_OUTPUT),
                         coords,
                         prev[1],
                     )
                 for r in readers:
-                    if filtering and r[0][1] == -1:
-                        raise FrontierViolation(
-                            f"anti dep from non-emitted uid {r[0][0]} into "
-                            f"{self._current_func!r}"
-                        )
                     self.sink.dep_point(
                         DepKey(src=r[0], dst=key, kind=MEM_ANTI), coords, r[1]
                     )
@@ -265,45 +249,6 @@ class DDGBuilder(Instrumentation):
         # record the definition
         if instr.dest is not None:
             defs[instr.dest] = me
-
-    def _slim_instr(self, instr, frame_id: int, addr) -> None:
-        """Non-emitted tier of ``on_instr``: keep contexts, register
-        definitions (real references -- emitted callees may consume
-        them), and shadow-memory state current, emit nothing.  Shadow
-        references use the ``-1`` sentinel context id so cross-boundary
-        memory dependences are detectable from both sides."""
-        self.instr_count += 1
-        cid, coords = self._context_view()
-        if self.schedule_tree is not None:
-            self.schedule_tree.record_context(self._cached_ctx, 1)
-        if instr.is_load:
-            w = self.shadow.on_read(addr, ((instr.uid, -1), coords))
-            if w is not None and w[0][1] != -1:
-                raise FrontierViolation(
-                    f"flow dep from emitted statement {w[0]} into "
-                    f"non-emitted {self._current_func!r}"
-                )
-        elif instr.is_store:
-            prev, readers = self.shadow.on_write(
-                addr, ((instr.uid, -1), coords)
-            )
-            if self.track_anti_output:
-                if prev is not None and prev[0][1] != -1:
-                    raise FrontierViolation(
-                        f"output dep from emitted statement {prev[0]} into "
-                        f"non-emitted {self._current_func!r}"
-                    )
-                for r in readers:
-                    if r[0][1] != -1:
-                        raise FrontierViolation(
-                            f"anti dep from emitted statement {r[0]} into "
-                            f"non-emitted {self._current_func!r}"
-                        )
-        if instr.dest is not None:
-            self._reg_defs.setdefault(frame_id, {})[instr.dest] = (
-                (instr.uid, cid),
-                coords,
-            )
 
     # -- the batched hot path ----------------------------------------------------------
 

@@ -37,9 +37,6 @@ class NestReport:
     plan: NestPlan
     ops: int
 
-    def interchange_suggested(self) -> bool:
-        return self.plan.interchange
-
     def simd_suggested(self) -> bool:
         return self.plan.simd
 

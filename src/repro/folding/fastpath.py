@@ -96,13 +96,13 @@ The optimizations, each argued exact:
   tracking fitter the same grown equalities, and their mismatching
   columns are refit with one ``fit_affine_many`` call when the
   execution lands.  The domain insert lands at the sink's next entry
-  (the block's ``dep_points``, the next ``instr_points``, an
-  unbatched call or ``finalize``), so a dependence that skipped the
-  execution or fires twice in it snapshots the folder
-  (:meth:`FastDomainFolder.clone`) before the point lands and goes on
-  alone; a dependence whose labels diverge keeps tracking the domain.
-  Streams that start late, runs with a clamp, and batches that do not
-  match their group keep per-stream state.  An insertion only walks
+  (the block's ``dep_points``, the next ``instr_points`` or
+  ``finalize``), so a dependence that skipped the execution or fires
+  twice in it snapshots the folder (:meth:`FastDomainFolder.clone`)
+  before the point lands and goes on alone; a dependence whose labels
+  diverge keeps tracking the domain.  Streams that start late, runs
+  with a clamp, and dependence batches at other coordinates than the
+  pending execution's keep per-stream state.  An insertion only walks
   the prefix tree (no per-point min/max: an inexact fold derives its
   bounding box from the tree), and a repeated prefix reuses the last
   leaf without walking it, so :meth:`FastDomainFolder.clone` copies
@@ -776,9 +776,14 @@ def _settle(refits: List) -> None:
 class FastFoldingSink(FoldingSink):
     """The folding sink of the fast engine.
 
-    Extends :class:`FoldingSink` with the batched ``instr_points`` /
-    ``dep_points`` entry points and swaps every per-point structure
-    for its fast twin.  Produces bit-identical :class:`FoldedDDG`
+    Extends :class:`FoldingSink` with the batched builder's protocol
+    and swaps every per-point structure for its fast twin.  Per
+    executed block the sink takes one ``instr_points`` call, for every
+    statement of the block, then optionally one ``dep_points`` call;
+    the per-point ``instr_point``/``dep_point`` entries raise
+    :class:`TypeError`.  A batch that is a prefix of a bound group is
+    dropped: only a faulting block delivers one, and the execution
+    ends with its error.  Produces bit-identical :class:`FoldedDDG`
     results; ``finalize`` folds each distinct domain once, then runs
     the inherited pass over the cached folds.
     """
@@ -788,9 +793,7 @@ class FastFoldingSink(FoldingSink):
     ) -> None:
         super().__init__(max_pieces=max_pieces, clamp=clamp)
         #: statement-key tuple of one executed block -> its group
-        #: (False marks a batch that cannot share, e.g. a faulting
-        #: block's partial delivery)
-        self._groups: Dict[Tuple[StmtKey, ...], object] = {}
+        self._groups: Dict[Tuple[StmtKey, ...], _Group] = {}
         #: statement key -> the group it is a member of
         self._stmt_groups: Dict[StmtKey, _Group] = {}
         #: the group whose execution's domain insert is pending
@@ -847,13 +850,6 @@ class FastFoldingSink(FoldingSink):
         if d.steady is not None:
             d.labels.pieces[0] = (d.steady, dom)
 
-    def _release(self, g: _Group) -> None:
-        """Untrack every dependence of ``g`` before its folder takes
-        a point that is not one of its executions."""
-        streams = self._dep_streams
-        for dep in g.deps[:]:
-            self._untrack(streams[dep], dep)
-
     # -- batched entry points ----------------------------------------------------
 
     def instr_points(self, coords, items) -> None:
@@ -864,21 +860,17 @@ class FastFoldingSink(FoldingSink):
         g = self._groups.get(gkey)
         if g is None:
             members = [streams[k] for k in gkey]
-            if all(m.domain is None for m in members):
-                g = _Group(FastDomainFolder(len(coords)), members)
-                for m in members:
-                    m.domain = g.dom
-                for k in gkey:
-                    self._stmt_groups[k] = g
-            else:
-                # a prefix of an already-bound group (a faulting
-                # block's partial delivery) or mixed bindings
-                # (batched/unbatched interleaving)
-                g = False
+            if members[0].domain is not None:
+                # a prefix of a bound group: only a faulting block
+                # delivers one, and the VM re-raises right after it,
+                # so nothing reads this sink again
+                return
+            g = _Group(FastDomainFolder(len(coords)), members)
+            for m in members:
+                m.domain = g.dom
+            for k in gkey:
+                self._stmt_groups[k] = g
             self._groups[gkey] = g
-        if g is False:
-            self._mixed_instr_points(coords, items)
-            return
         dom = g.dom
         members = g.members
         if self.clamp is not None and dom.count >= self.clamp:
@@ -972,53 +964,6 @@ class FastFoldingSink(FoldingSink):
                 # label piece 0, so the alias ends here
                 s.dealias()
         g.tracked = tracked
-
-    def _mixed_instr_points(self, coords, items) -> None:
-        """Per-point delivery for a batch whose member statements do
-        not share one domain folder; a folder shared by *some* members
-        still absorbs the block's coordinates exactly once."""
-        streams = self._stmt_streams
-        clamp = self.clamp
-        max_pieces = self.max_pieces
-        dim = len(coords)
-        # end any aliases up front, while every folder still holds
-        # exactly the previous points
-        groups = self._stmt_groups
-        for key, _ in items:
-            s = streams[key]
-            if s.steady is not None:
-                s.dealias()
-            if key in groups:
-                self._release(groups[key])
-        decisions: Dict[int, bool] = {}
-        for key, label in items:
-            s = streams[key]
-            d = s.domain
-            if d is None:
-                d = FastDomainFolder(dim)
-                s.domain = d
-            did = id(d)
-            clamped = decisions.get(did)
-            if clamped is None:
-                clamped = clamp is not None and d.count >= clamp
-                if clamped:
-                    d.count += 1
-                else:
-                    d.add(coords)
-                decisions[did] = clamped
-            if clamped:
-                self._clamped_stmts.add(key)
-                self.clamped_points += 1
-                continue
-            if label:
-                labels = s.labels
-                if labels is None:
-                    s.label_arity = len(label)
-                    labels = FastPiecewiseVectorFolder(
-                        dim, len(label), max_pieces
-                    )
-                    s.labels = labels
-                labels.add(coords, label)
 
     def dep_points(self, dst_coords, items) -> None:
         streams = self._dep_streams
@@ -1138,51 +1083,13 @@ class FastFoldingSink(FoldingSink):
         if self._pending is not None:
             self._flush()
 
-    # -- unbatched entry points (fallback / mixed use) ---------------------------
+    def instr_point(self, *_point) -> None:
+        raise TypeError(
+            "FastFoldingSink takes whole-block batches: instr_points, "
+            "then dep_points"
+        )
 
-    def instr_point(self, key, coords, label) -> None:
-        if self._pending is not None:
-            self._flush()
-        s = self._stmt_streams[key]
-        if s.steady is not None:
-            s.dealias()
-        g = self._stmt_groups.get(key)
-        if g is not None:
-            self._release(g)
-        if s.domain is None:
-            s.domain = FastDomainFolder(len(coords))
-        if self.clamp is not None and s.domain.count >= self.clamp:
-            self._clamped_stmts.add(key)
-            s.domain.count += 1
-            self.clamped_points += 1
-            return
-        s.domain.add(coords)
-        if label:
-            if s.labels is None:
-                s.label_arity = len(label)
-                s.labels = FastPiecewiseVectorFolder(
-                    len(coords), len(label), self.max_pieces
-                )
-            s.labels.add(coords, label)
-
-    def dep_point(self, dep, dst_coords, src_coords) -> None:
-        if self._pending is not None:
-            self._flush()
-        d = self._dep_streams.get(dep)
-        if d is None:
-            d = _FastDepStream(
-                len(dst_coords), len(src_coords), self.max_pieces
-            )
-            self._dep_streams[dep] = d
-            self._dep_ids[id(dep)] = d
-        elif d.group is not None:
-            self._untrack(d, dep)
-        if self.clamp is not None and d.domain.count >= self.clamp:
-            self._clamped_deps.add(dep)
-            d.on_clamped()
-            self.clamped_points += 1
-            return
-        d.add(dst_coords, src_coords)
+    dep_point = instr_point
 
     # -- finalization ------------------------------------------------------------
 

@@ -98,10 +98,7 @@ def plan_incremental(
     tracer,
     *,
     fuel: int,
-    max_pieces: int,
     clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
 ) -> IncrementalPlan:
     """Static planning pass: manifest, diff, slice, region loads."""
     from ..store import manifest_key
@@ -122,10 +119,7 @@ def plan_incremental(
         baseline,
         keys.state_digest,
         fuel=fuel,
-        max_pieces=max_pieces,
         clamp=clamp,
-        track_anti_output=track_anti_output,
-        build_schedule_tree=build_schedule_tree,
     )
 
     with tracer.span("incr.diff", cat="incr") as sp:

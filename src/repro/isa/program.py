@@ -191,10 +191,6 @@ class Memory:
         hashes to content-address cached analysis artifacts."""
         return self._next, sorted(self._data.items())
 
-    @property
-    def words_allocated(self) -> int:
-        return self._next - 16
-
 
 class MemoryFault(RuntimeError):
     def __init__(self, addr: int) -> None:

@@ -102,10 +102,6 @@ class TraceCollector:
             self._traces.move_to_end(trace_id)
             return [dict(s) for s in segments]
 
-    def trace_ids(self) -> List[str]:
-        with self._lock:
-            return list(self._traces)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)

@@ -151,7 +151,11 @@ def profile_ddg(
 
     ``emit_funcs`` restricts sink emission to the named functions
     (incremental re-analysis); everything else runs the builder's
-    non-emitted tier -- see :class:`~repro.ddg.builder.DDGBuilder`."""
+    non-emitted tier -- see :class:`~repro.ddg.builder.DDGBuilder`.
+    Only the fast engine has that tier: the reference engine with
+    ``emit_funcs`` raises :class:`ValueError`."""
+    if emit_funcs is not None and engine != "fast":
+        raise ValueError("emit_funcs needs the fast engine")
     tracer = tracer if tracer is not None else Tracer()
     args, memory = spec.make_state()
     if sink is None:
@@ -263,7 +267,6 @@ class AnalysisResult:
     #: the run (on the opposite engine); ``"fast"`` on every production
     #: path -- only :func:`analyze` itself selects the reference engine
     engine: str = "fast"
-    track_anti_output: bool = True
     #: soundness report when the run was crosschecked (``--crosscheck``)
     crosscheck: Optional["CrosscheckReport"] = None
     #: fresh per-stage cost of this call (cache-aware; see StageTimings)
@@ -284,9 +287,6 @@ class AnalysisResult:
 
 def analyze(
     spec: ProgramSpec,
-    track_anti_output: bool = True,
-    build_schedule_tree: bool = True,
-    max_pieces: int = 6,
     clamp: Optional[int] = None,
     fuel: int = 50_000_000,
     engine: str = "fast",
@@ -297,6 +297,14 @@ def analyze(
     baseline: Optional[str] = None,
 ) -> AnalysisResult:
     """The full POLY-PROF pipeline: profile, fold, analyze, plan.
+
+    Every analysis tracks anti and output dependences, builds the
+    dynamic schedule tree and folds with a budget of 6 pieces per
+    stream.  The stage functions still take those settings
+    (:func:`profile_ddg`'s ``track_anti_output`` and
+    ``build_schedule_tree``, the folding sinks' ``max_pieces``); a
+    caller that wants other values composes them, as
+    ``benchmarks/bench_ablation.py`` does.
 
     ``clamp`` bounds the points folded per stream (Fig. 1's relevance
     scalability clamping); clamped streams degrade to conservative
@@ -320,7 +328,7 @@ def analyze(
     artifacts themselves are unaffected.
 
     ``store`` enables content-addressed caching (:mod:`repro.store`):
-    the workload and the fuel/folding options are fingerprinted, and a
+    the workload, the fuel and the clamp are fingerprinted, and a
     warm stage-2 hit skips both profiled executions *and* folding
     entirely, leaving only the cheap feedback passes.  A stage-2 miss
     with a stage-1 hit still skips Instrumentation I.  Cached and fresh runs
@@ -382,14 +390,7 @@ def analyze(
             keys_for_spec,
         )
 
-        keys = keys_for_spec(
-            spec,
-            fuel=fuel,
-            max_pieces=max_pieces,
-            clamp=clamp,
-            track_anti_output=track_anti_output,
-            build_schedule_tree=build_schedule_tree,
-        )
+        keys = keys_for_spec(spec, fuel=fuel, clamp=clamp)
 
     stage1_cached = stage2_cached = False
     with tracer.span(
@@ -412,10 +413,7 @@ def analyze(
                 store,
                 tracer,
                 fuel=fuel,
-                max_pieces=max_pieces,
                 clamp=clamp,
-                track_anti_output=track_anti_output,
-                build_schedule_tree=build_schedule_tree,
             )
 
         # -- stage 1: interprocedural control structure ------------------------
@@ -459,13 +457,11 @@ def analyze(
                 """One instrumented stage-2 execution + fold; ``None``
                 emits everything (cold), a set emits only the frontier."""
                 sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
-                sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
+                sink = sink_cls(clamp=clamp)
                 ddgp = profile_ddg(
                     spec,
                     control,
                     sink=sink,
-                    track_anti_output=track_anti_output,
-                    build_schedule_tree=build_schedule_tree,
                     fuel=fuel,
                     engine=engine,
                     extra_observers=extra_observers,
@@ -573,7 +569,6 @@ def analyze(
         forest=forest,
         plans=plans,
         engine=engine,
-        track_anti_output=track_anti_output,
         timings=timings,
         trace=root if tracer.enabled else None,
         incremental=incr_plan.info if incr_plan is not None else None,

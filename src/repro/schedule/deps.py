@@ -48,11 +48,6 @@ def loop_path(stmt: Statement) -> Tuple[Tuple[str, ...], ...]:
     return tuple(ctx[j] for j in range(len(ctx) - 1))
 
 
-def path_loop_id(elem: Tuple[str, ...]) -> str:
-    """The loop id of one path element (its last component)."""
-    return elem[-1]
-
-
 def common_depth(src: Statement, dst: Statement) -> int:
     """Number of loop dimensions shared by two statements.
 

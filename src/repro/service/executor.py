@@ -111,6 +111,77 @@ class _ProgressObserver(Instrumentation):
             self._maybe()
 
 
+def _run_job(name: str, options, cancel_event, heartbeat, trace_ctx,
+             run, fields) -> dict:
+    """What running an analysis and running a sweep share: the
+    deadline and progress observers, the job's tracer, the failure
+    mapping and the trace keys of the outcome.  ``run(tracer,
+    observers)`` does the work; ``fields(result)`` gives the outcome
+    keys particular to it.  Never raises."""
+
+    def _beat(**update):
+        if heartbeat is not None:
+            heartbeat(**update)
+
+    deadline = (
+        time.monotonic() + options.timeout if options.timeout else None
+    )
+    observer = DeadlineObserver(deadline, cancel_event)
+    progress = _ProgressObserver(_beat)
+    # one span tree per job: StageTimings, the daemon's stage
+    # histograms, the /trace artifact, and the progress heartbeats all
+    # read off it; the trace context parents the roots under the
+    # submitting front door's span so cross-process stitching works
+    tracer = Tracer(
+        on_phase=lambda phase: _beat(phase=phase), context=trace_ctx
+    )
+    try:
+        result = run(tracer, [observer, progress])
+        _beat(phase="done", dyn_instrs=progress.dyn_instrs)
+        trace_doc = chrome_trace_document(tracer.roots, workload=name)
+        outcome = {
+            "state": JobState.DONE,
+            "error": None,
+            "total_seconds": tracer.total_seconds(),
+            **fields(result),
+            "trace_json": (
+                json.dumps(trace_doc, indent=2) + "\n"
+            ).encode("utf-8"),
+            # distributed-trace segment: the span forest, where it ran,
+            # and a clock anchor so the collector can stitch timelines
+            # from different processes onto one axis
+            "spans": tracer.to_dicts(),
+            "pid": os.getpid(),
+            "clock": clock_anchor(),
+        }
+    except Exception as exc:
+        # a deadline or cancellation that fires mid-point of a sweep
+        # surfaces as SweepError with JobTimeout/JobCancelled as its
+        # cause
+        aborts = (exc, exc.__cause__)
+        if any(isinstance(e, JobTimeout) for e in aborts):
+            outcome = {
+                "state": JobState.TIMEOUT,
+                "error": f"timed out after {options.timeout:g}s",
+            }
+        elif any(isinstance(e, JobCancelled) for e in aborts):
+            outcome = {
+                "state": JobState.CANCELLED,
+                "error": "cancelled while running",
+            }
+        else:
+            # error *record*, not a crashed worker; keep logs trace-free
+            outcome = {
+                "state": JobState.FAILED,
+                "error": "".join(
+                    traceback.format_exception_only(type(exc), exc)
+                ).strip(),
+            }
+    finally:
+        tracer.close()
+    return outcome
+
+
 def run_analysis(
     spec,
     options,
@@ -137,43 +208,21 @@ def run_analysis(
     from ..feedback.flamegraph import render_flamegraph_svg
     from ..pipeline import analyze
 
-    def _beat(**fields):
-        if heartbeat is not None:
-            heartbeat(**fields)
-
-    deadline = (
-        time.monotonic() + options.timeout if options.timeout else None
-    )
-    observer = DeadlineObserver(deadline, cancel_event)
-    progress = _ProgressObserver(_beat)
-    outcome: dict = {"state": JobState.FAILED, "error": None}
-    # one span tree per job: StageTimings, the daemon's stage
-    # histograms, the /trace artifact, and the progress heartbeats all
-    # read off it; the trace context parents the roots under the
-    # submitting front door's span so cross-process stitching works
-    tracer = Tracer(
-        on_phase=lambda phase: _beat(phase=phase), context=trace_ctx
-    )
-    try:
-        result = analyze(
+    def run(tracer, observers):
+        return analyze(
             spec,
             fuel=options.fuel,
             clamp=options.clamp,
             crosscheck=options.crosscheck,
             store=store,
-            extra_observers=[observer, progress],
+            extra_observers=observers,
             tracer=tracer,
             baseline=options.baseline if store is not None else None,
         )
-        _beat(phase="done", dyn_instrs=progress.dyn_instrs)
-        trace_doc = chrome_trace_document(
-            tracer.roots, workload=spec.name
-        )
-        outcome = {
-            "state": JobState.DONE,
-            "error": None,
+
+    def fields(result) -> dict:
+        return {
             "timings": result.timings.as_dict(),
-            "total_seconds": tracer.total_seconds(),
             "stage1_cached": result.timings.stage1_cached,
             "stage2_cached": result.timings.stage2_cached,
             "cache_hit": result.timings.cache_hit,
@@ -203,37 +252,11 @@ def run_analysis(
                 result.schedule_tree,
                 title=f"poly-prof annotated flame graph: {spec.name}",
             ).encode("utf-8"),
-            "trace_json": (
-                json.dumps(trace_doc, indent=2) + "\n"
-            ).encode("utf-8"),
-            # distributed-trace segment: the span forest, where it ran,
-            # and a clock anchor so the collector can stitch timelines
-            # from different processes onto one axis
-            "spans": tracer.to_dicts(),
-            "pid": os.getpid(),
-            "clock": clock_anchor(),
         }
-    except JobTimeout:
-        outcome = {
-            "state": JobState.TIMEOUT,
-            "error": f"timed out after {options.timeout:g}s",
-        }
-    except JobCancelled:
-        outcome = {
-            "state": JobState.CANCELLED,
-            "error": "cancelled while running",
-        }
-    except Exception as exc:
-        # error *record*, not a crashed worker; keep logs trace-free
-        outcome = {
-            "state": JobState.FAILED,
-            "error": "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip(),
-        }
-    finally:
-        tracer.close()
-    return outcome
+
+    return _run_job(
+        spec.name, options, cancel_event, heartbeat, trace_ctx, run, fields
+    )
 
 
 def run_sweep_analysis(
@@ -258,22 +281,9 @@ def run_sweep_analysis(
     from ..sweep.driver import run_sweep
     from ..sweep.feedback import sweep_document
 
-    def _beat(**fields):
-        if heartbeat is not None:
-            heartbeat(**fields)
-
-    deadline = (
-        time.monotonic() + options.timeout if options.timeout else None
-    )
-    observer = DeadlineObserver(deadline, cancel_event)
-    progress = _ProgressObserver(_beat)
-    outcome: dict = {"state": JobState.FAILED, "error": None}
-    tracer = Tracer(
-        on_phase=lambda phase: _beat(phase=phase), context=trace_ctx
-    )
-    try:
+    def run(tracer, observers):
         with tracer.span("sweep", cat="sweep", workload=workload):
-            result = run_sweep(
+            return run_sweep(
                 workload,
                 points,
                 fuel=options.fuel,
@@ -282,15 +292,12 @@ def run_sweep_analysis(
                 jobs=1,
                 store=store,
                 tracer=tracer,
-                extra_observers=[observer, progress],
+                extra_observers=observers,
             )
-        _beat(phase="done", dyn_instrs=progress.dyn_instrs)
-        trace_doc = chrome_trace_document(tracer.roots, workload=workload)
-        outcome = {
-            "state": JobState.DONE,
-            "error": None,
+
+    def fields(result) -> dict:
+        return {
             "timings": {},
-            "total_seconds": tracer.total_seconds(),
             "stage1_cached": False,
             "stage2_cached": False,
             "cache_hit": all(r.cache_hit for r in result.runs),
@@ -307,48 +314,11 @@ def run_sweep_analysis(
             ).encode("utf-8"),
             "metrics_json": None,
             "flamegraph_svg": None,
-            "trace_json": (
-                json.dumps(trace_doc, indent=2) + "\n"
-            ).encode("utf-8"),
-            "spans": tracer.to_dicts(),
-            "pid": os.getpid(),
-            "clock": clock_anchor(),
         }
-    except JobTimeout:
-        outcome = {
-            "state": JobState.TIMEOUT,
-            "error": f"timed out after {options.timeout:g}s",
-        }
-    except JobCancelled:
-        outcome = {
-            "state": JobState.CANCELLED,
-            "error": "cancelled while running",
-        }
-    except Exception as exc:
-        # unwrap the executor aborts SweepError may have wrapped: a
-        # deadline that fires mid-point surfaces as SweepError with
-        # JobTimeout as its cause
-        cause = exc.__cause__
-        if isinstance(cause, JobTimeout):
-            outcome = {
-                "state": JobState.TIMEOUT,
-                "error": f"timed out after {options.timeout:g}s",
-            }
-        elif isinstance(cause, JobCancelled):
-            outcome = {
-                "state": JobState.CANCELLED,
-                "error": "cancelled while running",
-            }
-        else:
-            outcome = {
-                "state": JobState.FAILED,
-                "error": "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip(),
-            }
-    finally:
-        tracer.close()
-    return outcome
+
+    return _run_job(
+        workload, options, cancel_event, heartbeat, trace_ctx, run, fields
+    )
 
 
 def apply_outcome(job: Job, outcome: dict, logger=None) -> Job:

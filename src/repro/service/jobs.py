@@ -81,10 +81,7 @@ def derive_job_key(spec, options: JobOptions) -> str:
     keys = keys_for_spec(
         spec,
         fuel=options.fuel,
-        max_pieces=6,
         clamp=options.clamp,
-        track_anti_output=True,
-        build_schedule_tree=True,
     )
     raw = f"{keys.stage2}|crosscheck={options.crosscheck}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()

@@ -219,10 +219,6 @@ def _worker_main(ctl, evt, cache_dir, cache_max_bytes) -> None:
                 pass
 
 
-class WorkerCrashed(Exception):
-    """The worker process died while it owned a job."""
-
-
 class ProcessWorker:
     """Parent-side handle on one long-lived worker process.
 

@@ -4,12 +4,11 @@ Two cache levels mirror the pipeline's stage structure:
 
 * the **stage-1 key** covers everything Instrumentation I depends on:
   the program IR, the initial state, and the fuel budget;
-* the **stage-2 key** extends it with the Instrumentation-II/folding
-  options (``track_anti_output``, ``build_schedule_tree``,
-  ``max_pieces``, ``clamp``).
+* the **stage-2 key** extends it with the folding clamp (``clamp``)
+  and the constant :data:`STAGE2_SUFFIX`.
 
-Changing only a stage-2 option therefore invalidates the folded DDG
-but still reuses the cached :class:`~repro.pipeline.ControlProfile`.
+Changing only the clamp therefore invalidates the folded DDG but
+still reuses the cached :class:`~repro.pipeline.ControlProfile`.
 Both keys are salted with :data:`~repro.store.store.STORE_FORMAT_VERSION`
 so a format bump makes every old artifact an orderly miss.
 
@@ -47,6 +46,12 @@ class ArtifactKeys:
     manifest: str = ""
 
 
+#: the fixed folding and instrumentation settings of every analysis,
+#: in the form every format-4 stage-2 key carries; any change to it
+#: changes every ``ddg-`` key and needs a ``STORE_FORMAT_VERSION`` bump
+STAGE2_SUFFIX = "|max_pieces=6|clamp={clamp}|anti_output=True|schedule_tree=True"
+
+
 def _hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -67,21 +72,13 @@ def derive_keys(
     state_digest: str,
     *,
     fuel: int,
-    max_pieces: int,
     clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
 ) -> ArtifactKeys:
     base = (
         f"v{STORE_FORMAT_VERSION}|prog={program_digest}"
         f"|state={state_digest}|fuel={fuel}"
     )
-    stage2 = (
-        base
-        + f"|max_pieces={max_pieces}|clamp={clamp}"
-        + f"|anti_output={track_anti_output}"
-        + f"|schedule_tree={build_schedule_tree}"
-    )
+    stage2 = base + STAGE2_SUFFIX.format(clamp=clamp)
     return ArtifactKeys(
         stage1="cp-" + _hex(base),
         stage2="ddg-" + _hex(stage2),
@@ -95,10 +92,7 @@ def keys_for_spec(
     spec,
     *,
     fuel: int,
-    max_pieces: int,
     clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
 ) -> ArtifactKeys:
     """Fingerprint one :class:`~repro.pipeline.ProgramSpec` and derive
     its artifact keys.  Materializes (and discards) one fresh state --
@@ -108,8 +102,5 @@ def keys_for_spec(
         fingerprint_program(spec.program),
         fingerprint_state(args, memory),
         fuel=fuel,
-        max_pieces=max_pieces,
         clamp=clamp,
-        track_anti_output=track_anti_output,
-        build_schedule_tree=build_schedule_tree,
     )

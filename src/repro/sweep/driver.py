@@ -164,10 +164,7 @@ def run_sweep(
         keys = keys_for_spec(
             spec,
             fuel=fuel,
-            max_pieces=6,
             clamp=clamp,
-            track_anti_output=True,
-            build_schedule_tree=True,
         )
         tp = time.perf_counter()
         with tracer.span(

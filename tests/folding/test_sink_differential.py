@@ -20,11 +20,12 @@ cases).
 import json
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ddg.graph import DEP_KINDS, DepKey, Statement
-from repro.folding import FastFoldingSink, FoldingSink, fastpath
+from repro.folding import FastFoldingSink, FoldingSink, fastpath, fitter
 from repro.folding.codec import encode_folded_ddg
 from repro.folding.domains import DomainFolder
 from repro.folding.fastpath import FastDomainFolder
@@ -419,51 +420,17 @@ class TestGroupTracking:
         assert sinks[0]._dep_streams[dep].group is None
         assert_same_ddg(*sinks)
 
-    def test_partial_delivery_releases_tracking_dependences(self):
-        """A batch that only partly matches a group (a faulting
-        block's prefix) inserts into the group's folder without being
-        one of its executions; the dependences tracking the group
-        leave it first, keeping exactly their own points."""
-        a, b = _stmt(0, 1, "load"), _stmt(1, 1, "add")
-        dep = DepKey(src=(1, 0), dst=(0, 0), kind=DEP_KINDS[0])
-        fast, ref = self._sinks(a, b)
-        for i in range(6):
-            _feed((fast, ref), (i,), [(a.key, (i,)), (b.key, (2 * i,))],
-                  [(dep, (i - 1,))])
-        assert fast._dep_streams[dep].group is not None
-        fast.instr_points((6,), [(a.key, (6,))])
-        want = ref._dep_streams[dep].domain
-        got = fast._dep_streams[dep].domain
-        assert fast._dep_streams[dep].group is None
-        assert got.count == want.count == 6
-        assert got.row_summary() == want.row_summary()
-
-    def test_unbatched_dep_point_ends_tracking(self):
-        s = _stmt(0, 1, "load")
-        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
-        fast, ref = self._sinks(s)
-        for i in range(8):
-            p = (i,)
-            _feed((fast, ref), p, [(s.key, (3 * i,))])
-            # the builder's batch, or one unbatched call
-            if i == 4:
-                fast.dep_point(dep, p, (i - 1,))
-                assert fast._dep_streams[dep].group is None
-            else:
-                fast.dep_points(p, [(dep, (i - 1,))])
-            ref.dep_point(dep, p, (i - 1,))
-        assert_same_ddg(fast, ref)
-
     def test_one_batched_refit_per_out_of_span_execution(self):
         """Every tracking stream's mismatching columns go to one solve
         per execution, and a column that fails kills only its own
-        component: equal to per-point delivery, where each fitter
-        solves alone.  No integer column over an affinely independent
-        support fails to fit, so the solver is patched to fail columns
-        that hold 13."""
+        component: equal to per-point delivery into the reference,
+        where each fitter solves alone.  No integer column over an
+        affinely independent support fails to fit, so both solvers are
+        patched to fail columns that hold 13."""
         a, b = _stmt(0, 2, "load"), _stmt(1, 2, "load")
         dep = DepKey(src=(0, 0), dst=(1, 0), kind=DEP_KINDS[1])
         fit = fastpath.fit_affine_many
+        fit_one = fitter.fit_affine
         calls = []
 
         def failing(points, columns):
@@ -471,41 +438,46 @@ class TestGroupTracking:
             out = fit(points, columns)
             return [None if 13 in c else e for c, e in zip(columns, out)]
 
-        def run(batched):
-            sink = FastFoldingSink()
-            for stmt in (a, b):
-                sink.declare_statement(stmt)
+        def failing_one(points, values):
+            return None if 13 in values else fit_one(points, values)
+
+        fast, ref = sinks = self._sinks(a, b)
+        with patch.object(fastpath, "fit_affine_many", failing), \
+                patch.object(fitter, "fit_affine", failing_one):
             for p in _square(3):
                 i, j = p
                 items = [
                     (a.key, (3 * i + j,)),
                     (b.key, (13 if p == (1, 0) else i + j,)),
                 ]
-                ditems = [(dep, (2 * i - 1, j))]
-                if batched:
-                    sink.instr_points(p, items)
-                    sink.dep_points(p, ditems)
-                else:
-                    for key, label in items:
-                        sink.instr_point(key, p, label)
-                    for key, src in ditems:
-                        sink.dep_point(key, p, src)
-            return sink
-
-        with patch.object(fastpath, "fit_affine_many", failing):
-            batched = run(True)
+                _feed(sinks, p, items, [(dep, (2 * i - 1, j))])
             # (0, 1) and (1, 0) grow the span and refit a, b and dep
             # together; b's later label pieces fit on their own
             assert calls[:3] == [3, 3, 1]
-            assert batched._dep_streams[dep].group is not None
-            del calls[:]
-            single = run(False)
-            assert calls[:7] == [1, 1, 1, 1, 1, 1, 1]
-        b_fit = batched._stmt_streams[b.key].labels.pieces[0][0]
-        assert b_fit._comp_failed == [True]
-        assert json.dumps(encode_folded_ddg(batched.finalize())) == json.dumps(
-            encode_folded_ddg(single.finalize())
-        )
+            assert fast._dep_streams[dep].group is not None
+            b_fit = fast._stmt_streams[b.key].labels.pieces[0][0]
+            assert b_fit._comp_failed == [True]
+            assert_same_ddg(fast, ref)
+
+    def test_per_point_entries_raise(self):
+        s = _stmt(0, 1, "load")
+        dep = DepKey(src=(0, 0), dst=(0, 0), kind=DEP_KINDS[1])
+        fast, _ = self._sinks(s)
+        with pytest.raises(TypeError):
+            fast.instr_point(s.key, (0,), (0,))
+        with pytest.raises(TypeError):
+            fast.dep_point(dep, (1,), (0,))
+
+    def test_prefix_batch_of_a_bound_group_is_dropped(self):
+        """Only a faulting block delivers a prefix of its statements;
+        the sink drops it (the execution ends with the fault)."""
+        a, b = _stmt(0, 1, "load"), _stmt(1, 1, "add")
+        fast, ref = self._sinks(a, b)
+        for i in range(6):
+            _feed((fast, ref), (i,), [(a.key, (i,)), (b.key, (2 * i,))])
+        fast.instr_points((6,), [(a.key, (6,))])
+        assert fast._pending is None
+        assert_same_ddg(fast, ref)
 
     def test_clamped_runs_never_track(self):
         s = _stmt(0, 2, "load")

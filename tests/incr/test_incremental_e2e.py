@@ -127,8 +127,7 @@ def test_baseline_without_store_raises():
 
 def _stage2_key():
     return keys_for_spec(
-        _spec(), fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
+        _spec(), fuel=50_000_000, clamp=None,
     ).stage2
 
 
@@ -223,6 +222,13 @@ def test_frontier_violation_when_slice_is_too_small():
     control = profile_control(spec)
     with pytest.raises(FrontierViolation):
         profile_ddg(spec, control, emit_funcs={"assign_points"})
+
+
+def test_reference_engine_has_no_frontier_tier():
+    spec = _spec()
+    control = profile_control(spec)
+    with pytest.raises(ValueError, match="fast engine"):
+        profile_ddg(spec, control, engine="reference", emit_funcs=set())
 
 
 def test_empty_emit_set_runs_violation_free():

@@ -148,10 +148,7 @@ class TestSpecFromDocuments:
         )
         opts = dict(
             fuel=50_000_000,
-            max_pieces=6,
             clamp=None,
-            track_anti_output=True,
-            build_schedule_tree=True,
         )
         assert keys_for_spec(native, **opts) == keys_for_spec(
             inline, **opts

@@ -7,8 +7,7 @@ from repro.workloads import all_workloads
 
 def _keys(**overrides):
     opts = dict(
-        fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
+        fuel=50_000_000, clamp=None,
     )
     opts.update(overrides)
     return keys_for_spec(all_workloads()["kmeans"](), **opts)

@@ -105,12 +105,10 @@ def test_program_mutation_invalidates(tmp_path):
                 break
         break
     keys_orig = keys_for_spec(
-        spec, fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
+        spec, fuel=50_000_000, clamp=None,
     )
     keys_mut = keys_for_spec(
-        mutated, fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
+        mutated, fuel=50_000_000, clamp=None,
     )
     assert keys_orig.program_digest != keys_mut.program_digest
     assert keys_orig.stage1 != keys_mut.stage1
@@ -122,27 +120,26 @@ def test_program_mutation_invalidates(tmp_path):
 
 
 def test_option_change_reuses_stage1(tmp_path):
-    """A stage-2-only option change misses the folded DDG but still
-    reuses the cached ControlProfile."""
+    """A stage-2-only option change (the clamp) misses the folded DDG
+    but still reuses the cached ControlProfile."""
     store = ArtifactStore(str(tmp_path))
     spec = all_workloads()["nw"]()
-    analyze(spec, store=store, max_pieces=6)
+    analyze(spec, store=store)
 
-    again = analyze(all_workloads()["nw"](), store=store, max_pieces=4)
+    again = analyze(all_workloads()["nw"](), store=store, clamp=40)
     assert again.timings.stage1_cached
     assert not again.timings.stage2_cached
     assert not again.timings.cache_hit
 
     # and the changed-option run is itself cached now
-    third = analyze(all_workloads()["nw"](), store=store, max_pieces=4)
+    third = analyze(all_workloads()["nw"](), store=store, clamp=40)
     assert third.timings.cache_hit
 
 
 def test_fuel_is_a_stage1_input(tmp_path):
     spec = all_workloads()["nw"]()
     base = dict(
-        max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
+        clamp=None,
     )
     k1 = keys_for_spec(spec, fuel=50_000_000, **base)
     k2 = keys_for_spec(spec, fuel=1_000_000, **base)

@@ -20,10 +20,7 @@ def fingerprint(spec) -> str:
     return _keys_for_spec(
         spec,
         fuel=50_000_000,
-        max_pieces=6,
         clamp=None,
-        track_anti_output=True,
-        build_schedule_tree=True,
     ).stage2
 
 
