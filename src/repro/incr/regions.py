@@ -7,7 +7,7 @@ slices from the same payload.  Identities are stored
 *position-independently*: statements carry their function-local
 ordinal (canonical traversal order, see
 :func:`repro.isa.fingerprint.function_uid_ordinals`) and their interned
-context tuple; dependence endpoints carry ``(func, ordinal, context)``
+context; dependence endpoints carry ``(func, ordinal, context)``
 references.  Re-mapping onto a re-numbered program is then pure
 bookkeeping (:mod:`.stitch`), with no dependence on how the baseline
 frontend happened to number instructions.
@@ -15,29 +15,59 @@ frontend happened to number instructions.
 Dependences are owned by their *destination* statement's function --
 the side whose execution discovers the dependence -- so stitching a
 frontier's fresh deps with reused regions never double-counts.
+
+One polyhedron serves many statements and dependences (a dependence
+domain is usually its destination's domain), so a region spells each
+value out once, in three tables, and its rows refer to them by index:
+
+* ``sets`` -- encoded :class:`~repro.poly.pset.ISet` values (statement
+  domains, label-piece domains, dependence domains);
+* ``maps`` -- encoded :class:`~repro.poly.pmap.IMap` dependence
+  relations;
+* ``ctxs`` -- ``[ctx_id, context]`` pairs: the context tuple and the
+  id the analysis interned it under (a warm hit keeps that id
+  verbatim; an incremental stitch re-interns the tuple).
+
+Each table holds distinct entries.  Statement and dependence rows are
+fixed-order lists (:data:`STMT_FIELDS`, :data:`DEP_FIELDS`); what the
+stitcher re-derives -- uids, the statement's function, the
+destination's function -- is not stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..folding.codec import (
-    _decode_dep,
-    _decode_statement,
-    _encode_dep,
-    _encode_statement,
-)
 from ..folding.folder import FoldedDDG
 from ..isa.fingerprint import function_uid_ordinals
 from ..isa.program import Program
+from ..poly.codec import encode_expr, encode_function, encode_imap, encode_iset
+from ..poly.pmap import IMap
+from ..poly.pset import ISet
 
 #: bump on any change to the region payload layout (regions travel
 #: inside stage-2 artifacts, so a bump also needs STORE_FORMAT_VERSION)
-REGION_FORMAT_VERSION = 1
+#: v2: per-region ``sets``/``maps``/``ctxs`` tables and positional rows
+REGION_FORMAT_VERSION = 2
 
-# re-exported for the stitcher (shared single point of codec truth)
-decode_statement = _decode_statement
-decode_dep = _decode_dep
+#: the positional layout of a statement row; ``ctx`` and ``domain``
+#: index the ``ctxs`` and ``sets`` tables, ``label_pieces`` is null or
+#: a list of ``[set index, encoded function, point count]``
+STMT_FIELDS = (
+    "ord", "ctx", "domain", "count", "exact", "label_pieces",
+    "had_label", "is_scev",
+)
+#: the positional layout of a dependence row; the destination is a
+#: statement of the row's own region, ``relation`` indexes ``maps`` (or
+#: is null), ``partial_src`` is null or a list of null/encoded exprs
+DEP_FIELDS = (
+    "src_func", "src_ord", "src_ctx", "dst_ord", "dst_ctx", "kind",
+    "count", "domain", "domain_exact", "relation", "partial_src",
+    "src_depth", "dst_depth",
+)
+
+#: the region keys :func:`region_ok` requires to be lists
+_LIST_KEYS = ("sets", "maps", "ctxs", "statements", "deps")
 
 
 def uid_to_ordinal(program: Program) -> Dict[int, Tuple[str, int]]:
@@ -49,54 +79,135 @@ def uid_to_ordinal(program: Program) -> Dict[int, Tuple[str, int]]:
     return out
 
 
-def _endpoint_ref(
-    key, folded: FoldedDDG, ord_of: Dict[int, Tuple[str, int]]
-) -> dict:
-    func, o = ord_of[key[0]]
-    stmt = folded.statements[key].stmt
-    return {
-        "func": func,
-        "ord": o,
-        "context": [list(elem) for elem in stmt.context],
-    }
+def _set_key(s: ISet) -> tuple:
+    return (
+        s.space.names,
+        tuple((p.dim, p.eqs, p.ineqs) for p in s.pieces),
+    )
+
+
+def _map_key(m: IMap) -> tuple:
+    return (
+        m.in_space.names,
+        m.out_space.names,
+        tuple(
+            (dom.dim, dom.eqs, dom.ineqs,
+             tuple((e.coeffs, e.const, e.den) for e in fn.exprs))
+            for dom, fn in m.pieces
+        ),
+    )
+
+
+class _Table:
+    """One region table: encoded values, deduplicated by value.
+
+    The fold shares one object among every statement and dependence
+    that carries the same value, so an object seen again is found by
+    ``id()`` before its (costlier) value key is built.  The object is
+    kept alive beside its index, which keeps the ``id()`` valid."""
+
+    __slots__ = ("entries", "_key", "_encode", "_by_id", "_by_value")
+
+    def __init__(self, key: Callable, encode: Callable) -> None:
+        self.entries: List = []
+        self._key = key
+        self._encode = encode
+        self._by_id: Dict[int, Tuple[object, int]] = {}
+        self._by_value: Dict[tuple, int] = {}
+
+    def index(self, obj) -> int:
+        hit = self._by_id.get(id(obj))
+        if hit is not None:
+            return hit[1]
+        key = self._key(obj)
+        i = self._by_value.get(key)
+        if i is None:
+            i = self._by_value[key] = len(self.entries)
+            self.entries.append(self._encode(obj))
+        self._by_id[id(obj)] = (obj, i)
+        return i
+
+
+class _RegionEncoder:
+    """The tables and rows of one region under construction."""
+
+    __slots__ = ("sets", "maps", "ctx_index", "ctxs", "statements", "deps")
+
+    def __init__(self) -> None:
+        self.sets = _Table(_set_key, encode_iset)
+        self.maps = _Table(_map_key, encode_imap)
+        self.ctx_index: Dict[Tuple[int, tuple], int] = {}
+        self.ctxs: List[list] = []
+        self.statements: List[list] = []
+        self.deps: List[list] = []
+
+    def ctx(self, cid: int, context: tuple) -> int:
+        i = self.ctx_index.get((cid, context))
+        if i is None:
+            i = self.ctx_index[(cid, context)] = len(self.ctxs)
+            self.ctxs.append([cid, [list(elem) for elem in context]])
+        return i
+
+    def payload(self, fname: str) -> dict:
+        return {
+            "format": REGION_FORMAT_VERSION,
+            "func": fname,
+            "sets": self.sets.entries,
+            "maps": self.maps.entries,
+            "ctxs": self.ctxs,
+            "statements": self.statements,
+            "deps": self.deps,
+        }
 
 
 def encode_regions(program: Program, folded: FoldedDDG) -> Dict[str, dict]:
     """Carve one folded DDG into per-function region payloads.
 
     ``folded`` must be canonically ordered (every finalize path is), so
-    the per-region statement/dep lists are deterministic for a given
+    the per-region tables and rows are deterministic for a given
     folded set.
     """
     ord_of = uid_to_ordinal(program)
-    regions: Dict[str, dict] = {
-        fname: {
-            "format": REGION_FORMAT_VERSION,
-            "func": fname,
-            "statements": [],
-            "deps": [],
-        }
-        for fname in program.functions
-    }
-    for key, fs in folded.statements.items():
-        func, o = ord_of[key[0]]
-        entry = _encode_statement(fs)
-        entry["ord"] = o
-        regions[func]["statements"].append(entry)
+    regions = {fname: _RegionEncoder() for fname in program.functions}
+    for (uid, cid), fs in folded.statements.items():
+        func, o = ord_of[uid]
+        rgn = regions[func]
+        sets = rgn.sets
+        labels = None
+        if fs.label_pieces is not None:
+            labels = [
+                [sets.index(dom), encode_function(fn), cnt]
+                for dom, fn, cnt in fs.label_pieces
+            ]
+        rgn.statements.append([
+            o, rgn.ctx(cid, fs.stmt.context), sets.index(fs.domain),
+            fs.count, fs.exact, labels, fs.had_label, fs.is_scev,
+        ])
+    statements = folded.statements
     for dkey, fd in folded.deps.items():
-        dfunc, _ = ord_of[dkey.dst[0]]
-        entry = _encode_dep(fd)
-        entry["src_ref"] = _endpoint_ref(dkey.src, folded, ord_of)
-        entry["dst_ref"] = _endpoint_ref(dkey.dst, folded, ord_of)
-        regions[dfunc]["deps"].append(entry)
-    return regions
+        src, dst = dkey.src, dkey.dst
+        sfunc, so = ord_of[src[0]]
+        dfunc, do = ord_of[dst[0]]
+        rgn = regions[dfunc]
+        partial = fd.partial_src
+        if partial is not None:
+            partial = [None if e is None else encode_expr(e) for e in partial]
+        rgn.deps.append([
+            sfunc, so, rgn.ctx(src[1], statements[src].stmt.context),
+            do, rgn.ctx(dst[1], statements[dst].stmt.context),
+            dkey.kind, fd.count, rgn.sets.index(fd.domain),
+            fd.domain_exact,
+            None if fd.relation is None else rgn.maps.index(fd.relation),
+            partial, fd.src_depth, fd.dst_depth,
+        ])
+    return {fname: rgn.payload(fname) for fname, rgn in regions.items()}
 
 
 def region_ok(payload: object) -> bool:
-    """Structural sanity of one (possibly store-loaded) region payload."""
+    """Structural sanity of one (possibly store-loaded) region payload:
+    the current format, its three tables and its two row lists."""
     return (
         isinstance(payload, dict)
         and payload.get("format") == REGION_FORMAT_VERSION
-        and isinstance(payload.get("statements"), list)
-        and isinstance(payload.get("deps"), list)
+        and all(isinstance(payload.get(k), list) for k in _LIST_KEYS)
     )

@@ -15,8 +15,14 @@ program:
   same verbatim path with every region of its own payload and no fresh
   fold.
 
+Each region's ``sets``/``maps``/``ctxs`` table entry is decoded (and
+its context resolved) once; every statement, label piece and
+dependence that names the entry shares the decoded object, as the
+statements of a cold fold share its fold results.
+
 Every inconsistency -- a context the live run never observed, an
-ordinal past the function's end, a key landing on both sides -- raises
+ordinal past the function's end, a key landing on both sides, a row
+of the wrong length or an index past its table -- raises
 :class:`IncrementalMismatch`, which the pipeline answers with a cold
 re-fold (a warm decode treats it as a store miss).  The stitched
 result passes through :func:`repro.folding.canonical_ddg`, making it
@@ -28,12 +34,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ddg.graph import StmtKey
-from ..folding.folder import FoldedDDG, canonical_ddg
+from ..ddg.graph import DepKey, Statement, StmtKey
+from ..folding.folder import (
+    FoldedDDG,
+    FoldedDep,
+    FoldedStatement,
+    canonical_ddg,
+)
 from ..isa.fingerprint import function_ordered_uids
 from ..isa.instructions import Instr
 from ..isa.program import Program
-from .regions import REGION_FORMAT_VERSION, decode_dep, decode_statement
+from ..poly.codec import decode_expr, decode_function, decode_imap, decode_iset
+from .regions import REGION_FORMAT_VERSION
 
 
 class IncrementalMismatch(RuntimeError):
@@ -61,21 +73,13 @@ def stitch_folded(
         ins.uid: ins for _fn, _bb, ins in program.all_instrs()
     }
 
-    def resolve(func: str, ord_: int, context, stored_cid: int) -> StmtKey:
-        uid = uid_of.get((func, int(ord_)))
+    def uid_at(func: str, ord_: int) -> int:
+        uid = uid_of.get((func, ord_))
         if uid is None:
             raise IncrementalMismatch(
                 f"region {func!r}: ordinal {ord_} not in program"
             )
-        if ctx_ids is None:
-            return (uid, int(stored_cid))
-        ctx = tuple(tuple(elem) for elem in context)
-        cid = ctx_ids.get(ctx)
-        if cid is None:
-            raise IncrementalMismatch(
-                f"region {func!r}: context never observed by this run"
-            )
-        return (uid, cid)
+        return uid
 
     statements = dict(fresh.statements) if fresh is not None else {}
     deps = dict(fresh.deps) if fresh is not None else {}
@@ -85,34 +89,93 @@ def stitch_folded(
             raise IncrementalMismatch(
                 f"region {func!r}: format {payload.get('format')!r}"
             )
-        for item in payload["statements"]:
-            key = resolve(func, item["ord"], item["context"], item["ctx_id"])
-            if key in statements:
-                raise IncrementalMismatch(
-                    f"region {func!r}: statement {key} already folded fresh"
+        try:
+            # tables keyed by position: a negative index misses (KeyError)
+            # instead of wrapping around to the end of a list
+            sets = {
+                i: decode_iset(e) for i, e in enumerate(payload["sets"])
+            }
+            maps = {
+                i: decode_imap(e) for i, e in enumerate(payload["maps"])
+            }
+            ctxs: Dict[int, Tuple[int, tuple]] = {}
+            for i, (cid, raw) in enumerate(payload["ctxs"]):
+                context = tuple(tuple(elem) for elem in raw)
+                if ctx_ids is not None:
+                    cid = ctx_ids.get(context)
+                    if cid is None:
+                        raise IncrementalMismatch(
+                            f"region {func!r}: context never observed "
+                            "by this run"
+                        )
+                ctxs[i] = (cid, context)
+
+            for (
+                o, ci, di, count, exact, labels, had_label, is_scev
+            ) in payload["statements"]:
+                uid = uid_at(func, o)
+                cid, context = ctxs[ci]
+                key: StmtKey = (uid, cid)
+                if key in statements:
+                    raise IncrementalMismatch(
+                        f"region {func!r}: statement {key} already "
+                        "folded fresh"
+                    )
+                statements[key] = FoldedStatement(
+                    stmt=Statement(
+                        key=key, instr=instr_of[uid], func=func,
+                        context=context,
+                    ),
+                    domain=sets[di],
+                    count=count,
+                    exact=exact,
+                    label_pieces=(
+                        None
+                        if labels is None
+                        else [
+                            (sets[si], decode_function(fn), cnt)
+                            for si, fn, cnt in labels
+                        ]
+                    ),
+                    had_label=had_label,
+                    is_scev=is_scev,
                 )
-            data = dict(item)
-            data["uid"], data["ctx_id"] = key
-            data["func"] = func
-            statements[key] = decode_statement(data, instr_of)
-        for item in payload["deps"]:
-            sref = item["src_ref"]
-            dref = item["dst_ref"]
-            src = resolve(
-                sref["func"], sref["ord"], sref["context"], item["src"][1]
-            )
-            dst = resolve(
-                dref["func"], dref["ord"], dref["context"], item["dst"][1]
-            )
-            data = dict(item)
-            data["src"] = list(src)
-            data["dst"] = list(dst)
-            fd = decode_dep(data)
-            if fd.key in deps:
-                raise IncrementalMismatch(
-                    f"region {func!r}: dep {fd.key} already folded fresh"
+
+            for (
+                sfunc, so, sci, do, dci, kind, count, di, domain_exact,
+                ri, partial, src_depth, dst_depth,
+            ) in payload["deps"]:
+                dkey = DepKey(
+                    src=(uid_at(sfunc, so), ctxs[sci][0]),
+                    dst=(uid_at(func, do), ctxs[dci][0]),
+                    kind=kind,
                 )
-            deps[fd.key] = fd
+                if dkey in deps:
+                    raise IncrementalMismatch(
+                        f"region {func!r}: dep {dkey} already folded fresh"
+                    )
+                deps[dkey] = FoldedDep(
+                    key=dkey,
+                    count=count,
+                    domain=sets[di],
+                    domain_exact=domain_exact,
+                    relation=None if ri is None else maps[ri],
+                    partial_src=(
+                        None
+                        if partial is None
+                        else [
+                            None if e is None else decode_expr(e)
+                            for e in partial
+                        ]
+                    ),
+                    src_depth=src_depth,
+                    dst_depth=dst_depth,
+                )
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise IncrementalMismatch(
+                f"region {func!r}: malformed payload "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     stitched = canonical_ddg(statements, deps)
 
     # reused dep endpoints must reference statements the stitched DDG

@@ -8,11 +8,12 @@ folding.  Its result is a pure function of the folded DDG, so the
 store persists it alongside the DDG; the passes downstream (forest
 analysis, planning) are always re-run.
 
-A serialized vector references its dependence by
-:class:`~repro.ddg.graph.DepKey`; the decoder resolves it against the
-already-decoded :class:`~repro.folding.folder.FoldedDDG`, so a vector
-and the DDG share one ``FoldedDep`` object exactly as they do on the
-cold path.
+A serialized vector is one fixed-order row (:data:`VECTOR_FIELDS`), as
+the statement and dependence rows of :mod:`repro.incr.regions` are.
+It references its dependence by :class:`~repro.ddg.graph.DepKey`; the
+decoder resolves it against the already-decoded
+:class:`~repro.folding.folder.FoldedDDG`, so a vector and the DDG
+share one ``FoldedDep`` object exactly as they do on the cold path.
 """
 
 from __future__ import annotations
@@ -24,50 +25,56 @@ from ..folding.folder import FoldedDDG
 from ..poly.codec import decode_fraction, encode_fraction
 from .deps import DepVector
 
+#: the positional layout of one stored dependence vector
+VECTOR_FIELDS = (
+    "src", "dst", "kind", "src_path", "dst_path", "common", "signs",
+    "bounds", "is_reduction",
+)
+
 
 def encode_dep_vectors(vectors: List[DepVector]) -> list:
-    out = []
-    for dv in vectors:
-        out.append({
-            "src": list(dv.dep.key.src),
-            "dst": list(dv.dep.key.dst),
-            "kind": dv.dep.key.kind,
-            "src_path": [list(e) for e in dv.src_path],
-            "dst_path": [list(e) for e in dv.dst_path],
-            "common": dv.common,
-            "signs": list(dv.signs),
-            "bounds": [
+    """One positional row per vector, in :data:`VECTOR_FIELDS` order."""
+    return [
+        [
+            list(dv.dep.key.src),
+            list(dv.dep.key.dst),
+            dv.dep.key.kind,
+            [list(e) for e in dv.src_path],
+            [list(e) for e in dv.dst_path],
+            dv.common,
+            list(dv.signs),
+            [
                 [encode_fraction(lo), encode_fraction(hi)]
                 for lo, hi in dv.bounds
             ],
-            "is_reduction": dv.is_reduction,
-        })
-    return out
+            dv.is_reduction,
+        ]
+        for dv in vectors
+    ]
 
 
 def decode_dep_vectors(data: list, ddg: FoldedDDG) -> List[DepVector]:
     out: List[DepVector] = []
-    for item in data:
-        key = DepKey(
-            src=tuple(item["src"]),
-            dst=tuple(item["dst"]),
-            kind=item["kind"],
-        )
+    for (
+        src, dst, kind, src_path, dst_path, common, signs, bounds,
+        is_reduction,
+    ) in data:
+        key = DepKey(src=tuple(src), dst=tuple(dst), kind=kind)
         dep = ddg.deps.get(key)
         if dep is None:
             raise ValueError(f"dependence vector for unknown stream {key}")
         out.append(
             DepVector(
                 dep=dep,
-                src_path=tuple(tuple(e) for e in item["src_path"]),
-                dst_path=tuple(tuple(e) for e in item["dst_path"]),
-                common=int(item["common"]),
-                signs=tuple(item["signs"]),
+                src_path=tuple(tuple(e) for e in src_path),
+                dst_path=tuple(tuple(e) for e in dst_path),
+                common=int(common),
+                signs=tuple(signs),
                 bounds=tuple(
                     (decode_fraction(lo), decode_fraction(hi))
-                    for lo, hi in item["bounds"]
+                    for lo, hi in bounds
                 ),
-                is_reduction=bool(item["is_reduction"]),
+                is_reduction=bool(is_reduction),
             )
         )
     return out

@@ -8,13 +8,16 @@ Two artifacts per (workload, options) pair:
   functions of the graphs, see :mod:`repro.cfg.codec`).
 * **stage 2** (``ddg-*``): the folded polyhedral DDG, stored once, as
   the per-function position-independent regions of
-  :mod:`repro.incr.regions`; the Instrumentation-II metadata a warm
+  :mod:`repro.incr.regions` (each a table of sets, one of maps and
+  one of contexts, plus positional statement and dependence rows
+  that index them); the Instrumentation-II metadata a warm
   :class:`~repro.pipeline.AnalysisResult` must still expose (dynamic
   instruction count, run statistics, the dynamic schedule tree for
   flame graphs); and the dependence vectors that feed the feedback
-  stages.  A warm hit and an incremental run read the same regions:
-  the first rebuilds the whole DDG from them, the second reuses the
-  untouched functions' regions against an edited program.
+  stages, one positional row each (:mod:`repro.schedule.codec`).  A
+  warm hit and an incremental run read the same regions: the first
+  rebuilds the whole DDG from them, the second reuses the untouched
+  functions' regions against an edited program.
 
 Wall-clock fields are preserved verbatim: a decoded artifact reports
 the profiling time it *avoided*; the fresh cost of a warm run lives in

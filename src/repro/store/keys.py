@@ -47,8 +47,9 @@ class ArtifactKeys:
 
 
 #: the fixed folding and instrumentation settings of every analysis,
-#: in the form every format-4 stage-2 key carries; any change to it
-#: changes every ``ddg-`` key and needs a ``STORE_FORMAT_VERSION`` bump
+#: in the form every stage-2 key has carried since format 4; any
+#: change to it changes every ``ddg-`` key and needs a
+#: ``STORE_FORMAT_VERSION`` bump
 STAGE2_SUFFIX = "|max_pieces=6|clamp={clamp}|anti_output=True|schedule_tree=True"
 
 

@@ -62,7 +62,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: v3: the execution engine left the key material (one production engine)
 #: v4: the folded DDG is stored once, as per-function regions inside the
 #: stage-2 artifact
-STORE_FORMAT_VERSION = 4
+#: v5: regions hold per-region tables of sets, maps and contexts and
+#: positional statement/dependence rows; dependence vectors are rows
+STORE_FORMAT_VERSION = 5
 
 
 @dataclass

@@ -18,6 +18,7 @@ from repro.feedback.jsonout import (
     report_document,
 )
 from repro.incr import edited_spec, renumbered_spec
+from repro.incr.regions import DEP_FIELDS, STMT_FIELDS
 from repro.isa import fingerprint_program
 from repro.obs import Tracer
 from repro.pipeline import analyze, profile_control, profile_ddg
@@ -142,7 +143,9 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     key = _stage2_key()
     payload = store.get(key)
     # main is the region an assign_points edit reuses
-    payload["regions"]["main"]["statements"][0]["ord"] = 10**6
+    payload["regions"]["main"]["statements"][0][STMT_FIELDS.index("ord")] = (
+        10**6
+    )
     store.put(key, payload)
 
     inc = analyze(
@@ -152,6 +155,60 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     assert inc.incremental.reason.startswith("fallback:")
     cold = analyze(edited_spec(_spec(), "assign_points"))
     assert _docs(inc) == _docs(cold)
+
+
+def _malform(region, how):
+    """Break one positional row of a stored region: an extra field, or
+    a table index past the end of its table."""
+    if how == "stmt-row-length":
+        region["statements"][0].append(0)
+    elif how == "dep-row-length":
+        region["deps"][0].pop()
+    elif how == "set-index":
+        region["statements"][0][STMT_FIELDS.index("domain")] = 10**6
+    else:
+        region["deps"][0][DEP_FIELDS.index("dst_ctx")] = len(region["ctxs"])
+
+
+MALFORMED = ["stmt-row-length", "dep-row-length", "set-index", "ctx-index"]
+
+
+@pytest.mark.parametrize("how", MALFORMED)
+def test_malformed_region_row_falls_back_cold(tmp_path, how):
+    store = ArtifactStore(str(tmp_path))
+    baseline = fingerprint_program(_spec().program)
+    analyze(_spec(), store=store)
+    key = _stage2_key()
+    payload = store.get(key)
+    _malform(payload["regions"]["main"], how)
+    store.put(key, payload)
+
+    inc = analyze(
+        edited_spec(_spec(), "assign_points"), store=store, baseline=baseline
+    )
+    assert inc.incremental.mode == "cold"
+    assert inc.incremental.reason.startswith(
+        "fallback: IncrementalMismatch: region 'main': malformed"
+    )
+    cold = analyze(edited_spec(_spec(), "assign_points"))
+    assert _docs(inc) == _docs(cold)
+
+
+@pytest.mark.parametrize("how", MALFORMED)
+def test_malformed_region_row_is_a_warm_miss(tmp_path, how):
+    store = ArtifactStore(str(tmp_path))
+    cold = analyze(_spec(), store=store)
+    key = _stage2_key()
+    payload = store.get(key)
+    _malform(payload["regions"]["main"], how)
+    store.put(key, payload)
+    errors = store.stats.errors
+
+    warm = analyze(_spec(), store=store)
+    assert warm.timings.stage1_cached
+    assert not warm.timings.stage2_cached
+    assert store.stats.errors == errors + 1
+    assert _docs(warm) == _docs(cold)
 
 
 @pytest.mark.parametrize("edit", ["renumber", "assign_points"])

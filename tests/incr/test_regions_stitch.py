@@ -9,7 +9,13 @@ rather than silently produce a wrong graph.
 import pytest
 
 from repro.incr import IncrementalMismatch, encode_regions, stitch_folded
-from repro.incr.regions import REGION_FORMAT_VERSION, region_ok, uid_to_ordinal
+from repro.incr.regions import (
+    DEP_FIELDS,
+    REGION_FORMAT_VERSION,
+    STMT_FIELDS,
+    region_ok,
+    uid_to_ordinal,
+)
 from repro.pipeline import analyze
 from repro.workloads import all_workloads
 
@@ -68,9 +74,48 @@ def test_format_mismatch_raises(kmeans_result):
 def test_ordinal_out_of_range_raises(kmeans_result):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
-    regions["main"]["statements"][0]["ord"] = 10**6
+    regions["main"]["statements"][0][STMT_FIELDS.index("ord")] = 10**6
     with pytest.raises(IncrementalMismatch, match="ordinal"):
         stitch_folded(program, None, regions, None)
+
+
+@pytest.mark.parametrize("rows", ["statements", "deps"])
+def test_row_of_wrong_length_raises(kmeans_result, rows):
+    program = kmeans_result.spec.program
+    regions = encode_regions(program, kmeans_result.folded)
+    regions["main"][rows][0].append(0)
+    with pytest.raises(IncrementalMismatch, match="malformed"):
+        stitch_folded(program, None, regions, None)
+    regions["main"][rows][0][-2:] = []
+    with pytest.raises(IncrementalMismatch, match="malformed"):
+        stitch_folded(program, None, regions, None)
+
+
+@pytest.mark.parametrize(
+    "rows, field",
+    [
+        ("statements", STMT_FIELDS.index("ctx")),
+        ("statements", STMT_FIELDS.index("domain")),
+        ("deps", DEP_FIELDS.index("src_ctx")),
+        ("deps", DEP_FIELDS.index("domain")),
+    ],
+)
+@pytest.mark.parametrize("index", [10**6, -1])
+def test_table_index_out_of_range_raises(kmeans_result, rows, field, index):
+    program = kmeans_result.spec.program
+    regions = encode_regions(program, kmeans_result.folded)
+    regions["main"][rows][0][field] = index
+    with pytest.raises(IncrementalMismatch, match="malformed"):
+        stitch_folded(program, None, regions, None)
+
+
+@pytest.mark.parametrize("table", ["sets", "maps", "ctxs"])
+def test_region_ok_requires_every_table(kmeans_result, table):
+    program = kmeans_result.spec.program
+    regions = encode_regions(program, kmeans_result.folded)
+    del regions["main"][table]
+    assert not region_ok(regions["main"])
+    assert region_ok(regions["update_centers"])
 
 
 def test_overlap_with_fresh_raises(kmeans_result):

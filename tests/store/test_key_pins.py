@@ -16,21 +16,21 @@ from repro.store import ArtifactStore
 from repro.store.store import STORE_FORMAT_VERSION
 from repro.workloads import all_workloads
 
-_CP = "cp-10314e7c66321a43b6f88ce002d2e27944405cc54ecd8945dadf716b036ac40d"
-_MAN = "man-2130442b5d742e00a7cf22e9f12a30d6ec5599e3e8be6b9788de47ea6790c3e4"
+_CP = "cp-11ab1163fd68afc45ea452992bec8f0c2a92e94952c5200df4084c6660ef61ed"
+_MAN = "man-a5ca69747ffa2c6e801f80d037ce90234e6b2f8e98c72f3d9160029e5c5b6dce"
 
 
 def test_format_version_is_pinned():
-    assert STORE_FORMAT_VERSION == 4
+    assert STORE_FORMAT_VERSION == 5
 
 
 @pytest.mark.parametrize(
     "clamp, ddg",
     [
         (None,
-         "ddg-aa4e82c20b2747cf863e449824eea04fe06fddf19971a318e8a1d9011143d0db"),
+         "ddg-5a0c78bc2aed6bc7fc5a17d7a2594902299af02b57659fabf9bf6568e68db286"),
         (10,
-         "ddg-76234986b101f69fb5d71aa4fb64b39de761c606d6795b552859437a57dbf44e"),
+         "ddg-947a7d5cce2f5319e1c99cf87ad02e909baa82eee7c926ad766e426448529ae1"),
     ],
     ids=["default", "clamp10"],
 )

@@ -32,7 +32,11 @@ from repro.poly.polyhedron import Polyhedron
 from repro.poly.pset import ISet, Space
 from repro.folding.codec import encode_folded_ddg
 from repro.incr import encode_regions, stitch_folded
-from repro.schedule.codec import decode_dep_vectors, encode_dep_vectors
+from repro.schedule.codec import (
+    VECTOR_FIELDS,
+    decode_dep_vectors,
+    encode_dep_vectors,
+)
 from repro.store.artifacts import (
     decode_control_profile,
     decode_schedule_tree,
@@ -41,6 +45,7 @@ from repro.store.artifacts import (
     encode_schedule_tree,
     encode_stage2,
 )
+from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads, rodinia_workloads
 
 #: enough variety to cover every codec path: loops, recursion
@@ -192,7 +197,7 @@ def test_dep_vectors_unknown_stream_raises():
     spec = all_workloads()["nw"]()
     result = analyze(spec)
     enc = encode_dep_vectors(result.forest.deps)
-    enc[0]["src"] = [999999, 999999]
+    enc[0][VECTOR_FIELDS.index("src")] = [999999, 999999]
     with pytest.raises(ValueError):
         decode_dep_vectors(enc, result.folded)
 
@@ -237,3 +242,28 @@ def test_stage2_roundtrip(name):
     again = encode_stage2(spec.program, folded, ddgp, vectors)
     assert json.dumps(again) == json.dumps(enc)
 
+
+
+@pytest.mark.parametrize("name", list(all_workloads()))
+def test_stored_regions_share_each_value_once(tmp_path, name):
+    """The stored regions spell each set, map and context out once, the
+    decoded statements share one object per table entry, and the
+    decode re-encodes to the stored JSON byte for byte."""
+    spec = all_workloads()[name]()
+    store = ArtifactStore(str(tmp_path))
+    analyze(spec, store=store)
+    key = keys_for_spec(spec, fuel=50_000_000, clamp=None).stage2
+    regions = store.get(key)["regions"]
+    for payload in regions.values():
+        for table in ("sets", "maps", "ctxs"):
+            entries = [json.dumps(e) for e in payload[table]]
+            assert len(set(entries)) == len(entries), table
+
+    folded = stitch_folded(spec.program, None, regions, None)
+    shared = {}
+    for fs in folded.statements.values():
+        value = (fs.stmt.func, json.dumps(encode_iset(fs.domain)))
+        assert shared.setdefault(value, fs.domain) is fs.domain
+    assert json.dumps(encode_regions(spec.program, folded)) == json.dumps(
+        regions
+    )
