@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..cfg.loop_events import LoopEventGenerator
 from ..cfg.looptree import LoopForest
 from ..cfg.rcs import RecursiveComponentSet
-from ..iiv.diiv import DynamicIIV
+from ..iiv.diiv import Dimension, DynamicIIV
 from ..iiv.schedule_tree import DynamicScheduleTree
 from ..isa.events import CallEvent, Instrumentation, JumpEvent, ReturnEvent
 from ..isa.program import Program
@@ -53,8 +53,40 @@ class FrontierViolation(RuntimeError):
     slicer's may-alias closure only has to be *usually* right."""
 
 
+class _IIVState:
+    """One interned dynamic-IIV context: a state of the jump table.
+
+    ``jumps`` maps ``id(JumpEvent)`` to ``(next state, k, entered,
+    iterates, event)``: the jump exits the ``k`` innermost loops, then
+    enters the loop ``entered`` (coordinate 0 appended) or, if
+    ``iterates``, iterates the innermost one (its coordinate + 1).
+    The entry keeps the event alive so its id cannot be reused.
+    ``cid`` is the public context id, interned at the first block
+    executed in the context.
+    """
+
+    __slots__ = ("ctx", "cid", "jumps")
+
+    def __init__(self, ctx: Tuple) -> None:
+        self.ctx = ctx
+        self.cid: Optional[int] = None
+        self.jumps: Dict[int, Tuple] = {}
+
+
 class DDGBuilder(Instrumentation):
     """Builds the DDG point streams for one execution.
+
+    The dynamic IIV is kept as a state (an interned context) plus a
+    coordinate tuple.  Calls and returns always go through the loop
+    event generator and :class:`~repro.iiv.diiv.DynamicIIV`.  With
+    ``jump_table`` (the fast engine, whose compiled blocks hand over
+    the same :class:`~repro.isa.events.JumpEvent` object on every
+    execution of a branch) a jump does so only the first time it leaves
+    a given state; after that it is one lookup in the state's table,
+    and the DIIV's dimensions are rebuilt from (context, coordinates)
+    just before the generator next runs (in between, ``diiv`` lags
+    behind).  Without it (the reference engine) every control event
+    runs Algorithms 1-3.
 
     When ``emit_funcs`` is given (incremental re-analysis), the
     batched path (``on_block``, the fast engine's) runs two-tier:
@@ -79,6 +111,7 @@ class DDGBuilder(Instrumentation):
         track_anti_output: bool = True,
         build_schedule_tree: bool = True,
         emit_funcs: Optional[Set[str]] = None,
+        jump_table: bool = False,
     ) -> None:
         self.program = program
         self.sink = sink
@@ -97,11 +130,17 @@ class DDGBuilder(Instrumentation):
         self._frame_info: Dict[int, Tuple[Optional[int], Optional[str]]] = {}
         self._frame_stack: List[int] = []
 
-        # context interning + per-block caching of the IIV view
+        # the IIV as (state, coordinates); _cached_ctx is the state's
+        # context.  States are interned by context; public context ids
+        # (_ctx_ids) only for contexts that execute a block.
+        self._jump_table = jump_table
+        self._states: Dict[Tuple, _IIVState] = {}
         self._ctx_ids: Dict[Tuple, int] = {}
-        self._cached_ctx_id: Optional[int] = None
-        self._cached_ctx: Tuple = ()
-        self._cached_coords: Tuple[int, ...] = ()
+        #: context id -> instructions executed in it by ``on_block``,
+        #: merged into the schedule tree at ``on_halt``
+        self._ctx_weight: List[int] = []
+        self._dims_stale = False
+        self._enter(self.diiv.context(), self.diiv.coords())
         self._declared: Set[StmtKey] = set()
         self._current_func: str = ""
 
@@ -129,14 +168,72 @@ class DDGBuilder(Instrumentation):
 
     # -- control events: keep the IIV current ---------------------------------------
 
-    def _apply_control(self, event) -> None:
-        for le in self.gen.process(event):
-            self.diiv.apply(le)
-        self._cached_ctx_id = None
+    def _enter(self, ctx: Tuple, coords: Tuple[int, ...]) -> None:
+        st = self._states.get(ctx)
+        if st is None:
+            st = self._states[ctx] = _IIVState(ctx)
+        self._state = st
+        self._cached_ctx = st.ctx
+        self._cached_coords = coords
+
+    def _apply_control(self, event) -> List:
+        """Run Algorithms 1-3 on one control event; returns its loop
+        events."""
+        diiv = self.diiv
+        if self._dims_stale:
+            ctx = self._cached_ctx
+            dims = [Dimension(iv=None, ctx=list(ctx[0]))]
+            for iv, c in zip(self._cached_coords, ctx[1:]):
+                dims.append(Dimension(iv=iv, ctx=list(c)))
+            diiv.dims = dims
+            self._dims_stale = False
+        events = list(self.gen.process(event))
+        for le in events:
+            diiv.apply(le)
+        self._enter(diiv.context(), diiv.coords())
+        return events
 
     def on_jump(self, event: JumpEvent) -> None:
         self._current_func = event.func
-        self._apply_control(event)
+        src = self._state
+        hit = src.jumps.get(id(event))
+        if hit is None:
+            # Algorithm 1 reads only the live loops and their visiting
+            # flags, which the context determines: each live loop owns
+            # one dimension and its id ends the parent's context.
+            events = self._apply_control(event)
+            if self._jump_table:
+                k, entered, iterates = 0, None, False
+                for le in events:
+                    if le.kind == "X":
+                        k += 1
+                    elif le.kind == "E":
+                        entered = le.loop
+                    elif le.kind == "I":
+                        iterates = True
+                src.jumps[id(event)] = (
+                    self._state, k, entered, iterates, event
+                )
+            return
+        st, k, entered, iterates, _ = hit
+        coords = self._cached_coords
+        # keep the generator's loop stack exact for calls and returns
+        if k:
+            coords = coords[:-k]
+            in_loops = self.gen.in_loops
+            visiting = self.gen._visiting
+            for _ in range(k):
+                visiting.discard(in_loops.pop().id)
+        if entered is not None:
+            coords += (0,)
+            self.gen.in_loops.append(entered)
+            self.gen._visiting.add(entered.id)
+        elif iterates:
+            coords = coords[:-1] + (coords[-1] + 1,)
+        self._state = st
+        self._cached_ctx = st.ctx
+        self._cached_coords = coords
+        self._dims_stale = True
 
     def on_call(self, event: CallEvent) -> None:
         # thread register defs from caller args to callee params
@@ -173,17 +270,35 @@ class DDGBuilder(Instrumentation):
 
     # -- the hot path ------------------------------------------------------------------
 
+    def _intern(self, st: _IIVState) -> int:
+        """Give the current state its public context id (first block
+        executed in it)."""
+        cid = st.cid = len(self._ctx_ids)
+        self._ctx_ids[st.ctx] = cid
+        self._ctx_weight.append(0)
+        return cid
+
     def _context_view(self) -> Tuple[int, Tuple[int, ...]]:
-        if self._cached_ctx_id is None:
-            ctx = self.diiv.context()
-            cid = self._ctx_ids.get(ctx)
-            if cid is None:
-                cid = len(self._ctx_ids)
-                self._ctx_ids[ctx] = cid
-            self._cached_ctx_id = cid
-            self._cached_ctx = ctx
-            self._cached_coords = self.diiv.coords()
-        return self._cached_ctx_id, self._cached_coords
+        st = self._state
+        cid = st.cid
+        if cid is None:
+            cid = self._intern(st)
+        return cid, self._cached_coords
+
+    def on_halt(self) -> None:
+        """Merge the per-context counts of ``on_block`` into the
+        schedule tree, in context-id order -- the order in which the
+        contexts were first observed, so node creation order matches
+        recording each block as it ran."""
+        if self.schedule_tree is None:
+            return
+        weights = self._ctx_weight
+        record = self.schedule_tree.record_context
+        for ctx, cid in self._ctx_ids.items():
+            w = weights[cid]
+            if w:
+                # a block execution counts one visit per instruction
+                record(ctx, w, visits=w)
 
     def on_instr(self, instr, frame_id: int, value, addr) -> None:
         self.instr_count += 1
@@ -291,15 +406,13 @@ class DDGBuilder(Instrumentation):
             return
         self.instr_count += n
         cid, coords = self._context_view()
+        self._ctx_weight[cid] += n
         ckey = (id(instrs), cid)
         binfo = self._block_cache.get(ckey)
         if binfo is None:
             binfo = self._prime_block(instrs, cid)
             self._block_cache[ckey] = binfo
         metas = binfo[1]
-
-        if self.schedule_tree is not None:
-            self.schedule_tree.record_context(self._cached_ctx, n, visits=n)
 
         defs = self._reg_defs.setdefault(frame_id, {})
         defs_get = defs.get
@@ -399,6 +512,7 @@ class DDGBuilder(Instrumentation):
         n = len(instrs)
         self.instr_count += n
         cid, coords = self._context_view()
+        self._ctx_weight[cid] += n
         ckey = (id(instrs), cid)
         sinfo = self._slim_cache.get(ckey)
         if sinfo is None:
@@ -413,9 +527,6 @@ class DDGBuilder(Instrumentation):
             # keep `instrs` alive so the id() cache key cannot be reused
             sinfo = (instrs, metas)
             self._slim_cache[ckey] = sinfo
-
-        if self.schedule_tree is not None:
-            self.schedule_tree.record_context(self._cached_ctx, n, visits=n)
 
         defs = self._reg_defs.setdefault(frame_id, {})
         mem_ops: List = []

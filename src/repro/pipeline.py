@@ -147,7 +147,9 @@ def profile_ddg(
     """Stage 2: build the DDG point streams (fresh execution).
 
     ``wall_seconds`` is the ``stage2.execute`` span's duration (the
-    instrumented execution with the DDG builder riding along).
+    instrumented execution with the DDG builder riding along).  The
+    fast engine's builder keeps the dynamic IIV with a jump table; the
+    reference engine's runs Algorithms 1-3 on every control event.
 
     ``emit_funcs`` restricts sink emission to the named functions
     (incremental re-analysis); everything else runs the builder's
@@ -169,6 +171,7 @@ def profile_ddg(
             track_anti_output=track_anti_output,
             build_schedule_tree=build_schedule_tree,
             emit_funcs=emit_funcs,
+            jump_table=engine == "fast",
         )
     with tracer.span("stage2.execute", cat="exec", engine=engine) as sp:
         _, stats = run_program(

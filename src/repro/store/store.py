@@ -17,7 +17,9 @@ best-effort so it cannot miss forever.
 Eviction is size-capped LRU over file mtimes: a hit touches the
 artifact's mtime, a put evicts oldest-first until the store fits
 ``max_bytes``.  Races with concurrent workers (a file vanishing
-mid-walk) are tolerated everywhere.
+mid-walk) are tolerated everywhere, and eviction leaves a temp file
+younger than :data:`STALE_TEMP_SECONDS` alone: it is another writer's
+put between write and rename.
 
 One :class:`ArtifactStore` handle may be shared by many threads (the
 analysis service's worker pool does): counter updates, the LRU touch,
@@ -45,6 +47,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -65,6 +68,13 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: v5: regions hold per-region tables of sets, maps and contexts and
 #: positional statement/dependence rows; dependence vectors are rows
 STORE_FORMAT_VERSION = 5
+
+#: name prefix of a put's temp file, renamed into place when complete
+_TEMP_PREFIX = ".tmp-"
+#: a temp file younger than this may be another writer's put in
+#: flight, so eviction leaves it; an older one was left by a killed
+#: writer and is collected
+STALE_TEMP_SECONDS = 60.0
 
 
 @dataclass
@@ -206,7 +216,7 @@ class ArtifactStore:
         raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         path = self.path_of(key)
         fd, tmp = tempfile.mkstemp(
-            prefix=".tmp-" + key[:24] + "-", dir=self.objects_dir
+            prefix=_TEMP_PREFIX + key[:24] + "-", dir=self.objects_dir
         )
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -280,11 +290,16 @@ class ArtifactStore:
             entries = self.entries()
             total = sum(size for _, size, _ in entries)
             evicted = 0
-            # oldest mtime first; temp files sort in with their mtimes,
-            # which is fine: a stale temp is garbage worth collecting
-            for path, size, _ in sorted(entries, key=lambda e: e[2]):
+            fresh = time.time() - STALE_TEMP_SECONDS
+            # oldest mtime first; temp files sort in with their mtimes.
+            # Deleting a fresh one would fail another writer's rename.
+            for path, size, mtime in sorted(entries, key=lambda e: e[2]):
                 if total <= self.max_bytes:
                     break
+                if mtime > fresh and os.path.basename(path).startswith(
+                    _TEMP_PREFIX
+                ):
+                    continue
                 if self._unlink(path):
                     total -= size
                     evicted += 1

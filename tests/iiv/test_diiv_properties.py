@@ -1,5 +1,7 @@
 """Property tests: dynamic-IIV invariants over randomized programs."""
 
+from typing import NamedTuple, Optional, Tuple
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +25,51 @@ def nest_shape(draw):
     return bounds, call_leaf, second_nest, recursion
 
 
-def build_program(shape):
+class Extras(NamedTuple):
+    """Control shapes beyond :func:`nest_shape`, all off by default.
+
+    * ``break_at``: two nested while loops (3 x 3 trips) whose inner
+      body jumps straight out of both when ``3 * i + j == break_at`` --
+      one jump carrying ``X X`` (from 3 on, after a full outer
+      iteration, so the outer loop is a loop);
+    * ``data``: a while loop over ``A`` that exits early on the first
+      zero element (a data-dependent exit); ``main`` then takes ``A``;
+    * ``rec_loop``: bit 0 puts a loop before ``rec``'s recursive call,
+      bit 1 one after it, bit 2 moves the call into the first loop --
+      jumps inside the recursive component between ``Ic``/``Ir``;
+    * ``helper_twice``: ``helper`` (which has a loop) is called from
+      the nest's innermost body and again after the nest -- its loop is
+      entered from a new context after it has been left many times.
+    """
+
+    break_at: Optional[int] = None
+    data: Optional[Tuple[int, ...]] = None
+    rec_loop: int = 0
+    helper_twice: bool = False
+
+
+@st.composite
+def extras_shape(draw):
+    return Extras(
+        break_at=draw(st.none() | st.integers(3, 9)),
+        data=draw(st.none() | st.tuples(*[st.integers(0, 2)] * 4)),
+        rec_loop=draw(st.integers(0, 7)),
+        helper_twice=draw(st.booleans()),
+    )
+
+
+def _counter_while(f, trips):
+    """``i = 0; while (i < trips) { ... }``: returns (handle, i)."""
+    i = f.set(f.fresh_reg("w"), 0)
+    h = f.while_begin()
+    f.while_cond(h, "lt", i, trips)
+    return h, i
+
+
+def build_program(shape, extras: Extras = Extras()):
     bounds, call_leaf, second_nest, recursion = shape
     pb = ProgramBuilder("r")
-    with pb.function("main", []) as f:
+    with pb.function("main", ["A"] if extras.data is not None else []) as f:
         ctxs = []
         for b in bounds:
             c = f.loop(0, b)
@@ -36,11 +79,31 @@ def build_program(shape):
             f.call("leaf", [])
         else:
             f.add(1, 1)
+        if extras.helper_twice:
+            f.call("helper", [])
         for c in reversed(ctxs):
             c.__exit__(None, None, None)
+        if extras.helper_twice:
+            f.call("helper", [])
         if second_nest:
             with f.loop(0, 2) as i:
                 f.add(i, 1)
+        if extras.break_at is not None:
+            outer, i = _counter_while(f, 3)
+            inner, j = _counter_while(f, 3)
+            ij = f.add(f.mul(i, 3), j)
+            with f.if_then("eq", ij, extras.break_at):
+                f.break_to(outer.exit)
+            f.add(j, 1, into=j)
+            f.while_end(inner)
+            f.add(i, 1, into=i)
+            f.while_end(outer)
+        if extras.data is not None:
+            w, k = _counter_while(f, len(extras.data))
+            with f.if_then("eq", f.load("A", index=k), 0):
+                f.break_to(w.exit)
+            f.add(k, 1, into=k)
+            f.while_end(w)
         if recursion:
             f.call("rec", [0])
         f.halt()
@@ -50,9 +113,24 @@ def build_program(shape):
         f.ret()
     with pb.function("rec", ["n"]) as f:
         f.add("n", 1)
-        with f.if_then("lt", "n", max(recursion - 1, 0)):
-            f.call("rec", [f.add("n", 1)])
+        if extras.rec_loop & 1:
+            with f.loop(0, 2) as i:
+                f.add(i, "n")
+                if extras.rec_loop & 4:
+                    with f.if_then("lt", "n", max(recursion - 1, 0)):
+                        f.call("rec", [f.add("n", 1)])
+        if (extras.rec_loop & 5) != 5:
+            with f.if_then("lt", "n", max(recursion - 1, 0)):
+                f.call("rec", [f.add("n", 1)])
+        if extras.rec_loop & 2:
+            with f.loop(0, 2) as i:
+                f.add(i, "n")
         f.ret()
+    if extras.helper_twice:
+        with pb.function("helper", []) as f:
+            with f.loop(0, 2) as i:
+                f.add(i, 1)
+            f.ret()
     return pb.build()
 
 

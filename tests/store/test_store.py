@@ -112,6 +112,27 @@ def test_lru_eviction_oldest_first(tmp_path):
     assert capped.total_bytes() <= 2 * size
 
 
+def test_eviction_spares_a_put_in_flight(tmp_path):
+    """A fresh temp file is another writer's put between write and
+    rename: evicting it would fail that put.  A stale one is a killed
+    writer's leftover and is collected."""
+    store = ArtifactStore(str(tmp_path))
+    store.put("k0", {"blob": "x" * 2000})
+    os.utime(store.path_of("k0"), (0, 0))
+    in_flight = os.path.join(store.objects_dir, ".tmp-k1-live")
+    stale = os.path.join(store.objects_dir, ".tmp-k2-dead")
+    for path in (in_flight, stale):
+        with open(path, "wb") as fh:
+            fh.write(b"x" * 2000)
+    old = time.time() - 2 * store_mod.STALE_TEMP_SECONDS
+    os.utime(stale, (old, old))
+    capped = ArtifactStore(str(tmp_path), max_bytes=1)
+    assert capped.evict() == 2
+    assert os.path.exists(in_flight)
+    assert not os.path.exists(stale)
+    assert not os.path.exists(capped.path_of("k0"))
+
+
 def test_hit_touches_mtime_for_lru(tmp_path):
     """A hit refreshes recency, protecting hot artifacts from eviction."""
     store = ArtifactStore(str(tmp_path))

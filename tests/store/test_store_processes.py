@@ -78,6 +78,9 @@ class TestConcurrentEviction:
             proc.start()
             procs.append(proc)
             conns.append(parent)
+        # a worker that died cannot close the parent's copy of its
+        # pipe end, so wait with a bound instead of blocking in recv
+        assert all(conn.poll(60) for conn in conns), "a worker died"
         evictions = [conn.recv() for conn in conns]
         for proc in procs:
             proc.join(timeout=60)
@@ -138,6 +141,7 @@ class TestPersistedStats:
             procs.append(proc)
             conns.append(parent)
         for conn in conns:
+            assert conn.poll(60), "a worker died"
             assert conn.recv() is True
         for proc in procs:
             proc.join(timeout=60)
