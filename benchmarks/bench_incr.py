@@ -9,8 +9,10 @@ program edit are re-analyzed against it:
   (:func:`repro.incr.renumbered_spec`): the recompiled-after-a-
   formatting-only-change scenario.  Every function's canonical
   fingerprint is unchanged, the differ classifies the whole program as
-  unchanged, and the pipeline serves both stages from the baseline
-  without executing anything (``identical`` mode).  This class carries
+  unchanged, and nothing executes (``identical`` mode): the baseline's
+  stage-1 artifact and stage-2 payload, dependence vectors included,
+  are decoded against the twin, and the baseline's ``cp-``/``ddg-``
+  files are copied under the twin's keys.  This class carries
   the gate: the suite-total speedup over a cold analysis must be at
   least ``GATE``x (override: ``REPRO_INCR_GATE``; CI uses a relaxed
   value -- shared runners throttle).

@@ -5,8 +5,12 @@ before any execution, and decides between three modes:
 
 * ``identical`` -- the diff is all-unchanged (uid renumbering,
   function reordering): the baseline execution is bit-identical, so
-  *nothing* runs; the baseline stage-1 artifact and the baseline
-  stage-2 payload (metadata and every region) are reused verbatim.
+  *nothing* runs.  The baseline's stage-1 artifact and stage-2
+  payload (metadata, every region and the dependence vectors, all
+  uid-free) are decoded against the submitted program, so the
+  feedback stage recomputes no dependence vector, and the baseline's
+  ``cp-``/``ddg-`` files are copied byte for byte under the program's
+  own keys instead of being re-encoded.
 * ``incremental`` -- a proper subset of functions is on the frontier:
   stage 2 re-executes with the DDG builder emitting only frontier
   functions, and the rest is stitched from the regions of the

@@ -36,7 +36,7 @@ destination's function -- is not stored.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..folding.folder import FoldedDDG
 from ..isa.fingerprint import function_uid_ordinals
@@ -160,14 +160,20 @@ class _RegionEncoder:
         }
 
 
-def encode_regions(program: Program, folded: FoldedDDG) -> Dict[str, dict]:
+def encode_regions(
+    program: Program,
+    folded: FoldedDDG,
+    ord_of: Optional[Dict[int, Tuple[str, int]]] = None,
+) -> Dict[str, dict]:
     """Carve one folded DDG into per-function region payloads.
 
     ``folded`` must be canonically ordered (every finalize path is), so
     the per-region tables and rows are deterministic for a given
-    folded set.
+    folded set.  ``ord_of`` is the program's :func:`uid_to_ordinal`
+    table when the caller already built it.
     """
-    ord_of = uid_to_ordinal(program)
+    if ord_of is None:
+        ord_of = uid_to_ordinal(program)
     regions = {fname: _RegionEncoder() for fname in program.functions}
     for (uid, cid), fs in folded.statements.items():
         func, o = ord_of[uid]

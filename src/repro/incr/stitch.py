@@ -53,22 +53,34 @@ class IncrementalMismatch(RuntimeError):
     the caller must fall back to a cold analysis."""
 
 
+def ordinal_uids(program: Program) -> Dict[Tuple[str, int], int]:
+    """(function, local ordinal) -> global uid over a whole program:
+    the inverse of :func:`repro.incr.regions.uid_to_ordinal`."""
+    uid_of: Dict[Tuple[str, int], int] = {}
+    for fname, fn in program.functions.items():
+        for o, uid in enumerate(function_ordered_uids(fn)):
+            uid_of[(fname, o)] = uid
+    return uid_of
+
+
 def stitch_folded(
     program: Program,
     fresh: Optional[FoldedDDG],
     regions: Dict[str, dict],
     ctx_ids: Optional[Dict[Tuple, int]],
+    uid_of: Optional[Dict[Tuple[str, int], int]] = None,
 ) -> FoldedDDG:
     """Merge the frontier's fresh fold with reused region payloads.
 
     ``ctx_ids`` is the live run's context-interning table
     (``DDGBuilder.context_ids``); ``None`` selects the verbatim-id
     fast path for all-unchanged diffs where no execution happened.
+    ``uid_of`` is the program's :func:`ordinal_uids` table when the
+    caller already built it (a stage-2 decode shares it with the
+    dependence vectors).
     """
-    uid_of: Dict[Tuple[str, int], int] = {}
-    for fname, fn in program.functions.items():
-        for o, uid in enumerate(function_ordered_uids(fn)):
-            uid_of[(fname, o)] = uid
+    if uid_of is None:
+        uid_of = ordinal_uids(program)
     instr_of: Dict[int, Instr] = {
         ins.uid: ins for _fn, _bb, ins in program.all_instrs()
     }

@@ -422,6 +422,8 @@ def analyze(
         # -- stage 1: interprocedural control structure ------------------------
         with tracer.span("instr1", cat="stage"):
             control = None
+            # set when the baseline's cp- object served this twin
+            base_stage1 = False
             if store is not None:
                 with tracer.span("stage1.load", cat="cache"):
                     control = store.load(keys.stage1, decode_control_profile)
@@ -438,6 +440,7 @@ def analyze(
                             incr_plan.base_keys.stage1,
                             decode_control_profile,
                         )
+                    base_stage1 = control is not None
             stage1_cached = control is not None
             if control is None:
                 control = profile_control(
@@ -449,7 +452,13 @@ def analyze(
                 )
             if store is not None and not store.contains(keys.stage1):
                 with tracer.span("stage1.put", cat="cache"):
-                    store.put(keys.stage1, encode_control_profile(control))
+                    # the stored bytes are uid-free: the baseline's
+                    # object is this twin's, unless it has gone since
+                    if not (
+                        base_stage1
+                        and store.copy(incr_plan.base_keys.stage1, keys.stage1)
+                    ):
+                        store.put(keys.stage1, encode_control_profile(control))
 
         # -- stage 2: DDG streams + folding ------------------------------------
         with tracer.span("instr2_fold", cat="stage"):
@@ -489,13 +498,8 @@ def analyze(
             elif incr_plan is not None and incr_plan.mode == "identical":
                 try:
                     with tracer.span("incr.stitch", cat="incr") as sp:
-                        # the baseline's uid-keyed dependence vectors do
-                        # not fit the renumbered program; feedback
-                        # recomputes them
-                        folded, ddgp, _ = decode_stage2(
-                            incr_plan.base_payload,
-                            spec.program,
-                            dep_vectors=False,
+                        folded, ddgp, dep_vectors = decode_stage2(
+                            incr_plan.base_payload, spec.program
                         )
                         sp.count("regions_reused", len(incr_plan.regions))
                     stage2_cached = True
@@ -535,12 +539,17 @@ def analyze(
                 plans = plan_all(forest, stride_scores_of=stride_scores)
             if store is not None and not store.contains(keys.stage2):
                 with tracer.span("stage2.put", cat="cache"):
-                    store.put(
-                        keys.stage2,
-                        encode_stage2(
-                            spec.program, folded, ddgp, forest.deps
-                        ),
-                    )
+                    if not (
+                        incr_plan is not None
+                        and incr_plan.info.mode == "identical"
+                        and store.copy(incr_plan.base_keys.stage2, keys.stage2)
+                    ):
+                        store.put(
+                            keys.stage2,
+                            encode_stage2(
+                                spec.program, folded, ddgp, forest.deps
+                            ),
+                        )
             if store is not None:
                 # write the manifest on every stored run, so *this*
                 # analysis (its ddg- payload carries the per-function

@@ -10,35 +10,50 @@ analysis, planning) are always re-run.
 
 A serialized vector is one fixed-order row (:data:`VECTOR_FIELDS`), as
 the statement and dependence rows of :mod:`repro.incr.regions` are.
-It references its dependence by :class:`~repro.ddg.graph.DepKey`; the
-decoder resolves it against the already-decoded
-:class:`~repro.folding.folder.FoldedDDG`, so a vector and the DDG
-share one ``FoldedDep`` object exactly as they do on the cold path.
+It names its dependence's endpoints position-independently, as
+``[function, ordinal, context id]`` (the region rows' references), so
+one stored row serves every program whose functions number their
+instructions alike in canonical order.  The decoder resolves the rows
+against the already-decoded :class:`~repro.folding.folder.FoldedDDG`,
+so a vector and the DDG share one ``FoldedDep`` object exactly as they
+do on the cold path, and returns them in the DDG's
+:meth:`~repro.folding.folder.FoldedDDG.transform_deps` order, which is
+the order :func:`~repro.schedule.deps.analyze_deps` computes them in.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from ..ddg.graph import DepKey
 from ..folding.folder import FoldedDDG
 from ..poly.codec import decode_fraction, encode_fraction
 from .deps import DepVector
 
-#: the positional layout of one stored dependence vector
+#: the positional layout of one stored dependence vector; ``src`` and
+#: ``dst`` are ``[function, ordinal, context id]``
 VECTOR_FIELDS = (
     "src", "dst", "kind", "src_path", "dst_path", "common", "signs",
     "bounds", "is_reduction",
 )
 
 
-def encode_dep_vectors(vectors: List[DepVector]) -> list:
-    """One positional row per vector, in :data:`VECTOR_FIELDS` order."""
-    return [
-        [
-            list(dv.dep.key.src),
-            list(dv.dep.key.dst),
-            dv.dep.key.kind,
+def encode_dep_vectors(
+    vectors: List[DepVector], ord_of: Dict[int, Tuple[str, int]]
+) -> list:
+    """One positional row per vector, in :data:`VECTOR_FIELDS` order.
+
+    ``ord_of`` maps a uid to its (function, ordinal), as
+    :func:`repro.incr.regions.uid_to_ordinal` builds it."""
+    rows = []
+    for dv in vectors:
+        key = dv.dep.key
+        sfunc, so = ord_of[key.src[0]]
+        dfunc, do = ord_of[key.dst[0]]
+        rows.append([
+            [sfunc, so, key.src[1]],
+            [dfunc, do, key.dst[1]],
+            key.kind,
             [list(e) for e in dv.src_path],
             [list(e) for e in dv.dst_path],
             dv.common,
@@ -48,21 +63,45 @@ def encode_dep_vectors(vectors: List[DepVector]) -> list:
                 for lo, hi in dv.bounds
             ],
             dv.is_reduction,
-        ]
-        for dv in vectors
-    ]
+        ])
+    return rows
 
 
-def decode_dep_vectors(data: list, ddg: FoldedDDG) -> List[DepVector]:
+def decode_dep_vectors(
+    data: list, ddg: FoldedDDG, uid_of: Dict[Tuple[str, int], int]
+) -> List[DepVector]:
+    """The vectors of ``ddg``, one per ``transform_deps()`` entry and in
+    that order, whatever order they were stored in.
+
+    ``uid_of`` maps a (function, ordinal) to the decoding program's
+    uid.  An endpoint outside the program, a row for a stream that is
+    not a transformation dependence of ``ddg``, a repeated row, or a
+    dependence with no row raises :class:`ValueError`."""
+
+    def endpoint(ref) -> Tuple[int, int]:
+        func, o, cid = ref
+        uid = uid_of.get((func, o))
+        if uid is None:
+            raise ValueError(
+                f"dependence vector endpoint {func!r}:{o} not in program"
+            )
+        return (uid, cid)
+
+    rows: Dict[DepKey, list] = {}
+    for row in data:
+        key = DepKey(src=endpoint(row[0]), dst=endpoint(row[1]), kind=row[2])
+        if key in rows:
+            raise ValueError(f"two dependence vectors for stream {key}")
+        rows[key] = row
     out: List[DepVector] = []
-    for (
-        src, dst, kind, src_path, dst_path, common, signs, bounds,
-        is_reduction,
-    ) in data:
-        key = DepKey(src=tuple(src), dst=tuple(dst), kind=kind)
-        dep = ddg.deps.get(key)
-        if dep is None:
-            raise ValueError(f"dependence vector for unknown stream {key}")
+    for dep in ddg.transform_deps():
+        row = rows.pop(dep.key, None)
+        if row is None:
+            raise ValueError(f"no dependence vector for stream {dep.key}")
+        (
+            _src, _dst, _kind, src_path, dst_path, common, signs, bounds,
+            is_reduction,
+        ) = row
         out.append(
             DepVector(
                 dep=dep,
@@ -76,5 +115,9 @@ def decode_dep_vectors(data: list, ddg: FoldedDDG) -> List[DepVector]:
                 ),
                 is_reduction=bool(is_reduction),
             )
+        )
+    if rows:
+        raise ValueError(
+            f"dependence vector for unknown stream {next(iter(rows))}"
         )
     return out

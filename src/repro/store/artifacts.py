@@ -17,7 +17,9 @@ Two artifacts per (workload, options) pair:
   stages, one positional row each (:mod:`repro.schedule.codec`).  A
   warm hit and an incremental run read the same regions: the first
   rebuilds the whole DDG from them, the second reuses the untouched
-  functions' regions against an edited program.
+  functions' regions against an edited program.  No part of the
+  payload names a uid, so a renumbered twin of the analyzed program
+  decodes it whole, and the store can serve the twin a byte copy.
 
 Wall-clock fields are preserved verbatim: a decoded artifact reports
 the profiling time it *avoided*; the fresh cost of a warm run lives in
@@ -164,32 +166,37 @@ class CachedInstrumentation:
 
 
 def encode_stage2(program, folded: FoldedDDG, ddgp, dep_vectors) -> dict:
-    from ..incr.regions import encode_regions
+    from ..incr.regions import encode_regions, uid_to_ordinal
 
+    ord_of = uid_to_ordinal(program)
     return {
-        "regions": encode_regions(program, folded),
+        "regions": encode_regions(program, folded, ord_of),
         "instr_count": ddgp.builder.instr_count,
         "stats": encode_run_stats(ddgp.stats),
         "wall_seconds": ddgp.wall_seconds,
         "schedule_tree": encode_schedule_tree(ddgp.builder.schedule_tree),
-        "dep_vectors": encode_dep_vectors(dep_vectors),
+        "dep_vectors": encode_dep_vectors(dep_vectors, ord_of),
     }
 
 
 def decode_stage2(
-    data: dict, program, dep_vectors: bool = True
-) -> Tuple[FoldedDDG, object, Optional[List[DepVector]]]:
+    data: dict, program
+) -> Tuple[FoldedDDG, object, List[DepVector]]:
     """Rebuild the folded DDG from the payload's regions (verbatim
     context ids), plus the profile metadata and dependence vectors.
 
-    The metadata is uid-free; the dependence vectors are not.  The
-    incremental ``identical`` mode decodes a *baseline* payload against
-    a renumbered program, so it passes ``dep_vectors=False`` and the
-    feedback stage recomputes them (``None`` is returned instead)."""
-    from ..incr.stitch import stitch_folded
+    The whole payload is uid-free, so it decodes against any program
+    whose functions number their instructions alike in canonical
+    order: the analyzed program itself (a warm hit) or a renumbered or
+    function-reordered twin of it (the incremental ``identical``
+    mode).  One (function, ordinal) -> uid table serves the regions
+    and the vectors.  Any inconsistency raises
+    :class:`~repro.incr.IncrementalMismatch`."""
+    from ..incr.stitch import IncrementalMismatch, ordinal_uids, stitch_folded
     from ..pipeline import DDGProfile
 
-    folded = stitch_folded(program, None, data["regions"], None)
+    uid_of = ordinal_uids(program)
+    folded = stitch_folded(program, None, data["regions"], None, uid_of)
     ddgp = DDGProfile(
         builder=CachedInstrumentation(
             int(data["instr_count"]),
@@ -199,9 +206,10 @@ def decode_stage2(
         stats=decode_run_stats(data["stats"]),
         wall_seconds=float(data["wall_seconds"]),
     )
-    vectors = (
-        decode_dep_vectors(data["dep_vectors"], folded)
-        if dep_vectors
-        else None
-    )
+    try:
+        vectors = decode_dep_vectors(data["dep_vectors"], folded, uid_of)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise IncrementalMismatch(
+            f"dependence vectors: {type(exc).__name__}: {exc}"
+        ) from exc
     return folded, ddgp, vectors

@@ -9,7 +9,7 @@ Concurrency and corruption are handled the only way a shared cache
 directory can be: writes go to a unique temp file in the store and
 land via atomic ``os.replace`` (a reader never observes a torn
 artifact, concurrent writers of the same key just overwrite each other
-last-write-wins with identical bytes), and *every* read failure --
+last-write-wins with equivalent payloads), and *every* read failure --
 missing file, truncated gzip, invalid JSON, wrong format version,
 decoder error -- degrades to a cache miss.  A corrupt file is unlinked
 best-effort so it cannot miss forever.
@@ -67,7 +67,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: stage-2 artifact
 #: v5: regions hold per-region tables of sets, maps and contexts and
 #: positional statement/dependence rows; dependence vectors are rows
-STORE_FORMAT_VERSION = 5
+#: v6: the document drops its ``key`` field (the file name is the key,
+#: so one payload is one byte string under any key), and dependence
+#: vector rows name their endpoints by (function, ordinal, context id)
+STORE_FORMAT_VERSION = 6
 
 #: name prefix of a put's temp file, renamed into place when complete
 _TEMP_PREFIX = ".tmp-"
@@ -212,20 +215,37 @@ class ArtifactStore:
 
     def put(self, key: str, payload: dict) -> None:
         """Atomically write ``payload`` under ``key``, then evict."""
-        doc = {"format": STORE_FORMAT_VERSION, "key": key, "data": payload}
+        doc = {"format": STORE_FORMAT_VERSION, "data": payload}
         raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        path = self.path_of(key)
+        # mtime=0 keeps artifact bytes deterministic across runs
+        self._write(key, gzip.compress(raw, mtime=0))
+
+    def copy(self, src_key: str, dst_key: str) -> bool:
+        """Atomically write the stored bytes of ``src_key`` under
+        ``dst_key``, then evict; False when ``src_key`` is absent.
+
+        A document holds no key, so the copy is byte for byte what
+        :meth:`put` of the source's payload would write.  The source is
+        not decoded: a corrupt one is copied as is, and the copy misses
+        (and is unlinked) on its first read like any corrupt object."""
+        try:
+            with open(self.path_of(src_key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return False
+        self._write(dst_key, data)
+        return True
+
+    def _write(self, key: str, data: bytes) -> None:
+        """Land ``data`` as the file of ``key`` via a temp file and
+        ``os.replace``; count one put and evict under the cap."""
         fd, tmp = tempfile.mkstemp(
             prefix=_TEMP_PREFIX + key[:24] + "-", dir=self.objects_dir
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                # mtime=0 keeps artifact bytes deterministic across runs
-                with gzip.GzipFile(
-                    fileobj=fh, mode="wb", mtime=0
-                ) as gz:
-                    gz.write(raw)
-            os.replace(tmp, path)
+                fh.write(data)
+            os.replace(tmp, self.path_of(key))
         except Exception:
             self._unlink(tmp)
             raise

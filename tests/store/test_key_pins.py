@@ -16,21 +16,21 @@ from repro.store import ArtifactStore
 from repro.store.store import STORE_FORMAT_VERSION
 from repro.workloads import all_workloads
 
-_CP = "cp-11ab1163fd68afc45ea452992bec8f0c2a92e94952c5200df4084c6660ef61ed"
-_MAN = "man-a5ca69747ffa2c6e801f80d037ce90234e6b2f8e98c72f3d9160029e5c5b6dce"
+_CP = "cp-a086a857c43f6ac33b2358c9c781d487c8a40d3e12e91c4c5a64b25cd07cd582"
+_MAN = "man-50341509a22f1a4e514a06e75d7f6b1027b8f8cc2e1ca0a4609f164fa85abdd9"
 
 
 def test_format_version_is_pinned():
-    assert STORE_FORMAT_VERSION == 5
+    assert STORE_FORMAT_VERSION == 6
 
 
 @pytest.mark.parametrize(
     "clamp, ddg",
     [
         (None,
-         "ddg-5a0c78bc2aed6bc7fc5a17d7a2594902299af02b57659fabf9bf6568e68db286"),
+         "ddg-9a1a4016ce87932dd3c004c61f1d70eda2bc44e246505d530aa80e65459ed3bd"),
         (10,
-         "ddg-947a7d5cce2f5319e1c99cf87ad02e909baa82eee7c926ad766e426448529ae1"),
+         "ddg-79972b51992aa7846086315cb09b13295bee2d27a094cfe22558415e36c9540e"),
     ],
     ids=["default", "clamp10"],
 )

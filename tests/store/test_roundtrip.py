@@ -32,6 +32,8 @@ from repro.poly.polyhedron import Polyhedron
 from repro.poly.pset import ISet, Space
 from repro.folding.codec import encode_folded_ddg
 from repro.incr import encode_regions, stitch_folded
+from repro.incr.regions import uid_to_ordinal
+from repro.incr.stitch import ordinal_uids
 from repro.schedule.codec import (
     VECTOR_FIELDS,
     decode_dep_vectors,
@@ -180,8 +182,12 @@ def test_folded_ddg_fixpoint(name):
 def test_dep_vectors_roundtrip(name):
     spec = all_workloads()[name]()
     result = analyze(spec)
-    enc = encode_dep_vectors(result.forest.deps)
-    dec = decode_dep_vectors(enc, result.folded)
+    ord_of = uid_to_ordinal(spec.program)
+    enc = encode_dep_vectors(result.forest.deps, ord_of)
+    # stored in reverse: the decoder restores transform_deps() order
+    dec = decode_dep_vectors(
+        enc[::-1], result.folded, ordinal_uids(spec.program)
+    )
     assert len(dec) == len(result.forest.deps)
     for got, want in zip(dec, result.forest.deps):
         assert got.dep.key == want.dep.key
@@ -190,16 +196,39 @@ def test_dep_vectors_roundtrip(name):
         assert got.signs == want.signs
         assert got.bounds == want.bounds
         assert got.is_reduction == want.is_reduction
-    assert encode_dep_vectors(dec) == enc
+    assert encode_dep_vectors(dec, ord_of) == enc
+
+
+def _nw_vectors():
+    spec = all_workloads()["nw"]()
+    result = analyze(spec)
+    enc = encode_dep_vectors(
+        result.forest.deps, uid_to_ordinal(spec.program)
+    )
+    return enc, result.folded, ordinal_uids(spec.program)
 
 
 def test_dep_vectors_unknown_stream_raises():
-    spec = all_workloads()["nw"]()
-    result = analyze(spec)
-    enc = encode_dep_vectors(result.forest.deps)
-    enc[0][VECTOR_FIELDS.index("src")] = [999999, 999999]
+    enc, folded, uid_of = _nw_vectors()
+    src = enc[0][VECTOR_FIELDS.index("src")]
+    # an ordinal past the function's end
+    enc[0][VECTOR_FIELDS.index("src")] = [src[0], 999999, src[2]]
+    with pytest.raises(ValueError, match="not in program"):
+        decode_dep_vectors(enc, folded, uid_of)
+    # endpoints in the program, but no such stream
+    enc[0][VECTOR_FIELDS.index("src")] = src
+    enc[0][VECTOR_FIELDS.index("dst")] = src
+    enc[0][VECTOR_FIELDS.index("kind")] = "output"
     with pytest.raises(ValueError):
-        decode_dep_vectors(enc, result.folded)
+        decode_dep_vectors(enc, folded, uid_of)
+
+
+@pytest.mark.parametrize("how", ["missing", "repeated"])
+def test_dep_vectors_must_match_the_ddg_one_to_one(how):
+    enc, folded, uid_of = _nw_vectors()
+    enc = enc[1:] if how == "missing" else enc + enc[:1]
+    with pytest.raises(ValueError):
+        decode_dep_vectors(enc, folded, uid_of)
 
 
 @pytest.mark.parametrize("name", SAMPLE)

@@ -163,3 +163,57 @@ def test_clear(tmp_path):
     store.clear()
     assert store.entries() == []
     assert store.get("k1") is None
+
+
+def _temp_files(store):
+    return [
+        name for name in os.listdir(store.objects_dir)
+        if name.startswith(".tmp-")
+    ]
+
+
+def test_copy_is_byte_exact_and_readable(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    payload = {"x": [1, 2, 3], "y": {"nested": "ok"}}
+    store.put("cp-src", payload)
+    assert store.copy("cp-src", "cp-dst") is True
+    with open(store.path_of("cp-src"), "rb") as a, open(
+        store.path_of("cp-dst"), "rb"
+    ) as b:
+        assert a.read() == b.read()
+    assert store.get("cp-dst") == payload
+    assert store.stats.puts == 2
+    assert _temp_files(store) == []
+
+
+def test_copy_equals_a_put_under_the_new_key(tmp_path):
+    """A document holds no key, so copying is putting the same payload."""
+    store = ArtifactStore(str(tmp_path))
+    store.put("cp-a", {"a": 1})
+    store.put("cp-b", {"a": 1})
+    store.copy("cp-a", "cp-c")
+    raw = {k: open(store.path_of(k), "rb").read() for k in ("cp-b", "cp-c")}
+    assert raw["cp-b"] == raw["cp-c"]
+
+
+def test_copy_honours_max_bytes(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    store.put("cp-src", {"a": list(range(50))})
+    size = os.path.getsize(store.path_of("cp-src"))
+    os.utime(store.path_of("cp-src"), (100, 100))  # the older one
+    capped = ArtifactStore(str(tmp_path), max_bytes=size)
+    assert capped.copy("cp-src", "cp-dst") is True
+    assert capped.stats.puts == 1
+    assert capped.stats.evictions == 1
+    assert capped.total_bytes() <= size
+    assert not os.path.exists(capped.path_of("cp-src"))
+    assert capped.get("cp-dst") == {"a": list(range(50))}
+    assert _temp_files(capped) == []
+
+
+def test_copy_of_missing_source_is_false(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    assert store.copy("cp-nothere", "cp-dst") is False
+    assert not os.path.exists(store.path_of("cp-dst"))
+    assert store.stats.puts == 0
+    assert _temp_files(store) == []

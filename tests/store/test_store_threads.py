@@ -86,7 +86,8 @@ class TestConcurrentAccess:
         assert store.stats.misses == n_threads * n_gets
 
     def test_concurrent_eviction_and_puts_stay_within_cap(self, tmp_path):
-        cap = 40_000
+        # 180 objects of ~200 bytes each: the cap keeps about half
+        cap = 20_000
         store = ArtifactStore(str(tmp_path), max_bytes=cap)
 
         def _writer(tid):
