@@ -19,12 +19,12 @@ program edit are re-analyzed against it:
 
 * **body** -- a one-function sink edit
   (:func:`repro.incr.edited_spec`): the honest small-edit scenario.
-  It is reported but **not** gated: dependence-frontier slicing saves
-  *instrumentation* work, not *execution* -- both stages still run the
-  whole program, and on execution-bound workloads whose hot kernels
-  sit on the frontier (may-alias over shared arrays) the stitch
-  overhead makes the incremental run roughly break even with cold
-  (~0.8-1.1x here).  The numbers are recorded so nobody has to guess.
+  The diff is not all-unchanged, so the run plans ``cold`` (reason
+  ``program-changed``) without reading the baseline's stage-2 payload:
+  a dependence profile comes from a whole-program execution, and a
+  body edit reaches nearly all of it.  The cell is reported but **not**
+  gated (its "speedup" is cold against cold, ~1x); it still checks
+  byte identity and records the mode so nobody has to guess.
 
 The cold side is measured against a *fresh* store so both sides pay
 the same artifact write-through.  Incremental cells are best-of-

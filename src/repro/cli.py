@@ -103,12 +103,10 @@ def _print_incremental(result) -> None:
     if info is None:
         return
     parts = [f"incremental: mode={info.mode}"]
-    if info.mode in ("incremental", "identical"):
+    if info.mode == "identical":
         parts.append(
             f"regions reused {info.regions_reused}/{info.funcs_total}"
         )
-    if info.frontier:
-        parts.append(f"frontier: {', '.join(sorted(info.frontier))}")
     if info.reason:
         parts.append(f"reason: {info.reason}")
     print("  ".join(parts), file=sys.stderr)
@@ -414,16 +412,11 @@ def cmd_lint(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    """Static diff of two program versions + the sliced frontier."""
+    """Static diff of two program versions: per-function status."""
     import json
 
-    from .incr import (
-        append_sink_instr,
-        build_manifest,
-        compute_frontier,
-        diff_document,
-        diff_manifests,
-    )
+    from .incr import append_sink_instr, diff_document
+    from .incr.diff import diff_programs
 
     base_spec = _get_spec(args.baseline)
     new_spec = _get_spec(args.workload)
@@ -436,14 +429,10 @@ def cmd_diff(args) -> int:
                 f"available: {options}"
             )
         new_program = append_sink_instr(new_program, args.edit)
-    base_manifest = build_manifest(base_spec.program)
-    new_manifest = build_manifest(new_program)
-    diff = diff_manifests(base_manifest, new_manifest)
-    frontier = compute_frontier(new_program, diff, base_manifest)
+    diff = diff_programs(base_spec.program, new_program)
     if args.format == "json":
         doc = diff_document(
             diff,
-            frontier=frontier,
             baseline_name=base_spec.name,
             program_name=new_spec.name,
         )
@@ -472,17 +461,6 @@ def cmd_diff(args) -> int:
         if st.status == "unchanged" and not st.subtree_clean:
             line += "  (callee subtree changed)"
         print(line)
-    if frontier.funcs:
-        print("re-analysis frontier:")
-        for name in sorted(frontier.funcs):
-            reasons = frontier.reasons.get(name, [])
-            why = "; ".join(
-                r.rule + (f" via {r.via}" if r.via else "")
-                for r in reasons[:3]
-            )
-            print(f"  {name:24s} {why}")
-    else:
-        print("re-analysis frontier: empty (all regions reusable)")
     return 0
 
 
@@ -611,12 +589,12 @@ def _add_baseline_arg(p) -> None:
         "--baseline",
         metavar="REF",
         default=None,
-        help="incremental re-analysis against this baseline: a "
-        "workload name or a 64-hex program fingerprint whose manifest "
-        "and stage-2 artifact are in the store; only the invalidated "
-        "frontier is re-instrumented (requires --cache); output stays "
-        "byte-identical to a cold run, the incremental summary goes "
-        "to stderr",
+        help="diff against this baseline: a workload name or a 64-hex "
+        "program fingerprint whose manifest and stage-2 artifact are "
+        "in the store; a twin (every function unchanged) is served "
+        "from the baseline's artifacts, anything else runs cold "
+        "(requires --cache); output stays byte-identical to a cold "
+        "run, the incremental summary goes to stderr",
     )
 
 
@@ -721,8 +699,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_baseline_arg(p)
     p = sub.add_parser(
         "diff",
-        help="statically diff two program versions and show the "
-        "re-analysis frontier",
+        help="statically diff two program versions, function by "
+        "function",
     )
     p.add_argument("baseline", help="baseline workload name")
     p.add_argument("workload", help="new/edited workload name")
@@ -732,7 +710,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="apply the canonical one-function body edit (a dead "
         "const appended to FUNC's entry block) to the new side "
-        "before diffing -- exercises the frontier on a single "
+        "before diffing -- exercises the differ on a single "
         "workload",
     )
     p.add_argument(
@@ -740,7 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("text", "json"),
         default="text",
         help="human summary (text) or the versioned diff document "
-        "with per-function status and frontier reasons (json)",
+        "with per-function status (json)",
     )
     p = sub.add_parser(
         "suite", help="analyze many workloads in parallel"

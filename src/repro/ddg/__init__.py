@@ -2,7 +2,7 @@
 statement/dependence point streams, and the Instrumentation-II builder.
 """
 
-from .builder import DDGBuilder, FrontierViolation
+from .builder import DDGBuilder
 from .graph import (
     DDGSink,
     DepKey,
@@ -19,7 +19,6 @@ from .shadow import ShadowMemory
 __all__ = [
     "DDGBuilder",
     "DDGSink",
-    "FrontierViolation",
     "DepKey",
     "MEM_ANTI",
     "MEM_FLOW",

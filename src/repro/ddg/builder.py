@@ -42,17 +42,6 @@ from .graph import (
 from .shadow import DynRef, ShadowMemory
 
 
-class FrontierViolation(RuntimeError):
-    """A dynamic dependence crossed the sliced re-analysis boundary.
-
-    Raised by a frontier-filtered run (``emit_funcs`` set) when shadow
-    memory observes a memory dependence between an emitted and a
-    non-emitted function: the static frontier was too small, so the
-    incremental result cannot be stitched and the caller must fall back
-    to a cold full analysis.  This is the dynamic soundness guard -- the
-    slicer's may-alias closure only has to be *usually* right."""
-
-
 class _IIVState:
     """One interned dynamic-IIV context: a state of the jump table.
 
@@ -87,19 +76,6 @@ class DDGBuilder(Instrumentation):
     just before the generator next runs (in between, ``diiv`` lags
     behind).  Without it (the reference engine) every control event
     runs Algorithms 1-3.
-
-    When ``emit_funcs`` is given (incremental re-analysis), the
-    batched path (``on_block``, the fast engine's) runs two-tier:
-    functions in the set get the full treatment, while the rest still
-    execute with live contexts, register definitions, and
-    shadow-memory state (so cross-boundary effects are *observed*) but
-    emit nothing to the sink -- their folded regions are reused from
-    baseline artifacts.  Non-emitted shadow references carry a
-    sentinel context id of ``-1``; either tier seeing the other tier's
-    kind of reference in a memory-dependence result raises
-    :class:`FrontierViolation`.  The per-instruction ``on_instr``
-    always emits everything (:func:`~repro.pipeline.profile_ddg`
-    refuses the reference engine with ``emit_funcs``).
     """
 
     def __init__(
@@ -110,15 +86,11 @@ class DDGBuilder(Instrumentation):
         sink: DDGSink,
         track_anti_output: bool = True,
         build_schedule_tree: bool = True,
-        emit_funcs: Optional[Set[str]] = None,
         jump_table: bool = False,
     ) -> None:
         self.program = program
         self.sink = sink
         self.track_anti_output = track_anti_output
-        self._emit_funcs = (
-            frozenset(emit_funcs) if emit_funcs is not None else None
-        )
         self.gen = LoopEventGenerator(forests, rcs)
         self.diiv = DynamicIIV()
         self.shadow = ShadowMemory()
@@ -152,9 +124,6 @@ class DDGBuilder(Instrumentation):
         # bounded by the static dependence structure).
         self._block_cache: Dict[Tuple[int, int], Tuple] = {}
         self._dep_keys: Dict[Tuple, DepKey] = {}
-        # non-emitted tier's (block, ctx) cache: no declarations, no
-        # register-read lists -- just uids, dests, and memory kinds
-        self._slim_cache: Dict[Tuple[int, int], Tuple] = {}
 
         #: dynamic instruction count (sanity/metric)
         self.instr_count = 0
@@ -162,8 +131,7 @@ class DDGBuilder(Instrumentation):
     @property
     def context_ids(self) -> Dict[Tuple, int]:
         """The run's context-interning table (context tuple -> id, in
-        first-observation order) -- the incremental stitcher re-interns
-        reused baseline statements through it."""
+        first-observation order)."""
         return self._ctx_ids
 
     # -- control events: keep the IIV current ---------------------------------------
@@ -400,10 +368,6 @@ class DDGBuilder(Instrumentation):
         n = len(instrs)
         if n == 0:
             return
-        filtering = self._emit_funcs is not None
-        if filtering and self._current_func not in self._emit_funcs:
-            self._slim_block(instrs, frame_id, addrs)
-            return
         self.instr_count += n
         cid, coords = self._context_view()
         self._ctx_weight[cid] += n
@@ -461,11 +425,6 @@ class DDGBuilder(Instrumentation):
                 key = me[0]
                 if not is_store:
                     if res is not None:
-                        if filtering and res[0][1] == -1:
-                            raise FrontierViolation(
-                                f"flow dep from non-emitted uid {res[0][0]} "
-                                f"into {self._current_func!r}"
-                            )
                         ident = (res[0], key, MEM_FLOW)
                         dk = dep_keys.get(ident)
                         if dk is None:
@@ -475,11 +434,6 @@ class DDGBuilder(Instrumentation):
                 elif track:
                     prev, readers = res
                     if prev is not None:
-                        if filtering and prev[0][1] == -1:
-                            raise FrontierViolation(
-                                f"output dep from non-emitted uid "
-                                f"{prev[0][0]} into {self._current_func!r}"
-                            )
                         ident = (prev[0], key, MEM_OUTPUT)
                         dk = dep_keys.get(ident)
                         if dk is None:
@@ -487,11 +441,6 @@ class DDGBuilder(Instrumentation):
                             dep_keys[ident] = dk
                         add_dpoint((dk, prev[1]))
                     for r in readers:
-                        if filtering and r[0][1] == -1:
-                            raise FrontierViolation(
-                                f"anti dep from non-emitted uid {r[0][0]} "
-                                f"into {self._current_func!r}"
-                            )
                         ident = (r[0], key, MEM_ANTI)
                         dk = dep_keys.get(ident)
                         if dk is None:
@@ -502,62 +451,3 @@ class DDGBuilder(Instrumentation):
         self.sink.instr_points(coords, ipoints)
         if dpoints:
             self.sink.dep_points(coords, dpoints)
-
-    def _slim_block(self, instrs, frame_id: int, addrs) -> None:
-        """Non-emitted tier of ``on_block``: contexts, register
-        definitions, shadow state, and the schedule tree stay exactly
-        as in a full run; statement declarations, labels, register-read
-        lookups, and all sink emission are skipped (the function's
-        folded region is reused from a baseline artifact)."""
-        n = len(instrs)
-        self.instr_count += n
-        cid, coords = self._context_view()
-        self._ctx_weight[cid] += n
-        ckey = (id(instrs), cid)
-        sinfo = self._slim_cache.get(ckey)
-        if sinfo is None:
-            metas = tuple(
-                (
-                    ins.uid,
-                    ins.dest,
-                    1 if ins.is_load else (2 if ins.is_store else 0),
-                )
-                for ins in instrs
-            )
-            # keep `instrs` alive so the id() cache key cannot be reused
-            sinfo = (instrs, metas)
-            self._slim_cache[ckey] = sinfo
-
-        defs = self._reg_defs.setdefault(frame_id, {})
-        mem_ops: List = []
-        i = 0
-        for uid, dest, memk in sinfo[1]:
-            if memk:
-                mem_ops.append((memk == 2, addrs[i], ((uid, -1), coords)))
-            if dest is not None:
-                defs[dest] = ((uid, cid), coords)
-            i += 1
-
-        if mem_ops:
-            results = self.shadow.process_block(mem_ops)
-            track = self.track_anti_output
-            for (is_store, _addr, _me), res in zip(mem_ops, results):
-                if not is_store:
-                    if res is not None and res[0][1] != -1:
-                        raise FrontierViolation(
-                            f"flow dep from emitted statement {res[0]} into "
-                            f"non-emitted {self._current_func!r}"
-                        )
-                elif track:
-                    prev, readers = res
-                    if prev is not None and prev[0][1] != -1:
-                        raise FrontierViolation(
-                            f"output dep from emitted statement {prev[0]} "
-                            f"into non-emitted {self._current_func!r}"
-                        )
-                    for r in readers:
-                        if r[0][1] != -1:
-                            raise FrontierViolation(
-                                f"anti dep from emitted statement {r[0]} "
-                                f"into non-emitted {self._current_func!r}"
-                            )

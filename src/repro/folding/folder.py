@@ -290,12 +290,12 @@ def canonical_ddg(
     ``(uid, ctx)`` key, dependences by ``(src, dst, kind)``.
 
     The codec serializes dicts in insertion order, so every path that
-    materializes a :class:`FoldedDDG` -- the fold and the incremental
-    stitch -- normalizes here.  That makes the
+    materializes a :class:`FoldedDDG` -- the fold and the stage-2
+    region decode -- normalizes here.  That makes the
     artifact bytes a function of the folded *set*, independent of the
     first-occurrence order of streams, which is exactly what lets a
-    frontier-only re-analysis (which never observes the skipped
-    regions' occurrence order) reproduce a cold run byte-for-byte.
+    decode (which rebuilds the DDG function by function) reproduce a
+    cold run byte-for-byte.
     """
     return FoldedDDG(
         statements={k: statements[k] for k in sorted(statements)},

@@ -1,27 +1,27 @@
-"""Incremental re-analysis: fingerprints, diffing, frontier slicing.
+"""Baseline re-analysis: fingerprints, diffing, twins.
 
 The store (:mod:`repro.store`) keys artifacts on the whole-program
-fingerprint, so a one-line edit to a large program is a full cold miss.
-This package extends the warm path from "identical program" to
-"similar program" with three static passes:
+fingerprint, so a program that differs from an analyzed one only in
+its uid numbering or function order would be a full cold miss.  This
+package extends the warm path from "identical program" to "twin
+program" with two static passes:
 
 1. **Manifest** (:mod:`.manifest`): per-function canonical
-   fingerprints + call-graph-aware transitive hashes + may-alias
-   access roots, persisted as a versioned ``man-`` artifact.
+   fingerprints, per-block fingerprints and call-graph-aware
+   transitive hashes, persisted as a versioned ``man-`` artifact.
 2. **Differ** (:mod:`.diff`): align functions and basic blocks of a
    submitted program against a baseline manifest by fingerprint --
    unchanged / modified / added / removed (+ rename detection), purely
    static, milliseconds.
-3. **Slicer** (:mod:`.slice`): close the changed set over the static
-   dependence channels (call edges, used return values, may-aliased
-   arrays) into an explicit re-analysis *frontier* with
-   machine-readable reasons per region.
 
-The pipeline (:func:`repro.pipeline.analyze` with ``baseline=``) then
-re-instruments only the frontier, reuses the per-function regions
-(:mod:`.regions`) of the baseline's stage-2 artifact for everything
-else, and stitches (:mod:`.stitch`) a folded DDG that is
-byte-identical to a cold full analysis.
+When every function is unchanged (:mod:`.plan`), the pipeline
+(:func:`repro.pipeline.analyze` with ``baseline=``) executes nothing:
+it decodes (:mod:`.stitch`) the per-function regions (:mod:`.regions`)
+of the baseline's stage-2 artifact against the submitted program, a
+folded DDG byte-identical to a cold full analysis.  Any other program
+runs cold: a dependence profile comes from a whole-program execution,
+so a one-function body edit reaches nearly every executed instruction
+and there is nothing to reuse.
 """
 
 from .diff import FunctionStatus, ProgramDiff, diff_document, diff_manifests
@@ -34,13 +34,10 @@ from .edit import (
 from .manifest import MANIFEST_FORMAT_VERSION, build_manifest
 from .plan import IncrementalInfo, IncrementalPlan, plan_incremental
 from .regions import REGION_FORMAT_VERSION, encode_regions
-from .slice import Frontier, FrontierReason, compute_frontier
 from .stitch import IncrementalMismatch, stitch_folded
 
 __all__ = [
     "FunctionStatus",
-    "Frontier",
-    "FrontierReason",
     "IncrementalInfo",
     "IncrementalMismatch",
     "IncrementalPlan",
@@ -48,7 +45,6 @@ __all__ = [
     "REGION_FORMAT_VERSION",
     "append_sink_instr",
     "build_manifest",
-    "compute_frontier",
     "diff_document",
     "diff_manifests",
     "edited_spec",

@@ -5,15 +5,16 @@ fingerprints (rename/renumber-invariant, see
 :func:`repro.isa.fingerprint.function_fingerprint`):
 
 * **unchanged** -- same local fingerprint.  Covers pure uid
-  re-numbering and reordering of other functions: the region's cached
-  analysis artifacts are reusable verbatim (modulo uid remapping).
+  re-numbering and reordering of other functions.  When every function
+  is unchanged the program is a *twin* of the baseline and is served
+  from the baseline's stored artifacts (modulo uid remapping).
 * **modified** -- present on both sides with different fingerprints;
   the per-block fingerprints narrow the change down to specific basic
   blocks for diagnostics.
 * **added** / **removed** -- present on one side only.  A
   removed+added pair with identical local fingerprints is additionally
-  flagged as a **rename** (reported as such; sliced as added+removed,
-  since loop/context identifiers embed the function name).
+  flagged as a **rename** (reported as such; analyzed cold, since
+  loop/context identifiers embed the function name).
 
 Purely static -- no execution, no baseline program, just the baseline
 *manifest* -- and linear in program size: milliseconds.
@@ -76,7 +77,7 @@ class ProgramDiff:
 
     @property
     def changed(self) -> List[str]:
-        """Names whose analysis is definitely stale (the slice seed)."""
+        """Names whose analysis is definitely stale."""
         return sorted(
             name
             for name, st in self.functions.items()
@@ -129,8 +130,8 @@ def diff_manifests(base: dict, new: dict) -> ProgramDiff:
                 subtree_clean=False,
             )
     # rename detection: greedy pairing of removed/added twins with
-    # identical canonical bodies (report-only; the slicer re-analyzes
-    # both sides because loop ids embed the function name)
+    # identical canonical bodies (report-only: loop ids embed the
+    # function name, so a renamed program is not a twin)
     removed_by_fp: Dict[str, List[str]] = {}
     for name, st in functions.items():
         if st.status == "removed":
@@ -161,17 +162,17 @@ def diff_programs(base_program: Program, new_program: Program) -> ProgramDiff:
 
 
 #: schema version of the ``repro diff`` JSON document
-DIFF_SCHEMA_VERSION = 1
+#: v2: the classification only (no ``frontier`` section)
+DIFF_SCHEMA_VERSION = 2
 
 
 def diff_document(
     diff: ProgramDiff,
-    frontier=None,
     baseline_name: str = "",
     program_name: str = "",
 ) -> dict:
     """The machine-readable ``repro diff`` output document."""
-    doc = {
+    return {
         "version": DIFF_SCHEMA_VERSION,
         "kind": "diff",
         "baseline": {
@@ -184,6 +185,3 @@ def diff_document(
             name: st.as_dict() for name, st in sorted(diff.functions.items())
         },
     }
-    if frontier is not None:
-        doc["frontier"] = frontier.as_dict()
-    return doc

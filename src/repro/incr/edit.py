@@ -1,7 +1,9 @@
 """Tiny semantics-preserving program edits for tests, CI, and benches.
 
-The incremental path is exercised end-to-end by editing *one function*
-of a real workload and re-analyzing against the baseline.  The edit
+``analyze(baseline=...)`` is exercised end-to-end by editing *one
+function* of a real workload (the edit plans cold) or renumbering its
+uids (a twin, served from the baseline) and re-analyzing against the
+baseline.  The edit
 appended here -- a ``const`` into a dead ``%sink``-prefixed register at
 the end of the target function's entry block -- is the smallest change
 that is still an honest body edit: the function's fingerprint, its

@@ -1,4 +1,4 @@
-"""The versioned program manifest: static facts the differ/slicer need.
+"""The versioned program manifest: the static facts the differ reads.
 
 One manifest per program digest (``man-`` store level), written as a
 side effect of any stored analysis.  It captures, per function:
@@ -6,11 +6,9 @@ side effect of any stored analysis.  It captures, per function:
 * the canonical local fingerprint (rename/renumber-invariant) and the
   per-basic-block fingerprints (:mod:`repro.isa.fingerprint`);
 * the call-graph-aware transitive hash (an edit anywhere below a
-  function changes its transitive hash);
-* the static callee set and instruction count;
-* the grounded may-alias access tokens (:mod:`.alias`).
+  function changes its transitive hash).
 
-A later submission of an *edited* program diffs against the baseline
+A later submission of another program diffs against the baseline
 manifest alone -- the baseline program itself is never needed, which
 is what lets the service take just a ``baseline_fingerprint`` string.
 """
@@ -21,35 +19,27 @@ from ..isa.fingerprint import (
     block_fingerprints,
     fingerprint_program,
     function_fingerprints,
-    static_callees,
     transitive_fingerprints,
 )
 from ..isa.program import Program
-from .alias import AccessRoots
 
 #: bump on any change to the manifest payload layout
-MANIFEST_FORMAT_VERSION = 1
+#: v2: per function only ``local``, ``transitive`` and ``blocks``
+MANIFEST_FORMAT_VERSION = 2
 
 
 def build_manifest(program: Program) -> dict:
     """Compute the full static manifest of one program."""
     local = function_fingerprints(program)
     trans = transitive_fingerprints(program, local)
-    roots = AccessRoots(program)
-    functions = {}
-    for name in sorted(program.functions):
-        fn = program.functions[name]
-        functions[name] = {
+    functions = {
+        name: {
             "local": local[name],
             "transitive": trans[name],
-            "params": list(fn.params),
-            "entry": fn.entry,
-            "instrs": sum(len(bb.instrs) for bb in fn.blocks.values()),
-            "callees": sorted(static_callees(fn)),
-            "blocks": block_fingerprints(fn),
-            "reads": sorted(roots.reads[name]),
-            "writes": sorted(roots.writes[name]),
+            "blocks": block_fingerprints(program.functions[name]),
         }
+        for name in sorted(program.functions)
+    }
     return {
         "format": MANIFEST_FORMAT_VERSION,
         "program": program.name,

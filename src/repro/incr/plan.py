@@ -1,7 +1,7 @@
-"""Plan one incremental analysis: diff, slice, load reusable regions.
+"""Plan one ``analyze(baseline=...)`` call: diff, then load or go cold.
 
 :func:`plan_incremental` runs entirely statically (plus store reads)
-before any execution, and decides between three modes:
+before any execution, and decides between two modes:
 
 * ``identical`` -- the diff is all-unchanged (uid renumbering,
   function reordering): the baseline execution is bit-identical, so
@@ -11,32 +11,31 @@ before any execution, and decides between three modes:
   feedback stage recomputes no dependence vector, and the baseline's
   ``cp-``/``ddg-`` files are copied byte for byte under the program's
   own keys instead of being re-encoded.
-* ``incremental`` -- a proper subset of functions is on the frontier:
-  stage 2 re-executes with the DDG builder emitting only frontier
-  functions, and the rest is stitched from the regions of the
-  baseline's stage-2 (``ddg-``) payload.
-* ``cold`` -- nothing reusable (manifest or stage-2 payload missing,
-  frontier covers the whole program, baseline is this very program,
-  ...): the ordinary pipeline runs; ``reason`` says why.
+* ``cold`` -- the ordinary pipeline runs; ``reason`` says why: the
+  program changed (``program-changed``: a body edit reaches nearly
+  every executed instruction of a whole-program profile, so a cold
+  run is the cheapest correct answer), the baseline is this very
+  program, or its manifest or stage-2 payload is missing or corrupt.
+
+The pipeline sets a third mode, ``warm``, when the submitted program's
+own stage-2 artifact is already stored.
 
 The plan also carries :class:`IncrementalInfo`, the machine-readable
-account (mode, diff summary, frontier reasons, regions reused) that
-surfaces on :class:`~repro.pipeline.AnalysisResult`, the CLI's stderr
-summary, and the service job document -- deliberately *not* in the
+account (mode, diff summary, regions reused) that surfaces on
+:class:`~repro.pipeline.AnalysisResult`, the CLI's stderr summary,
+and the service job document -- deliberately *not* in the
 report/metrics documents, which stay byte-identical to a cold run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from ..store import ArtifactKeys, derive_keys
-from .alias import AccessRoots
-from .diff import ProgramDiff, diff_manifests
+from .diff import diff_manifests
 from .manifest import build_manifest, manifest_ok
 from .regions import region_ok
-from .slice import Frontier, compute_frontier
 
 
 @dataclass
@@ -44,11 +43,9 @@ class IncrementalInfo:
     """What the incremental machinery did for one analyze() call."""
 
     baseline: str
-    mode: str                    # identical | incremental | cold
+    mode: str                    # identical | warm | cold
     reason: Optional[str] = None  # why cold / why a fallback happened
     summary: Dict[str, int] = field(default_factory=dict)
-    #: frontier function -> machine-readable reasons
-    frontier: Dict[str, List[dict]] = field(default_factory=dict)
     funcs_total: int = 0
     regions_reused: int = 0
 
@@ -57,7 +54,6 @@ class IncrementalInfo:
             "baseline": self.baseline,
             "mode": self.mode,
             "summary": dict(self.summary),
-            "frontier": {k: list(v) for k, v in sorted(self.frontier.items())},
             "funcs_total": self.funcs_total,
             "regions_reused": self.regions_reused,
         }
@@ -68,19 +64,14 @@ class IncrementalInfo:
 
 @dataclass
 class IncrementalPlan:
-    """Everything analyze() needs to run one incremental call."""
+    """Everything analyze() needs to serve one baseline call."""
 
-    mode: str                             # identical | incremental | cold
+    mode: str                             # identical | cold
     info: IncrementalInfo
     new_manifest: Optional[dict] = None
-    diff: Optional[ProgramDiff] = None
-    frontier: Optional[Frontier] = None
-    #: functions the DDG builder fully instruments (incremental mode)
-    emit_funcs: Optional[Set[str]] = None
-    #: validated region payloads to stitch (non-frontier funcs)
-    regions: Dict[str, dict] = field(default_factory=dict)
     base_keys: Optional[ArtifactKeys] = None
-    #: the baseline's stage-2 payload the regions were taken from
+    #: the baseline's stage-2 payload, every region checked (identical
+    #: mode)
     base_payload: Optional[dict] = None
 
 
@@ -104,7 +95,7 @@ def plan_incremental(
     fuel: int,
     clamp: Optional[int],
 ) -> IncrementalPlan:
-    """Static planning pass: manifest, diff, slice, region loads."""
+    """Static planning pass: manifest, diff, baseline payload load."""
     from ..store import manifest_key
 
     program = spec.program
@@ -119,68 +110,42 @@ def plan_incremental(
     if base_manifest["digest"] != baseline:
         return _cold(baseline, "baseline-manifest-corrupt", new_manifest)
 
-    base_keys = derive_keys(
+    with tracer.span("incr.diff", cat="incr") as sp:
+        diff = diff_manifests(base_manifest, new_manifest)
+        sp.count("changed", len(diff.changed))
+
+    info = IncrementalInfo(
+        baseline=baseline,
+        mode="cold",
+        summary=diff.summary(),
+        funcs_total=len(program.functions),
+    )
+    plan = IncrementalPlan(mode="cold", info=info, new_manifest=new_manifest)
+    if not diff.all_unchanged:
+        info.reason = "program-changed"
+        return plan
+
+    # a twin: every function's region comes out of the baseline's one
+    # stage-2 payload; without a sound payload nothing is reusable
+    plan.base_keys = derive_keys(
         baseline,
         keys.state_digest,
         fuel=fuel,
         clamp=clamp,
     )
-
-    with tracer.span("incr.diff", cat="incr") as sp:
-        diff = diff_manifests(base_manifest, new_manifest)
-        sp.count("changed", len(diff.changed))
-
-    with tracer.span("incr.slice", cat="incr") as sp:
-        roots = AccessRoots(program)
-        frontier = compute_frontier(program, diff, base_manifest, roots)
-        sp.count("frontier", len(frontier.funcs))
-        sp.count("affected", len(frontier.affected))
-
-    emit_funcs = set(frontier.funcs)
-    reuse_funcs = [f for f in program.functions if f not in emit_funcs]
-
-    info = IncrementalInfo(
-        baseline=baseline,
-        mode="incremental",
-        summary=diff.summary(),
-        frontier={
-            name: [r.as_dict() for r in frontier.reasons.get(name, [])]
-            for name in sorted(frontier.funcs)
-        },
-        funcs_total=len(program.functions),
-    )
-    plan = IncrementalPlan(
-        mode="incremental",
-        info=info,
-        new_manifest=new_manifest,
-        diff=diff,
-        frontier=frontier,
-        emit_funcs=emit_funcs,
-        base_keys=base_keys,
-    )
-    if not reuse_funcs:
-        plan.mode = info.mode = "cold"
-        info.reason = "frontier-covers-program"
-        return plan
-
-    # every reusable function's region comes out of the baseline's one
-    # stage-2 payload; without a sound payload nothing is reusable
     with tracer.span("incr.load", cat="incr") as sp:
-        payload = store.get(base_keys.stage2)
+        payload = store.get(plan.base_keys.stage2)
         stored = payload.get("regions") if isinstance(payload, dict) else None
         if isinstance(stored, dict) and all(
-            region_ok(stored.get(f)) for f in reuse_funcs
+            region_ok(stored.get(f)) for f in program.functions
         ):
-            plan.regions = {f: stored[f] for f in reuse_funcs}
             plan.base_payload = payload
-        sp.count("regions", len(plan.regions))
-    if not plan.regions:
-        plan.mode = info.mode = "cold"
+            plan.mode = info.mode = "identical"
+            info.regions_reused = len(program.functions)
+        sp.count("regions", info.regions_reused)
+    if plan.base_payload is None:
         info.reason = (
             "baseline-stage2-miss" if payload is None
             else "baseline-stage2-corrupt"
         )
-    elif not emit_funcs and diff.all_unchanged:
-        plan.mode = info.mode = "identical"
-    info.regions_reused = len(plan.regions)
     return plan

@@ -1,9 +1,8 @@
 """Per-function folded-DDG regions: the stored form of a folded DDG.
 
 The stage-2 (``ddg-``) artifact stores its folded DDG exactly once,
-carved into one region per function, so a warm hit can rebuild the
-whole DDG and an incremental run can reuse the untouched functions'
-slices from the same payload.  Identities are stored
+carved into one region per function, from which a warm hit or a
+renumbered twin rebuilds the whole DDG.  Identities are stored
 *position-independently*: statements carry their function-local
 ordinal (canonical traversal order, see
 :func:`repro.isa.fingerprint.function_uid_ordinals`) and their interned
@@ -13,8 +12,8 @@ bookkeeping (:mod:`.stitch`), with no dependence on how the baseline
 frontend happened to number instructions.
 
 Dependences are owned by their *destination* statement's function --
-the side whose execution discovers the dependence -- so stitching a
-frontier's fresh deps with reused regions never double-counts.
+the side whose execution discovers the dependence -- so each is
+stored exactly once.
 
 One polyhedron serves many statements and dependences (a dependence
 domain is usually its destination's domain), so a region spells each
@@ -25,8 +24,8 @@ value out once, in three tables, and its rows refer to them by index:
 * ``maps`` -- encoded :class:`~repro.poly.pmap.IMap` dependence
   relations;
 * ``ctxs`` -- ``[ctx_id, context]`` pairs: the context tuple and the
-  id the analysis interned it under (a warm hit keeps that id
-  verbatim; an incremental stitch re-interns the tuple).
+  id the analysis interned it under (a decode keeps that id
+  verbatim).
 
 Each table holds distinct entries.  Statement and dependence rows are
 fixed-order lists (:data:`STMT_FIELDS`, :data:`DEP_FIELDS`); what the

@@ -1,30 +1,26 @@
-"""Stitch fresh frontier folds with reused regions.
+"""Decode a stage-2 payload's per-function regions into a folded DDG.
 
-The incremental stage 2 produces a *partial* folded DDG covering only
-the frontier functions; everything else is decoded from the regions of
-the baseline's stage-2 artifact and re-mapped onto the submitted
-program:
+Every region of a stored stage-2 (``ddg-``) payload is decoded and
+re-mapped onto the submitted program -- the analyzed program itself
+(a warm hit) or a renumbered or function-reordered twin of it (the
+incremental ``identical`` mode):
 
 * a statement's global uid is recovered from its function-local
   ordinal (rename/renumber-invariant);
-* its context id is re-interned through the *live run's* context
-  table, so reused and fresh statements share one id space (on the
-  no-execution fast path the baseline ids are taken verbatim -- an
-  all-unchanged diff implies a bit-identical execution and therefore a
-  bit-identical interning sequence).  A warm stage-2 hit takes the
-  same verbatim path with every region of its own payload and no fresh
-  fold.
+* its context id is taken verbatim: a twin's execution is
+  bit-identical to the baseline's, and therefore so is its interning
+  sequence.
 
-Each region's ``sets``/``maps``/``ctxs`` table entry is decoded (and
-its context resolved) once; every statement, label piece and
-dependence that names the entry shares the decoded object, as the
-statements of a cold fold share its fold results.
+Each region's ``sets``/``maps``/``ctxs`` table entry is decoded once;
+every statement, label piece and dependence that names the entry
+shares the decoded object, as the statements of a cold fold share its
+fold results.
 
-Every inconsistency -- a context the live run never observed, an
-ordinal past the function's end, a key landing on both sides, a row
-of the wrong length or an index past its table -- raises
+Every inconsistency -- an ordinal past the function's end, a key
+decoded twice, a dependence whose source is not in the decoded DDG, a
+row of the wrong length or an index past its table -- raises
 :class:`IncrementalMismatch`, which the pipeline answers with a cold
-re-fold (a warm decode treats it as a store miss).  The stitched
+re-fold (a warm decode treats it as a store miss).  The decoded
 result passes through :func:`repro.folding.canonical_ddg`, making it
 byte-identical (through the codec and every report) to a cold full
 analysis of the same program.
@@ -49,8 +45,8 @@ from .regions import REGION_FORMAT_VERSION
 
 
 class IncrementalMismatch(RuntimeError):
-    """Reused baseline artifacts are inconsistent with the live run;
-    the caller must fall back to a cold analysis."""
+    """A stored stage-2 payload is inconsistent with the program it is
+    decoded against; the caller must fall back to a cold analysis."""
 
 
 def ordinal_uids(program: Program) -> Dict[Tuple[str, int], int]:
@@ -65,16 +61,11 @@ def ordinal_uids(program: Program) -> Dict[Tuple[str, int], int]:
 
 def stitch_folded(
     program: Program,
-    fresh: Optional[FoldedDDG],
     regions: Dict[str, dict],
-    ctx_ids: Optional[Dict[Tuple, int]],
     uid_of: Optional[Dict[Tuple[str, int], int]] = None,
 ) -> FoldedDDG:
-    """Merge the frontier's fresh fold with reused region payloads.
+    """Decode region payloads into one folded DDG of ``program``.
 
-    ``ctx_ids`` is the live run's context-interning table
-    (``DDGBuilder.context_ids``); ``None`` selects the verbatim-id
-    fast path for all-unchanged diffs where no execution happened.
     ``uid_of`` is the program's :func:`ordinal_uids` table when the
     caller already built it (a stage-2 decode shares it with the
     dependence vectors).
@@ -93,8 +84,8 @@ def stitch_folded(
             )
         return uid
 
-    statements = dict(fresh.statements) if fresh is not None else {}
-    deps = dict(fresh.deps) if fresh is not None else {}
+    statements: Dict[StmtKey, FoldedStatement] = {}
+    deps: Dict[DepKey, FoldedDep] = {}
 
     for func, payload in regions.items():
         if payload.get("format") != REGION_FORMAT_VERSION:
@@ -110,17 +101,10 @@ def stitch_folded(
             maps = {
                 i: decode_imap(e) for i, e in enumerate(payload["maps"])
             }
-            ctxs: Dict[int, Tuple[int, tuple]] = {}
-            for i, (cid, raw) in enumerate(payload["ctxs"]):
-                context = tuple(tuple(elem) for elem in raw)
-                if ctx_ids is not None:
-                    cid = ctx_ids.get(context)
-                    if cid is None:
-                        raise IncrementalMismatch(
-                            f"region {func!r}: context never observed "
-                            "by this run"
-                        )
-                ctxs[i] = (cid, context)
+            ctxs: Dict[int, Tuple[int, tuple]] = {
+                i: (cid, tuple(tuple(elem) for elem in raw))
+                for i, (cid, raw) in enumerate(payload["ctxs"])
+            }
 
             for (
                 o, ci, di, count, exact, labels, had_label, is_scev
@@ -130,8 +114,7 @@ def stitch_folded(
                 key: StmtKey = (uid, cid)
                 if key in statements:
                     raise IncrementalMismatch(
-                        f"region {func!r}: statement {key} already "
-                        "folded fresh"
+                        f"region {func!r}: statement {key} repeated"
                     )
                 statements[key] = FoldedStatement(
                     stmt=Statement(
@@ -164,7 +147,7 @@ def stitch_folded(
                 )
                 if dkey in deps:
                     raise IncrementalMismatch(
-                        f"region {func!r}: dep {dkey} already folded fresh"
+                        f"region {func!r}: dep {dkey} repeated"
                     )
                 deps[dkey] = FoldedDep(
                     key=dkey,
@@ -190,11 +173,11 @@ def stitch_folded(
             ) from exc
     stitched = canonical_ddg(statements, deps)
 
-    # reused dep endpoints must reference statements the stitched DDG
-    # actually contains -- a dangling source means the slice was wrong
+    # every dependence source must be a decoded statement -- a dangling
+    # one means the payload lost a region or a row
     for dkey in stitched.deps:
         if dkey.src not in stitched.statements:
             raise IncrementalMismatch(
-                f"dep {dkey} references a statement outside the stitch"
+                f"dep {dkey} references a statement outside the decoded DDG"
             )
     return stitched

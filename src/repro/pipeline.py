@@ -142,22 +142,13 @@ def profile_ddg(
     engine: str = "fast",
     extra_observers: Sequence = (),
     tracer: Optional[Tracer] = None,
-    emit_funcs: Optional[set] = None,
 ) -> DDGProfile:
     """Stage 2: build the DDG point streams (fresh execution).
 
     ``wall_seconds`` is the ``stage2.execute`` span's duration (the
     instrumented execution with the DDG builder riding along).  The
     fast engine's builder keeps the dynamic IIV with a jump table; the
-    reference engine's runs Algorithms 1-3 on every control event.
-
-    ``emit_funcs`` restricts sink emission to the named functions
-    (incremental re-analysis); everything else runs the builder's
-    non-emitted tier -- see :class:`~repro.ddg.builder.DDGBuilder`.
-    Only the fast engine has that tier: the reference engine with
-    ``emit_funcs`` raises :class:`ValueError`."""
-    if emit_funcs is not None and engine != "fast":
-        raise ValueError("emit_funcs needs the fast engine")
+    reference engine's runs Algorithms 1-3 on every control event."""
     tracer = tracer if tracer is not None else Tracer()
     args, memory = spec.make_state()
     if sink is None:
@@ -170,7 +161,6 @@ def profile_ddg(
             sink,
             track_anti_output=track_anti_output,
             build_schedule_tree=build_schedule_tree,
-            emit_funcs=emit_funcs,
             jump_table=engine == "fast",
         )
     with tracer.span("stage2.execute", cat="exec", engine=engine) as sp:
@@ -357,14 +347,14 @@ def analyze(
 
     ``baseline`` (requires ``store``) is the program fingerprint of a
     previously analyzed baseline: the spec's program is statically
-    diffed against the baseline's manifest, the invalidated dependence
-    frontier is sliced (:mod:`repro.incr`), and only the frontier is
-    re-instrumented -- everything else is stitched from the
-    per-function regions of the baseline's stage-2 artifact.  The
-    result is byte-identical to a cold full analysis; what the
-    machinery did is reported on
-    ``result.incremental``.  Any dynamic boundary violation or stitch
-    inconsistency falls back to a cold run automatically.
+    diffed against the baseline's manifest (:mod:`repro.incr`).  A
+    twin -- every function unchanged, as after uid renumbering or
+    function reordering -- executes nothing: both stages are decoded
+    from the baseline's stored artifacts.  Any other program runs
+    cold.  The result is byte-identical to a cold full analysis; what
+    the machinery did is reported on ``result.incremental``.  A
+    baseline payload that does not decode falls back to a cold run
+    automatically.
     """
     from .folding import FastFoldingSink, FoldingSink
     from .schedule import analyze_forest, build_nest_forest, plan_all
@@ -399,15 +389,10 @@ def analyze(
     with tracer.span(
         "analyze", cat="pipeline", workload=spec.name, engine=engine
     ) as root:
-        # -- incremental planning: diff + slice + baseline payload -------------
+        # -- baseline planning: diff + baseline payload ------------------------
         incr_plan = None
         if baseline is not None:
-            from .ddg import FrontierViolation
-            from .incr import (
-                IncrementalMismatch,
-                plan_incremental,
-                stitch_folded,
-            )
+            from .incr import IncrementalMismatch, plan_incremental
 
             incr_plan = plan_incremental(
                 spec,
@@ -465,9 +450,8 @@ def analyze(
             dep_vectors = None
             loaded = None
 
-            def run_stage2(emit_funcs):
-                """One instrumented stage-2 execution + fold; ``None``
-                emits everything (cold), a set emits only the frontier."""
+            def run_stage2():
+                """One instrumented stage-2 execution + fold."""
                 sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
                 sink = sink_cls(clamp=clamp)
                 ddgp = profile_ddg(
@@ -478,7 +462,6 @@ def analyze(
                     engine=engine,
                     extra_observers=extra_observers,
                     tracer=tracer,
-                    emit_funcs=emit_funcs,
                 )
                 with tracer.span("fold.finalize", cat="fold"):
                     folded = sink.finalize(tracer=tracer)
@@ -501,33 +484,17 @@ def analyze(
                         folded, ddgp, dep_vectors = decode_stage2(
                             incr_plan.base_payload, spec.program
                         )
-                        sp.count("regions_reused", len(incr_plan.regions))
+                        sp.count(
+                            "regions_reused", incr_plan.info.regions_reused
+                        )
                     stage2_cached = True
                 except IncrementalMismatch as exc:
                     incr_plan.info.mode = "cold"
                     incr_plan.info.reason = f"fallback: {exc}"
                     incr_plan.info.regions_reused = 0
-                    ddgp, folded = run_stage2(None)
-            elif incr_plan is not None and incr_plan.mode == "incremental":
-                try:
-                    ddgp, fresh = run_stage2(set(incr_plan.emit_funcs))
-                    with tracer.span("incr.stitch", cat="incr") as sp:
-                        folded = stitch_folded(
-                            spec.program,
-                            fresh,
-                            incr_plan.regions,
-                            ddgp.builder.context_ids,
-                        )
-                        sp.count("regions_reused", len(incr_plan.regions))
-                except (FrontierViolation, IncrementalMismatch) as exc:
-                    incr_plan.info.mode = "cold"
-                    incr_plan.info.reason = (
-                        f"fallback: {type(exc).__name__}: {exc}"
-                    )
-                    incr_plan.info.regions_reused = 0
-                    ddgp, folded = run_stage2(None)
+                    ddgp, folded = run_stage2()
             else:
-                ddgp, folded = run_stage2(None)
+                ddgp, folded = run_stage2()
 
         # -- feedback: dependence vectors, forest analysis, planning -----------
         with tracer.span("feedback", cat="stage"):

@@ -123,10 +123,12 @@ class ServiceClient:
         **options,
     ) -> dict:
         """POST /v1/analyze.  ``baseline_fingerprint`` (a 64-hex
-        program digest previously analyzed by the service) requests
-        incremental re-analysis: only the sliced dependence frontier is
-        re-instrumented; artifacts are byte-identical to a cold run and
-        the job status doc carries the ``incremental`` account.
+        program digest previously analyzed by the service) diffs the
+        program against that baseline: a twin (every function
+        unchanged, e.g. renumbered uids) is served from the baseline's
+        artifacts without executing, anything else runs cold;
+        artifacts are byte-identical to a cold run and the job status
+        doc carries the ``incremental`` account.
 
         ``traceparent`` (a W3C ``00-<trace>-<span>-<flags>`` header
         value, e.g. :meth:`TraceContext.to_traceparent

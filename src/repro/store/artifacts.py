@@ -15,11 +15,9 @@ Two artifacts per (workload, options) pair:
   instruction count, run statistics, the dynamic schedule tree for
   flame graphs); and the dependence vectors that feed the feedback
   stages, one positional row each (:mod:`repro.schedule.codec`).  A
-  warm hit and an incremental run read the same regions: the first
-  rebuilds the whole DDG from them, the second reuses the untouched
-  functions' regions against an edited program.  No part of the
+  warm hit rebuilds the whole DDG from the regions.  No part of the
   payload names a uid, so a renumbered twin of the analyzed program
-  decodes it whole, and the store can serve the twin a byte copy.
+  decodes it whole too, and the store can serve the twin a byte copy.
 
 Wall-clock fields are preserved verbatim: a decoded artifact reports
 the profiling time it *avoided*; the fresh cost of a warm run lives in
@@ -196,7 +194,7 @@ def decode_stage2(
     from ..pipeline import DDGProfile
 
     uid_of = ordinal_uids(program)
-    folded = stitch_folded(program, None, data["regions"], None, uid_of)
+    folded = stitch_folded(program, data["regions"], uid_of)
     ddgp = DDGProfile(
         builder=CachedInstrumentation(
             int(data["instr_count"]),

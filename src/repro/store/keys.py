@@ -12,12 +12,12 @@ still reuses the cached :class:`~repro.pipeline.ControlProfile`.
 Both keys are salted with :data:`~repro.store.store.STORE_FORMAT_VERSION`
 so a format bump makes every old artifact an orderly miss.
 
-One further level serves incremental re-analysis (:mod:`repro.incr`):
+One further level serves ``analyze(baseline=...)`` (:mod:`repro.incr`):
 the **manifest key** (``man-``) covers the static program manifest --
-per-function fingerprints, call edges, access roots -- and depends on
-the program digest alone.  The per-function slices of the folded DDG
-that an incremental run reuses live inside the stage-2 artifact, so
-they need no key of their own.
+per-function and per-block fingerprints -- and depends on the program
+digest alone.  The per-function regions of the folded DDG that a twin
+reuses live inside the stage-2 artifact, so they need no key of their
+own.
 
 Only the production (fast) pipeline reads or writes the store, so no
 execution-path choice enters the key material.
@@ -61,7 +61,7 @@ def manifest_key(program_digest: str) -> str:
     """Program-manifest artifact key ("man-<sha256>").
 
     Keyed by the program digest alone: the manifest is pure static
-    analysis (per-function fingerprints, call edges, access roots), so
+    analysis (per-function and per-block fingerprints), so
     it is shared across states, fuel budgets, and folding
     options.  Dynamic mismatches surface naturally as ddg- misses.
     """

@@ -70,7 +70,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: v6: the document drops its ``key`` field (the file name is the key,
 #: so one payload is one byte string under any key), and dependence
 #: vector rows name their endpoints by (function, ordinal, context id)
-STORE_FORMAT_VERSION = 6
+#: v7: the ``man-`` manifest keeps only what the differ reads (manifest
+#: format 2); its key is salted by this version alone
+STORE_FORMAT_VERSION = 7
 
 #: name prefix of a put's temp file, renamed into place when complete
 _TEMP_PREFIX = ".tmp-"

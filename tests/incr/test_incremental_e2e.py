@@ -1,17 +1,18 @@
-"""End-to-end incremental re-analysis: byte identity or bust.
+"""End-to-end ``analyze(baseline=...)``: byte identity or bust.
 
 The contract under test: ``analyze(baseline=...)`` may reuse whatever
 it wants, but the rendered report and metrics documents must be
 byte-identical to a cold full analysis of the same program -- plain
-and under ``--crosscheck``.  (Only the fast engine reads the store;
-the reference engine is serial and uncached.)
+and under ``--crosscheck``.  A twin (every function unchanged) is
+served from the baseline's stored payload; any other program plans
+cold without reading that payload.  (Only the fast engine reads the
+store; the reference engine is serial and uncached.)
 """
 
 import os
 
 import pytest
 
-from repro.ddg import FrontierViolation
 from repro.feedback.jsonout import (
     metrics_document,
     render_json,
@@ -21,7 +22,7 @@ from repro.incr import edited_spec, renumbered_spec
 from repro.incr.regions import DEP_FIELDS, STMT_FIELDS
 from repro.isa import fingerprint_program
 from repro.obs import Tracer
-from repro.pipeline import analyze, profile_control, profile_ddg
+from repro.pipeline import analyze
 from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads
 
@@ -44,11 +45,21 @@ def _renumbered_spec():
 
 
 @pytest.mark.parametrize("crosscheck", [False, True])
-def test_incremental_byte_identical_to_cold(tmp_path, crosscheck):
+def test_incremental_byte_identical_to_cold(tmp_path, monkeypatch, crosscheck):
+    """A one-function body edit plans cold from the diff alone: it
+    never reads the baseline's stage-2 payload."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
 
+    requested = []
+    get = store.get
+
+    def spy(key):
+        requested.append(key)
+        return get(key)
+
+    monkeypatch.setattr(store, "get", spy)
     inc = analyze(
         edited_spec(_spec(), "assign_points"),
         store=store,
@@ -56,13 +67,13 @@ def test_incremental_byte_identical_to_cold(tmp_path, crosscheck):
         baseline=baseline,
     )
     assert inc.incremental is not None
-    assert inc.incremental.mode == "incremental"
-    # the one-function edit re-instruments exactly the sliced frontier
-    assert set(inc.incremental.frontier) == {
-        "assign_points", "update_centers",
-    }
-    assert inc.incremental.regions_reused == 1  # main
+    assert inc.incremental.mode == "cold"
+    assert inc.incremental.reason == "program-changed"
+    assert inc.incremental.regions_reused == 0
     assert inc.incremental.summary["modified"] == 1
+    assert inc.incremental.funcs_total == 3
+    assert requested, "the planner reads the baseline's manifest"
+    assert _stage2_key() not in requested
     if crosscheck:
         assert inc.crosscheck is not None
         assert not inc.crosscheck.violations, inc.crosscheck.render()
@@ -134,7 +145,7 @@ def _stage2_key():
 
 def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     """A structurally-valid but inconsistent region inside the baseline
-    ddg- payload must trip the stitcher and land on the cold path with
+    ddg- payload must trip the decoder and land on the cold path with
     identical output."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
@@ -142,18 +153,16 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
 
     key = _stage2_key()
     payload = store.get(key)
-    # main is the region an assign_points edit reuses
     payload["regions"]["main"]["statements"][0][STMT_FIELDS.index("ord")] = (
         10**6
     )
     store.put(key, payload)
 
-    inc = analyze(
-        edited_spec(_spec(), "assign_points"), store=store, baseline=baseline
-    )
+    inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
     assert inc.incremental.mode == "cold"
     assert inc.incremental.reason.startswith("fallback:")
-    cold = analyze(edited_spec(_spec(), "assign_points"))
+    assert inc.incremental.regions_reused == 0
+    cold = analyze(_renumbered_spec())
     assert _docs(inc) == _docs(cold)
 
 
@@ -183,14 +192,12 @@ def test_malformed_region_row_falls_back_cold(tmp_path, how):
     _malform(payload["regions"]["main"], how)
     store.put(key, payload)
 
-    inc = analyze(
-        edited_spec(_spec(), "assign_points"), store=store, baseline=baseline
-    )
+    inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
     assert inc.incremental.mode == "cold"
     assert inc.incremental.reason.startswith(
-        "fallback: IncrementalMismatch: region 'main': malformed"
+        "fallback: region 'main': malformed"
     )
-    cold = analyze(edited_spec(_spec(), "assign_points"))
+    cold = analyze(_renumbered_spec())
     assert _docs(inc) == _docs(cold)
 
 
@@ -211,19 +218,16 @@ def test_malformed_region_row_is_a_warm_miss(tmp_path, how):
     assert _docs(warm) == _docs(cold)
 
 
-@pytest.mark.parametrize("edit", ["renumber", "assign_points"])
+@pytest.mark.parametrize("edit", ["renumber"])
 def test_missing_baseline_stage2_goes_cold_identically(tmp_path, edit):
-    """Without the baseline's ddg- payload nothing is reusable: the run
-    is cold, says why, and renders the same bytes as a cold analysis."""
+    """Without the baseline's ddg- payload a twin has nothing to reuse:
+    the run is cold, says why, and renders the same bytes as a cold
+    analysis."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
     os.unlink(store.path_of(_stage2_key()))
-
-    def make():
-        if edit == "renumber":
-            return _renumbered_spec()
-        return edited_spec(_spec(), edit)
+    make = {"renumber": _renumbered_spec}[edit]
 
     inc = analyze(make(), store=store, baseline=baseline)
     info = inc.incremental
@@ -248,53 +252,33 @@ def test_corrupt_baseline_stage2_goes_cold(tmp_path):
     assert _docs(inc) == _docs(analyze(_renumbered_spec()))
 
 
+def _span_names(store, spec, baseline):
+    tracer = Tracer()
+    analyze(spec, store=store, baseline=baseline, tracer=tracer)
+    tracer.close()
+    return {
+        span.name
+        for root in tracer.roots
+        for _depth, span in root.walk()
+    }
+
+
 def test_incr_spans_cover_the_pipeline(tmp_path):
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
 
-    tracer = Tracer()
-    analyze(
-        edited_spec(_spec(), "assign_points"),
-        store=store,
-        baseline=baseline,
-        tracer=tracer,
+    names = _span_names(store, _renumbered_spec(), baseline)
+    assert {"incr.diff", "incr.load", "incr.stitch", "incr.put"} <= names
+
+
+def test_body_edit_spans_stop_at_the_diff(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    baseline = fingerprint_program(_spec().program)
+    analyze(_spec(), store=store)
+
+    names = _span_names(
+        store, edited_spec(_spec(), "assign_points"), baseline
     )
-    tracer.close()
-    names = {
-        span.name
-        for root in tracer.roots
-        for _depth, span in root.walk()
-    }
-    assert {
-        "incr.diff", "incr.slice", "incr.load", "incr.stitch", "incr.put",
-    } <= names
-
-
-def test_frontier_violation_when_slice_is_too_small():
-    """Deliberately emit only the writer of shared arrays: the slim
-    reader observes a real (emitted) ref and must refuse, not drop the
-    crossing dependence on the floor."""
-    spec = _spec()
-    control = profile_control(spec)
-    with pytest.raises(FrontierViolation):
-        profile_ddg(spec, control, emit_funcs={"assign_points"})
-
-
-def test_reference_engine_has_no_frontier_tier():
-    spec = _spec()
-    control = profile_control(spec)
-    with pytest.raises(ValueError, match="fast engine"):
-        profile_ddg(spec, control, engine="reference", emit_funcs=set())
-
-
-def test_empty_emit_set_runs_violation_free():
-    """All-slim execution (the incremental path for an all-unchanged
-    diff that still must execute) observes no emitted refs anywhere."""
-    spec = _spec()
-    control = profile_control(spec)
-    ddgp = profile_ddg(spec, control, emit_funcs=set())
-    full = profile_ddg(_spec(), profile_control(_spec()))
-    # the slim tier still counts every instruction and records the
-    # schedule tree -- the byte-identity prerequisites
-    assert ddgp.builder.instr_count == full.builder.instr_count
+    assert {"incr.diff", "stage2.execute", "incr.put"} <= names
+    assert not {"incr.load", "incr.slice", "incr.stitch"} & names

@@ -38,15 +38,12 @@ class TestManifest:
         assert set(m["functions"]) == {
             "main", "assign_points", "update_centers",
         }
-        for entry in m["functions"].values():
-            assert set(entry) >= {
-                "local", "transitive", "params", "entry", "instrs",
-                "callees", "blocks", "reads", "writes",
-            }
-            assert entry["instrs"] > 0
-        assert set(m["functions"]["main"]["callees"]) == {
-            "assign_points", "update_centers",
-        }
+        assert set(m) == {"format", "program", "main", "digest", "functions"}
+        for name, entry in m["functions"].items():
+            # exactly what diff_manifests reads
+            assert set(entry) == {"local", "transitive", "blocks"}
+            fn = _kmeans().functions[name]
+            assert set(entry["blocks"]) == set(fn.blocks)
 
     def test_manifest_ok(self):
         m = build_manifest(_kmeans())
@@ -148,6 +145,7 @@ class TestDiff:
         assert doc["summary"]["modified"] == 1
         assert doc["functions"]["main"]["status"] == "modified"
         assert "frontier" not in doc
+        assert doc["version"] == 2
 
     def test_diff_manifests_without_programs(self):
         """The differ works off two manifest dicts alone."""

@@ -1,8 +1,7 @@
 """Region carving and stitching: a lossless, guarded round trip.
 
-``encode_regions`` must carve a folded DDG so that stitching every
-region back (no fresh fold, verbatim context ids) reproduces it
-exactly; every inconsistency must raise :class:`IncrementalMismatch`
+``encode_regions`` must carve a folded DDG so that decoding every
+region back (verbatim context ids) reproduces it exactly; every inconsistency must raise :class:`IncrementalMismatch`
 rather than silently produce a wrong graph.
 """
 
@@ -55,7 +54,7 @@ def test_stitch_all_regions_is_identity(kmeans_result):
     program = kmeans_result.spec.program
     folded = kmeans_result.folded
     regions = encode_regions(program, folded)
-    stitched = stitch_folded(program, None, regions, None)
+    stitched = stitch_folded(program, regions)
     assert list(stitched.statements.keys()) == list(folded.statements.keys())
     assert list(stitched.deps.keys()) == list(folded.deps.keys())
     # strongest available equality: re-carving the stitched DDG yields
@@ -68,7 +67,7 @@ def test_format_mismatch_raises(kmeans_result):
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"]["format"] = REGION_FORMAT_VERSION + 1
     with pytest.raises(IncrementalMismatch, match="format"):
-        stitch_folded(program, None, regions, None)
+        stitch_folded(program, regions)
 
 
 def test_ordinal_out_of_range_raises(kmeans_result):
@@ -76,7 +75,7 @@ def test_ordinal_out_of_range_raises(kmeans_result):
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"]["statements"][0][STMT_FIELDS.index("ord")] = 10**6
     with pytest.raises(IncrementalMismatch, match="ordinal"):
-        stitch_folded(program, None, regions, None)
+        stitch_folded(program, regions)
 
 
 @pytest.mark.parametrize("rows", ["statements", "deps"])
@@ -85,10 +84,10 @@ def test_row_of_wrong_length_raises(kmeans_result, rows):
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"][rows][0].append(0)
     with pytest.raises(IncrementalMismatch, match="malformed"):
-        stitch_folded(program, None, regions, None)
+        stitch_folded(program, regions)
     regions["main"][rows][0][-2:] = []
     with pytest.raises(IncrementalMismatch, match="malformed"):
-        stitch_folded(program, None, regions, None)
+        stitch_folded(program, regions)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +105,7 @@ def test_table_index_out_of_range_raises(kmeans_result, rows, field, index):
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"][rows][0][field] = index
     with pytest.raises(IncrementalMismatch, match="malformed"):
-        stitch_folded(program, None, regions, None)
+        stitch_folded(program, regions)
 
 
 @pytest.mark.parametrize("table", ["sets", "maps", "ctxs"])
@@ -119,22 +118,18 @@ def test_region_ok_requires_every_table(kmeans_result, table):
 
 
 def test_overlap_with_fresh_raises(kmeans_result):
-    """A statement folded fresh AND loaded from a region means the
-    slice was wrong -- refuse, do not double-count."""
-    program = kmeans_result.spec.program
-    folded = kmeans_result.folded
-    regions = encode_regions(program, folded)
-    with pytest.raises(IncrementalMismatch, match="already folded fresh"):
-        stitch_folded(program, folded, regions, None)
-
-
-def test_unobserved_context_raises(kmeans_result):
-    """With a live interning table that never saw the stored contexts,
-    the stitch must refuse (the executions diverged)."""
+    """A statement or dependence row that appears twice in a payload
+    must be refused, not double-counted."""
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
-    with pytest.raises(IncrementalMismatch, match="context"):
-        stitch_folded(program, None, regions, {})
+    main = regions["main"]
+    main["statements"].append(list(main["statements"][0]))
+    with pytest.raises(IncrementalMismatch, match="statement .* repeated"):
+        stitch_folded(program, regions)
+    main["statements"].pop()
+    main["deps"].append(list(main["deps"][0]))
+    with pytest.raises(IncrementalMismatch, match="dep .* repeated"):
+        stitch_folded(program, regions)
 
 
 def test_dangling_cross_region_source_raises(kmeans_result):
@@ -144,4 +139,4 @@ def test_dangling_cross_region_source_raises(kmeans_result):
     regions = encode_regions(program, kmeans_result.folded)
     lone = {"update_centers": regions["update_centers"]}
     with pytest.raises(IncrementalMismatch):
-        stitch_folded(program, None, lone, None)
+        stitch_folded(program, lone)

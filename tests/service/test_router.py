@@ -248,14 +248,28 @@ class TestFailover:
         """A forward that hits a dead socket falls over to the ring
         successor inside the same request -- no waiting on the probe
         interval."""
+        from repro.service.submission import routing_key
+
         replicas = _boot_replicas(make_service, tmp_path)
         # a slow health loop so only mid-request failover can save us
         router = make_router(replicas, health_interval=30.0)
-        replicas[0].service.shutdown(grace=0.2)
-        for i in range(4):
-            program, state = counting_loop_docs(
-                BRIEF_ITERS + 300 + i, name=f"fo_{i}"
-            )
+        docs = [
+            counting_loop_docs(BRIEF_ITERS + 300 + i, name=f"fo_{i}")
+            for i in range(4)
+        ]
+        # kill the first submission's home replica: ring positions come
+        # from the replicas' ephemeral ports, so a fixed victim would
+        # sometimes own none of the four keys and see no failover
+        program, state = docs[0]
+        home = router.service.ring.node_for(
+            routing_key({"program": program, "state": state})
+        )
+        (victim,) = [
+            r for r in replicas
+            if f"{r.service.host}:{r.service.port}" == home
+        ]
+        victim.service.shutdown(grace=0.2)
+        for program, state in docs:
             status, _ = router.client.analyze_resilient(
                 program=program, state=state, wait_timeout=60
             )

@@ -301,9 +301,12 @@ class TestIncremental:
         assert status["state"] == "done"
         assert status["options"]["baseline"] == baseline
         inc = status["incremental"]
-        assert inc["mode"] == "incremental"
-        assert set(inc["frontier"]) == {"assign_points", "update_centers"}
-        assert inc["regions_reused"] == 1
+        # a body edit plans cold from the diff alone
+        assert inc["mode"] == "cold"
+        assert inc["reason"] == "program-changed"
+        assert inc["summary"]["modified"] == 1
+        assert inc["regions_reused"] == 0
+        assert "frontier" not in inc
         inc_report = live.client.report(sub["job"])
 
         # a cold service without the baseline serves identical bytes

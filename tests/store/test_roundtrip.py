@@ -164,7 +164,7 @@ def test_folded_ddg_fixpoint(name):
     result = analyze(spec)
     enc = encode_folded_ddg(result.folded)
     regions = encode_regions(spec.program, result.folded)
-    dec = stitch_folded(spec.program, None, regions, None)
+    dec = stitch_folded(spec.program, regions)
 
     assert list(dec.statements) == list(result.folded.statements)
     assert list(dec.deps) == list(result.folded.deps)
@@ -288,7 +288,7 @@ def test_stored_regions_share_each_value_once(tmp_path, name):
             entries = [json.dumps(e) for e in payload[table]]
             assert len(set(entries)) == len(entries), table
 
-    folded = stitch_folded(spec.program, None, regions, None)
+    folded = stitch_folded(spec.program, regions)
     shared = {}
     for fs in folded.statements.values():
         value = (fs.stmt.func, json.dumps(encode_iset(fs.domain)))

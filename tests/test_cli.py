@@ -220,7 +220,9 @@ class TestDiffAndBaseline:
         assert main(["diff", "kmeans", "kmeans"]) == 0
         out = capsys.readouterr().out
         assert "unchanged: 3" in out
-        assert "frontier: empty" in out
+        # a clean diff lists no function and no frontier
+        assert len(out.splitlines()) == 2
+        assert "frontier" not in out
 
     def test_diff_with_edit_names_frontier(self, capsys):
         assert main(
@@ -228,8 +230,15 @@ class TestDiffAndBaseline:
         ) == 0
         out = capsys.readouterr().out
         assert "assign_points" in out and "modified" in out
-        assert "re-analysis frontier:" in out
-        assert "may-alias via assign_points" in out
+        # the edit lands in the entry block; main calls the edited
+        # function, update_centers does not
+        assert "blocks: entry" in out
+        (main_line,) = [
+            line for line in out.splitlines() if line.split()[0] == "main"
+        ]
+        assert "(callee subtree changed)" in main_line
+        assert "update_centers" not in out
+        assert "frontier" not in out
 
     def test_diff_json_document(self, capsys):
         import json
@@ -244,9 +253,12 @@ class TestDiffAndBaseline:
         assert doc["kind"] == "diff"
         assert doc["summary"]["modified"] == 1
         assert doc["functions"]["assign_points"]["status"] == "modified"
-        assert set(doc["frontier"]["funcs"]) == {
-            "assign_points", "update_centers",
-        }
+        assert doc["functions"]["assign_points"]["blocks_changed"] == [
+            "entry"
+        ]
+        assert not doc["functions"]["main"]["subtree_clean"]
+        assert "frontier" not in doc
+        assert doc["version"] == 2
 
     def test_diff_unknown_edit_function(self):
         with pytest.raises(SystemExit, match="no such function"):
