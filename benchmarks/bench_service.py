@@ -1,5 +1,5 @@
-"""Analysis-service benchmark: concurrency, dedup, warm restarts,
-process-pool scale-out, and routed replicas.
+"""Analysis-service benchmark: concurrency, dedup, warm restarts, and
+process-pool scale-out.
 
 Boots real daemons on ephemeral loopback ports and drives them with
 the stdlib client, gating the service PRs' headline claims:
@@ -18,10 +18,7 @@ the stdlib client, gating the service PRs' headline claims:
   cores (``REPRO_SERVICE_GATE`` overrides; on smaller hosts the gate
   is recorded as skipped and the honest numbers still written --
   worker processes cannot beat the GIL without cores to run on), with
-  zero errors and exactly-once execution per unique submission;
-* **routed replicas** -- two process-mode replicas behind the
-  consistent-hash router serve every report byte-identical to a
-  standalone daemon, again exactly-once.
+  zero errors and exactly-once execution per unique submission.
 
 Writes ``BENCH_service.json``.
 """
@@ -40,7 +37,6 @@ from repro.service import (
     ServiceConfig,
     parse_samples,
 )
-from repro.service.router import AnalysisRouter, RouterConfig
 from repro.workloads import rodinia_workloads
 
 #: how many simultaneous clients the concurrency/dedup phases use
@@ -72,8 +68,7 @@ def _scale_gate():
     )
 
 
-def _boot(cache_dir, workers=4, execution="thread", queue_depth=64,
-          replica_id=None):
+def _boot(cache_dir, workers=4, execution="thread", queue_depth=64):
     service = AnalysisService(
         ServiceConfig(
             port=0,
@@ -81,7 +76,6 @@ def _boot(cache_dir, workers=4, execution="thread", queue_depth=64,
             queue_depth=queue_depth,
             cache_dir=cache_dir,
             execution=execution,
-            replica_id=replica_id,
             log_level="error",
         )
     )
@@ -192,79 +186,6 @@ def _scale_phase(execution, names):
     }
 
 
-def _router_phase(names):
-    """Two process-mode replicas behind the router vs one standalone
-    daemon: every report must be byte-identical, executed exactly
-    once across the ring."""
-    shared = tempfile.mkdtemp(prefix="repro-bench-ring-")
-    single_dir = tempfile.mkdtemp(prefix="repro-bench-single-")
-    try:
-        replicas = [
-            _boot(shared, workers=2, execution="process",
-                  replica_id=f"r{i}")
-            for i in range(2)
-        ]
-        router = AnalysisRouter(
-            RouterConfig(
-                port=0,
-                replicas=[
-                    f"{svc.host}:{svc.port}" for svc, _ in replicas
-                ],
-                health_interval=0.25,
-                log_level="error",
-            )
-        )
-        rhost, rport = router.start()
-        rclient = ServiceClient(rhost, rport)
-        single, sclient = _boot(single_dir, workers=2)
-
-        t0 = time.perf_counter()
-        routed = {}
-        errors = []
-        for name in names:
-            try:
-                _, report = rclient.analyze_resilient(
-                    workload=name, wait_timeout=600
-                )
-                routed[name] = report
-            except Exception as exc:  # noqa: BLE001
-                errors.append(f"{name}: {exc!r}")
-        wall = time.perf_counter() - t0
-        identical = all(
-            routed.get(name) == sclient.analyze(
-                workload=name, wait_timeout=600
-            )[1]
-            for name in names
-        )
-        executed = sum(
-            parse_samples(c.service_metrics())[
-                "repro_service_jobs_executed_total"
-            ]
-            for _, c in replicas
-        )
-        per_replica = [
-            len(svc.registry.jobs()) for svc, _ in replicas
-        ]
-        router_doc = rclient.health(raise_for_status=True)
-        router.shutdown()
-        for svc, _ in replicas:
-            svc.shutdown(grace=60)
-        single.shutdown(grace=60)
-        return {
-            "wall_seconds": wall,
-            "reports_identical": identical,
-            "executed": executed,
-            "per_replica_jobs": per_replica,
-            "replica_states": [
-                r["state"] for r in router_doc["replicas"]
-            ],
-            "errors": errors,
-        }
-    finally:
-        shutil.rmtree(shared, ignore_errors=True)
-        shutil.rmtree(single_dir, ignore_errors=True)
-
-
 def run_service():
     names = list(rodinia_workloads())[:CONCURRENCY]
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-service-")
@@ -324,9 +245,6 @@ def run_service():
             mode: _scale_phase(mode, names)
             for mode in ("thread", "process")
         }
-
-        # -- routed replicas vs a standalone daemon -----------------------
-        routed = _router_phase(names)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     return {
@@ -346,7 +264,6 @@ def run_service():
         "dedup_samples": dedup_samples,
         "clean_shutdowns": [clean_first] + clean_restarts,
         "scale": scale,
-        "routed": routed,
     }
 
 
@@ -397,15 +314,6 @@ def test_service(benchmark):
         assert phase["deduped"] == 0, phase
         assert phase["executed"] == phase["unique_submissions"], phase
         assert phase["clean_shutdown"], phase
-
-    # gate: routed replicas -- byte identity and exactly-once
-    assert not r["routed"]["errors"], r["routed"]["errors"]
-    assert r["routed"]["reports_identical"] is True
-    assert r["routed"]["executed"] == len(r["names"]), r["routed"]
-    assert all(n > 0 for n in r["routed"]["per_replica_jobs"]), (
-        "consistent hashing starved a replica: "
-        f"{r['routed']['per_replica_jobs']}"
-    )
 
     rows = []
     for name in r["names"]:
@@ -477,7 +385,6 @@ def test_service(benchmark):
                 "scale_speedup": scale_speedup,
                 "scale_thread": thread_phase,
                 "scale_process": process_phase,
-                "routed": r["routed"],
             },
             fh,
             indent=2,

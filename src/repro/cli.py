@@ -17,7 +17,6 @@ drive POLY-PROF over a binary:
 * ``sweep <workload>``        -- profile over an input sweep and merge
   the per-run DDGs into a parameterized dependence model
 * ``serve``                   -- run the analysis daemon (HTTP API)
-* ``route``                   -- consistent-hash router over replicas
 
 Analysis commands take ``--crosscheck`` (run the dynamic-vs-static
 soundness sanitizers) and ``--cache DIR`` / ``--no-cache``
@@ -479,22 +478,8 @@ def cmd_serve(args) -> int:
         drain_grace=args.drain_grace,
         retain_jobs=args.retain_jobs,
         execution=args.execution,
-        replica_id=args.replica_id,
     )
     return serve(config)
-
-
-def cmd_route(args) -> int:
-    from .service.router import RouterConfig, route
-
-    config = RouterConfig(
-        host=args.host,
-        port=args.port,
-        replicas=args.replica,
-        vnodes=args.vnodes,
-        health_interval=args.health_interval,
-    )
-    return route(config)
 
 
 def cmd_suite(args) -> int:
@@ -865,13 +850,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "worker processes (crash isolation: a dying analysis takes "
         "down only its worker, which is respawned)",
     )
-    p.add_argument(
-        "--replica-id",
-        default=None,
-        metavar="NAME",
-        help="identity reported in /healthz and /metrics when this "
-        "daemon is one replica behind `repro route`",
-    )
     _add_cache_args(p)
     p.add_argument(
         "--cache-max-mb",
@@ -879,41 +857,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="MB",
         help="LRU size cap for the artifact store",
-    )
-    p = sub.add_parser(
-        "route",
-        help="run the consistent-hash router over replica daemons",
-    )
-    p.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: loopback only)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=8120,
-        help="TCP port (0 = pick an ephemeral port and print it)",
-    )
-    p.add_argument(
-        "--replica",
-        action="append",
-        required=True,
-        metavar="HOST:PORT",
-        help="replica daemon address; repeat once per ring member",
-    )
-    p.add_argument(
-        "--vnodes",
-        type=int,
-        default=64,
-        help="virtual points per replica on the hash ring",
-    )
-    p.add_argument(
-        "--health-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between replica health probes",
     )
 
     args = parser.parse_args(argv)
@@ -931,7 +874,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "suite": cmd_suite,
         "sweep": cmd_sweep,
         "serve": cmd_serve,
-        "route": cmd_route,
     }[args.command]
     return handler(args)
 

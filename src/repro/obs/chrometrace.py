@@ -13,7 +13,7 @@ Two document shapes share the schema:
 * :func:`chrome_trace_document` -- one process's span forest (the
   ``/trace`` job artifact and ``repro trace``'s export): a single pid.
 * :func:`merged_trace_document` -- one *request's* forest stitched
-  from segments collected across router, replicas, and worker
+  from segments collected across the daemon and its worker
   processes (``GET /v1/traces/{trace_id}``): one pid lane per
   (source, pid), timelines aligned through per-segment wall-clock
   anchors (:func:`repro.obs.collect.clock_anchor`).  Validate these

@@ -1,6 +1,6 @@
 """Per-daemon trace retention: span segments keyed by trace id.
 
-Every daemon (and the router) keeps a :class:`TraceCollector`: after a
+Every daemon keeps a :class:`TraceCollector`: after a
 job finishes, its exported span forest lands here as one **segment**
 -- the spans plus where they ran (``source`` label, ``pid``) and a
 wall-clock anchor (:func:`clock_anchor`) that lets
@@ -65,8 +65,8 @@ class TraceCollector:
         job_id: Optional[str] = None,
     ) -> None:
         """Retain one segment: ``spans`` (Span.to_dict forest) that ran
-        in process ``pid`` of ``source`` (a replica id, ``"router"``,
-        or ``host:port``)."""
+        in process ``pid`` of ``source`` (the daemon labels its
+        segments ``"daemon"``)."""
         if not trace_id or not spans:
             return
         segment: Dict[str, Any] = {

@@ -5,16 +5,16 @@ request is this work for, and which span caused it*.  A
 :class:`TraceContext` is that state -- a 128-bit ``trace_id`` naming
 the request end-to-end, the 64-bit ``span_id`` of the causing span (the
 remote parent), and a sampled flag -- minted at every front door (the
-``repro`` CLI, ``POST /v1/analyze`` on a daemon, ``repro route``) and
-propagated everywhere work fans out:
+``repro`` CLI, ``POST /v1/analyze`` on a daemon) and propagated
+everywhere work fans out:
 
-* as a W3C ``traceparent`` HTTP header through router and replicas
+* as a W3C ``traceparent`` HTTP header from a caller to the daemon
   (:meth:`TraceContext.to_traceparent` / :meth:`from_traceparent`);
 * as a plain dict over the procpool control pipe and the suite
   runner's process pool (:meth:`as_dict` / :meth:`from_dict`);
 * as the ``context`` of every :class:`~repro.obs.tracer.Tracer`, whose
   root spans adopt the remote parent so span forests shipped back from
-  workers and replicas stitch into one tree per request
+  worker processes stitch into one tree per request
   (:func:`repro.obs.chrometrace.merged_trace_document`).
 
 Ids are generated from a per-process CSPRNG-seeded generator that

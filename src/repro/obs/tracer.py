@@ -30,8 +30,8 @@ Design constraints, in order:
 * **Spans must stitch.**  Every span carries trace identity
   (``trace_id``/``span_id``/``parent_id``); a tracer built with a
   :class:`~repro.obs.context.TraceContext` roots its spans under the
-  remote parent, so forests shipped back from worker processes and
-  replica daemons merge into one tree per request
+  remote parent, so forests shipped back from worker processes merge
+  into one tree per request
   (:func:`repro.obs.chrometrace.merged_trace_document`).
 """
 

@@ -9,9 +9,7 @@ threads or long-lived worker processes
 content-addressed request deduplication (:mod:`repro.service.jobs`),
 Prometheus-style observability (:mod:`repro.service.metrics`),
 structured JSON logs (:mod:`repro.service.jsonlog`), and graceful
-drain on SIGTERM.  For horizontal scale-out, ``repro route``
-(:mod:`repro.service.router`) consistent-hashes submissions across N
-replica daemons sharing one store directory.
+drain on SIGTERM.
 :mod:`repro.service.client` is the matching stdlib-only Python client.
 """
 
@@ -29,17 +27,14 @@ from .jobs import Job, JobOptions, JobRegistry, JobState, derive_job_key
 from .metrics import MetricsRegistry, parse_samples
 from .procpool import ProcessWorker
 from .queue import BoundedJobQueue, QueueFull
-from .router import AnalysisRouter, HashRing, RouterConfig, route
 
 __all__ = [
     "SERVICE_API_VERSION",
-    "AnalysisRouter",
     "AnalysisService",
     "BadRequest",
     "BoundedJobQueue",
     "DeadlineObserver",
     "Draining",
-    "HashRing",
     "Job",
     "JobFailed",
     "JobOptions",
@@ -48,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "ProcessWorker",
     "QueueFull",
-    "RouterConfig",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
@@ -56,7 +50,6 @@ __all__ = [
     "derive_job_key",
     "execute_job",
     "parse_samples",
-    "route",
     "run_analysis",
     "serve",
 ]

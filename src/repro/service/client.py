@@ -197,10 +197,8 @@ class ServiceClient:
 
     def stitched_trace(self, trace_id: str) -> dict:
         """GET /v1/traces/{trace_id}: the merged Chrome trace of one
-        distributed request.  Against a daemon this holds the spans it
-        executed; against the router it aggregates every ring member,
-        so a routed sweep shows router, replicas, worker processes,
-        and all child jobs on one time axis."""
+        distributed request -- the daemon's own spans, every worker
+        process lane, and all child jobs of a sweep on one time axis."""
         return self._request_doc("GET", f"/v1/traces/{trace_id}")
 
     def cancel(self, job_id: str) -> dict:
@@ -221,47 +219,3 @@ class ServiceClient:
         sub = self.submit(workload=workload, **submit_kwargs)
         status = self.wait(sub["job"], timeout=wait_timeout)
         return status, self.report(sub["job"])
-
-    #: HTTP statuses a resubmission can cure: queue backpressure (429),
-    #: drain/unroutable/dead-replica (502/503), and a job id the router
-    #: relearned topology under (404)
-    RETRYABLE_STATUSES = frozenset((404, 429, 502, 503))
-
-    def analyze_resilient(
-        self,
-        workload: Optional[str] = None,
-        wait_timeout: float = 120.0,
-        attempts: int = 6,
-        backoff: float = 0.25,
-        **submit_kwargs,
-    ) -> Tuple[dict, bytes]:
-        """:meth:`analyze`, resubmitting through transient topology
-        failures.  Pointed at the router, this is what makes "kill one
-        replica mid-suite" lose zero jobs: a submission (or a poll of a
-        job whose replica died) comes back retryable, and the resubmit
-        consistent-hashes onto the ring successor -- deduplication
-        keeps the retried work exactly-once per live replica.  Safe
-        against any front door: retried statuses are backpressure and
-        topology signals, never analysis failures."""
-        last: Optional[Exception] = None
-        for attempt in range(attempts):
-            try:
-                return self.analyze(
-                    workload=workload,
-                    wait_timeout=wait_timeout,
-                    **submit_kwargs,
-                )
-            except ServiceError as exc:
-                if exc.status not in self.RETRYABLE_STATUSES:
-                    raise
-                last = exc
-            except JobFailed as exc:
-                # a drained replica cancels its queued jobs; resubmit.
-                # failed/timeout are real analysis outcomes: re-raise
-                if exc.status_doc.get("state") != "cancelled":
-                    raise
-                last = exc
-            except (ConnectionError, OSError) as exc:
-                last = exc
-            time.sleep(min(backoff * (2 ** attempt), 5.0))
-        raise last  # type: ignore[misc]

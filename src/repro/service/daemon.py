@@ -7,7 +7,7 @@ Architecture (one process, stdlib only)::
                               -> bounded queue (429 when full)
         GET  /v1/jobs/... ->  registry lookup (never blocks on work)
         GET  /v1/traces/..->  stitched Chrome trace of one request
-                              (TraceCollector; /segments = raw spans)
+                              (TraceCollector)
         GET  /healthz     ->  liveness + load snapshot
         GET  /metrics     ->  Prometheus text exposition
                    |
@@ -34,10 +34,6 @@ Two execution modes share that front half unchanged
   daemon; only ``pipeline.analyze`` moves out-of-process.  The workers
   share the daemon's cache *directory* (the store is cross-process
   safe) rather than its store handle.
-
-For multi-host (or multi-daemon) scale-out, N replica daemons can
-share one store directory behind the consistent-hashing router
-(:mod:`repro.service.router`, ``repro route``).
 
 Shutdown (SIGTERM/SIGINT) drains: new submissions get 503, queued jobs
 are cancelled (clients polling them see ``cancelled``), in-flight jobs
@@ -81,9 +77,7 @@ _JOB_PATH = re.compile(
     r"(?:/(?P<sub>report|metrics|flamegraph|trace|cancel))?$"
 )
 
-_TRACE_PATH = re.compile(
-    r"^/v1/traces/(?P<id>[0-9a-f]{32})(?:/(?P<sub>segments))?$"
-)
+_TRACE_PATH = re.compile(r"^/v1/traces/(?P<id>[0-9a-f]{32})$")
 
 EXECUTION_MODES = ("thread", "process")
 
@@ -101,9 +95,6 @@ class ServiceConfig:
     #: "process" proxies each to a long-lived, respawned worker process
     #: (crash isolation); see the module docstring
     execution: str = "thread"
-    #: identity this daemon reports in /healthz and /metrics when it
-    #: runs as one replica of a sharded deployment; None = standalone
-    replica_id: Optional[str] = None
     queue_depth: int = 16
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
@@ -257,21 +248,16 @@ class AnalysisService:
 
     def render_metrics(self) -> str:
         text = self.metrics.render()
-        # topology block: execution mode, replica identity, per-worker
-        # process pids and restart counts (the registry has no label
-        # support, so labeled lines are hand-rendered like the store
-        # stats block below)
+        # topology block: execution mode, per-worker process pids and
+        # restart counts (the registry has no label support, so labeled
+        # lines are hand-rendered like the store stats block below)
         lines = []
         name = "repro_service_execution_info"
         lines.append(
-            f"# HELP {name} Execution mode (and replica id) this "
-            "daemon runs with."
+            f"# HELP {name} Execution mode this daemon runs with."
         )
         lines.append(f"# TYPE {name} gauge")
-        labels = f'mode="{self.config.execution}"'
-        if self.config.replica_id:
-            labels += f',replica="{self.config.replica_id}"'
-        lines.append(f"{name}{{{labels}}} 1")
+        lines.append(f'{name}{{mode="{self.config.execution}"}} 1')
         if self._process_workers:
             for metric, attr, help_text in (
                 ("repro_service_worker_pid", "pid",
@@ -356,7 +342,6 @@ class AnalysisService:
             port=self.port,
             workers=self.config.workers,
             execution=self.config.execution,
-            replica=self.config.replica_id,
             queue_depth=self.config.queue_depth,
             cache_dir=self.config.cache_dir,
         )
@@ -691,7 +676,7 @@ class AnalysisService:
             if job.span_docs and job.trace_id:
                 self.traces.add(
                     job.trace_id,
-                    source=self.config.replica_id or "daemon",
+                    source="daemon",
                     spans=job.span_docs,
                     pid=job.exec_pid,
                     clock=job.clock,
@@ -717,7 +702,6 @@ class AnalysisService:
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "workers": self.config.workers,
             "execution": self.config.execution,
-            "replica": self.config.replica_id,
             "busy": int(self.g_busy.value),
             "queue_depth": len(self.queue),
             "queue_capacity": self.config.queue_depth,
@@ -752,18 +736,6 @@ class AnalysisService:
         if segments is None:
             return None
         return merged_trace_document(segments, trace_id=trace_id)
-
-    def trace_segments_doc(self, trace_id: str) -> Optional[dict]:
-        """The raw retained segments of one trace -- what the router
-        aggregates from every ring member before merging."""
-        segments = self.traces.get(trace_id)
-        if segments is None:
-            return None
-        return {
-            "version": SERVICE_API_VERSION,
-            "trace_id": trace_id,
-            "segments": segments,
-        }
 
 
 # -- the HTTP layer -----------------------------------------------------------------
@@ -853,9 +825,7 @@ def _make_handler(service: AnalysisService):
                 else:
                     match = _TRACE_PATH.match(path)
                     if match is not None:
-                        self._trace_get(
-                            match.group("id"), match.group("sub")
-                        )
+                        self._trace_get(match.group("id"))
                     else:
                         match = _JOB_PATH.match(path)
                         if match is None:
@@ -890,13 +860,9 @@ def _make_handler(service: AnalysisService):
                     **fields,
                 )
 
-        def _trace_get(self, trace_id: str, sub: Optional[str]) -> None:
+        def _trace_get(self, trace_id: str) -> None:
             self._trace_id = trace_id
-            doc = (
-                service.trace_segments_doc(trace_id)
-                if sub == "segments"
-                else service.trace_doc(trace_id)
-            )
+            doc = service.trace_doc(trace_id)
             if doc is None:
                 self._error(404, f"unknown trace {trace_id!r}")
             else:
@@ -993,8 +959,9 @@ def _make_handler(service: AnalysisService):
 
         def _analyze(self, request_id: str) -> None:
             # front door of the distributed trace: adopt the caller's
-            # traceparent (router, CLI client) or mint a fresh context;
-            # a malformed header degrades to minting, never to a 4xx
+            # traceparent (a CLI client, an upstream service) or mint a
+            # fresh context; a malformed header degrades to minting,
+            # never to a 4xx
             ctx = TraceContext.from_traceparent(
                 self.headers.get("traceparent")
             )

@@ -92,8 +92,7 @@ def derive_sweep_key(child_keys) -> str:
     set of its per-point job keys.  Each child key already binds the
     workload, that point's input state, and every response-affecting
     option, so two sweeps with the same points and options coalesce
-    regardless of submission order -- on the daemon (dedup) and on the
-    router (replica choice) alike."""
+    (dedup) regardless of submission order."""
     raw = "sweep|" + "|".join(sorted(child_keys))
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 

@@ -8,10 +8,10 @@ and the worker that executed it without parsing free text.
 
 Every record also carries the emitting process id (``pid``) and a
 **per-process monotonic sequence number** (``seq``).  ``ts`` alone
-cannot order a multi-replica log merge: wall clocks tie at the
+cannot order a multi-process log merge: wall clocks tie at the
 ``round(…, 6)`` granularity and can step backwards under NTP, while
 ``(ts, pid, seq)`` is a total order that is stable no matter how the
-per-replica files were interleaved -- :func:`merge_records` is that
+per-process files were interleaved -- :func:`merge_records` is that
 merge.  Lines that could not be written (dead stream) or encoded are
 counted atomically (:func:`dropped_lines`) instead of raised, so the
 merge consumer can at least know the log is incomplete.
@@ -63,7 +63,7 @@ def merge_records(records: Iterable[dict]) -> List[dict]:
     Sorts by ``(ts, pid, seq)``: wall time first (cross-process events
     keep their causal wall-clock order), then pid and the per-process
     sequence number as tie-breakers, so two merges of the same lines --
-    however the per-replica files were concatenated -- are identical,
+    however the per-process files were concatenated -- are identical,
     and one process's lines never reorder against each other even when
     their timestamps tie.  Records missing the fields (foreign lines)
     sort first among their timestamp peers rather than raising.

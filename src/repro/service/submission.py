@@ -1,20 +1,17 @@
-"""Submission parsing shared by the daemon and the router.
+"""Submission parsing: a ``POST /v1/analyze`` body to spec and options.
 
-A ``POST /v1/analyze`` body is parsed in two places: the daemon turns
-it into a :class:`~repro.service.jobs.Job`, and the router
-(:mod:`repro.service.router`) only needs the **content key** to pick a
-replica.  Both must derive the *same* key from the same body -- the
-router's whole value proposition is that identical submissions land on
-the identical replica so dedup and cache locality survive sharding --
-so the spec/options construction lives here, parameterized by the few
-config defaults that differ per front door.
+The daemon turns each body into a :class:`~repro.service.jobs.Job`
+whose content key (:func:`~repro.service.jobs.derive_job_key` over
+:func:`build_spec` and :func:`build_options`) drives deduplication.
+Every option is validated here, so a malformed body is a 400 before
+any job exists.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .jobs import JobOptions, derive_job_key, derive_sweep_key
+from .jobs import JobOptions
 
 
 class BadRequest(Exception):
@@ -147,7 +144,7 @@ def sweep_points(body: dict) -> Optional[List[Dict[str, int]]]:
     sweep).  Points are completed from the workload's param defaults,
     deduplicated, and canonically ordered
     (:func:`repro.sweep.grid.complete_points`), so the daemon's parent
-    job key and the router's key agree for any submission order.  An
+    job key is the same for any submission order.  An
     empty list means "the workload's declared default grid".
     """
     sweep = body.get("sweep")
@@ -184,34 +181,3 @@ def child_body(body: dict, point: Dict[str, int]) -> dict:
     child["bindings"] = dict(point)
     return child
 
-
-def routing_key(body: dict) -> str:
-    """The content key one submission body routes by.
-
-    Identical to the daemon-side dedup key for the same body --
-    ``baseline``, which a replica may reject per-config, deliberately
-    does not move the key, so the request routes consistently either
-    way.  A ``sweep`` submission routes by its parent
-    key (derived from the sorted child keys), so a whole sweep -- the
-    parent and every child it fans out -- lands on one replica and
-    shares one store.  Raises :class:`BadRequest` for bodies no
-    replica could accept, letting the router 400 at the edge without
-    burning a forward.
-    """
-    if not isinstance(body, dict):
-        raise BadRequest("request body must be a JSON object")
-    # allow baseline so a router without a store never rejects what a
-    # replica would accept
-    options = build_options(body, has_store=True)
-    points = sweep_points(body)
-    if points is not None:
-        return derive_sweep_key(
-            [
-                derive_job_key(
-                    build_spec(child_body(body, point))[0], options
-                )
-                for point in points
-            ]
-        )
-    spec, _, _ = build_spec(body)
-    return derive_job_key(spec, options)

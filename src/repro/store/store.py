@@ -29,12 +29,12 @@ heavy work -- gzip/JSON encode/decode and file I/O of distinct keys --
 stays outside the lock.
 
 One store *directory* may additionally be shared by many **processes**
-(replica daemons, process-pool workers, suite runners): atomic
+(the daemon's process-pool workers, suite runners): atomic
 ``os.replace`` puts were always cross-process-safe, but LRU eviction
 and the persisted ``stats.json`` are read-modify-write cycles, so both
-run under an advisory ``flock`` on ``<root>/.lock`` -- two replicas
-finishing puts at the same moment walk the LRU tail one at a time
-(never double-evicting below the cap), and concurrent
+run under an advisory ``flock`` on ``<root>/.lock`` -- two procpool
+workers finishing puts at the same moment walk the LRU tail one at a
+time (never double-evicting below the cap), and concurrent
 :meth:`flush_stats` merges never lose counts or tear the JSON.  On
 platforms without ``fcntl`` the lock degrades to the in-process lock
 (single-process semantics, exactly what such a host can run).
@@ -170,8 +170,8 @@ class ArtifactStore:
         self._lock = threading.RLock()
         os.makedirs(self.objects_dir, exist_ok=True)
         #: serializes eviction and stats.json persistence across
-        #: *processes* sharing this directory (replica daemons,
-        #: process-pool workers)
+        #: *processes* sharing this directory (process-pool workers,
+        #: suite runners)
         self._ipc_lock = _InterProcessLock(os.path.join(root, ".lock"))
         #: counters already merged into stats.json by flush_stats()
         self._flushed = StoreStats()
@@ -300,9 +300,9 @@ class ArtifactStore:
         """Delete least-recently-used artifacts until under the cap.
 
         The whole scan-and-delete runs under the store lock *and* the
-        cross-process file lock: two worker threads -- or two replica
-        daemons -- finishing puts at the same moment must not both
-        walk the same LRU tail and double-count (or over-)evict.
+        cross-process file lock: two worker threads -- or two procpool
+        worker processes -- finishing puts at the same moment must not
+        both walk the same LRU tail and double-count (or over-)evict.
         Remaining races (a file vanishing mid-walk under an uncached
         unlink) stay benign -- a vanished file just fails its unlink.
         """

@@ -5,8 +5,8 @@ registry workload.  Everything downstream -- the merge, the ``swp-``
 store key, the feedback documents -- consumes points in *canonical*
 form: bindings as sorted ``(name, value)`` tuples, the point list
 deduplicated and sorted.  That makes the merged model a pure function
-of the point *set*: submitting the same grid in shuffled order (CLI,
-service, router -- any front door) produces byte-identical output,
+of the point *set*: submitting the same grid in shuffled order (CLI or
+service -- either front door) produces byte-identical output,
 which the determinism tests pin.
 """
 

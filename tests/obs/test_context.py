@@ -5,7 +5,7 @@ or adopts a :class:`~repro.obs.context.TraceContext`, serializes it as
 a W3C-style ``traceparent`` header (HTTP hops) or a plain dict
 (procpool ctl pipes, fork pools), and every :class:`~repro.obs.Tracer`
 root parents under it.  These tests pin the format so a daemon from
-one build stitches with a router from another.
+one build stitches with a caller or worker process from another.
 """
 
 import pytest

@@ -66,30 +66,3 @@ def make_service():
         with contextlib.suppress(Exception):
             service.shutdown(grace=0.2)
 
-
-@pytest.fixture
-def make_router():
-    """Factory fixture: ``make_router([live1, live2], ...)`` boots a
-    consistent-hash router over already-started daemons and returns a
-    :class:`LiveService` whose client talks through the router."""
-    from repro.service.router import AnalysisRouter, RouterConfig
-
-    started = []
-
-    def _make(replicas, **overrides):
-        overrides.setdefault("port", 0)
-        overrides.setdefault("log_level", "error")
-        overrides.setdefault("health_interval", 0.1)
-        nodes = [
-            f"{live.service.host}:{live.service.port}" for live in replicas
-        ]
-        router = AnalysisRouter(RouterConfig(replicas=nodes, **overrides))
-        host, port = router.start()
-        started.append(router)
-        return LiveService(router, ServiceClient(host, port))
-
-    yield _make
-
-    for router in started:
-        with contextlib.suppress(Exception):
-            router.shutdown()

@@ -1,6 +1,6 @@
 """jsonlog: (ts, pid, seq) total order, merge determinism, drops.
 
-A multi-replica deployment produces one JSON-lines log per process;
+A multi-process deployment produces one JSON-lines log per process;
 following a request end-to-end means merging them.  These tests pin
 the merge key contract: every line carries ``pid`` and a per-process
 monotonic ``seq``, :func:`merge_records` orders any interleaving of

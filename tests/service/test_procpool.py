@@ -115,15 +115,6 @@ class TestTopology:
         samples = parse_samples(text)
         assert samples["repro_service_worker_restarts_total"] == 0
 
-    def test_replica_id_is_reported(self, make_service):
-        live = make_service(execution="thread", replica_id="r7")
-        doc = live.client.health(raise_for_status=True)
-        assert doc["replica"] == "r7"
-        assert (
-            'repro_service_execution_info{mode="thread",replica="r7"}'
-            in live.client.service_metrics()
-        )
-
 
 class TestDeadlinesAndCancel:
     def test_timeout_crosses_the_process_boundary(self, make_service):

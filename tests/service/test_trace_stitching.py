@@ -2,13 +2,12 @@
 
 The tentpole contract: one ``trace_id`` follows a request from the
 front door through queueing, execution (worker thread *or* worker
-process), sweep fan-out, and routing -- and ``GET
+process), and sweep fan-out -- and ``GET
 /v1/traces/{trace_id}`` serves the whole thing back as one valid
 multi-lane Chrome trace.  These tests drive real sockets and, for the
 process-mode cases, real forked workers.
 """
 
-import json
 import os
 import time
 
@@ -103,22 +102,6 @@ class TestDaemonStitching:
         )
         assert status == 404
 
-    def test_segments_endpoint_serves_raw_segments(self, make_service):
-        live = make_service()
-        sub = live.client.submit(workload="nn")
-        live.client.wait(sub["job"])
-        status, _, raw = live.client.request_raw(
-            "GET", f"/v1/traces/{sub['trace_id']}/segments"
-        )
-        assert status == 200
-        doc = json.loads(raw.decode("utf-8"))
-        assert doc["trace_id"] == sub["trace_id"]
-        (segment,) = doc["segments"]
-        assert segment["source"] == "daemon"
-        assert segment["job_id"] == sub["job"]
-        assert segment["spans"]
-        assert {"epoch", "perf"} <= set(segment["clock"])
-
 
 class TestProcessModeStitching:
     def test_worker_process_gets_its_own_lane(self, make_service):
@@ -161,48 +144,6 @@ class TestSweepStitching:
         names = _span_names(doc)
         assert "sweep.merge" in names  # the parent's merge phase
         assert "analyze" in names  # the children's pipelines
-
-
-class TestRouterStitching:
-    def test_router_aggregates_replica_segments(
-        self, make_service, make_router
-    ):
-        replicas = [make_service(), make_service()]
-        cluster = make_router(replicas)
-        sub = _submit_loop(cluster.client, 43_000)
-        trace_id = sub["trace_id"]
-        cluster.client.wait(sub["job"], timeout=60)
-        doc = cluster.client.stitched_trace(trace_id)
-        assert validate_chrome_trace(doc, multi_process=True) > 0
-        sources = {s["source"] for s in doc["otherData"]["sources"]}
-        assert "router" in sources
-        assert "daemon" in sources
-        names = _span_names(doc)
-        assert {"route.submit", "route.forward"} <= names
-        assert "analyze" in names
-
-    def test_routed_sweep_spans_every_layer(
-        self, make_service, make_router, tmp_path
-    ):
-        replicas = [
-            make_service(workers=2, cache_dir=str(tmp_path / "a")),
-            make_service(workers=2, cache_dir=str(tmp_path / "b")),
-        ]
-        cluster = make_router(replicas)
-        sub = cluster.client.submit(workload="nw", sweep=SWEEP)
-        trace_id = sub["trace_id"]
-        status = cluster.client.wait(sub["job"], timeout=120)
-        assert status["trace_id"] == trace_id
-        doc = cluster.client.stitched_trace(trace_id)
-        assert validate_chrome_trace(doc, multi_process=True) > 0
-        names = _span_names(doc)
-        # router hop, parent sweep merge, and child pipelines all on
-        # one time axis
-        assert "route.forward" in names
-        assert "sweep.merge" in names
-        assert "analyze" in names
-        sources = {s["source"] for s in doc["otherData"]["sources"]}
-        assert {"router", "daemon"} <= sources
 
 
 class TestHeartbeatOrdering:

@@ -14,10 +14,11 @@ from repro.service import (
     JobState,
     MetricsRegistry,
     QueueFull,
+    derive_job_key,
     parse_samples,
 )
 from repro.service.jsonlog import JsonLogger
-from repro.service.submission import BadRequest, build_options, routing_key
+from repro.service.submission import BadRequest, build_options, build_spec
 
 
 def _job(key="k" * 64, job_id="j000001-kkkkkkkk"):
@@ -265,19 +266,20 @@ class TestBuildOptions:
             build_options(body)
 
 
-class TestRoutingKey:
-    @pytest.mark.parametrize("body", MISTYPED_BODIES, ids=repr)
-    def test_mistyped_values_are_bad_requests(self, body):
-        with pytest.raises(BadRequest):
-            routing_key({"workload": "nn", **body})
+class TestJobKey:
+    """The daemon's dedup key: options that change the answer move it,
+    ones that do not (a timeout, the legacy ``fold_jobs: 1``) leave it."""
 
-    def test_fold_jobs_one_routes_like_the_absent_field(self):
-        assert routing_key({"workload": "nn", "fold_jobs": 1}) == routing_key(
-            {"workload": "nn"}
-        )
+    @staticmethod
+    def key(**fields):
+        body = {"workload": "nn", **fields}
+        return derive_job_key(build_spec(body)[0], build_options(body))
+
+    def test_fold_jobs_one_keys_like_the_absent_field(self):
+        assert self.key(fold_jobs=1) == self.key()
 
     def test_options_that_change_the_answer_move_the_key(self):
-        base = routing_key({"workload": "nn"})
-        assert routing_key({"workload": "nn", "fuel": 1000}) != base
-        assert routing_key({"workload": "nn", "crosscheck": True}) != base
-        assert routing_key({"workload": "nn", "timeout": 9}) == base
+        base = self.key()
+        assert self.key(fuel=1000) != base
+        assert self.key(crosscheck=True) != base
+        assert self.key(timeout=9) == base

@@ -1,8 +1,8 @@
 """Cross-process safety of the shared store directory.
 
 PR 4's RLock made one :class:`ArtifactStore` handle thread-safe; these
-tests cover the multi-*process* story that replica daemons and
-process-pool workers rely on: ``flock``-guarded LRU eviction and a
+tests cover the multi-*process* story that process-pool workers and
+suite runners rely on: ``flock``-guarded LRU eviction and a
 persisted ``stats.json`` whose read-modify-write merges never lose
 counts.
 """
