@@ -7,12 +7,11 @@ program edit are re-analyzed against it:
 
 * **renumber** -- a uid-renumbered twin
   (:func:`repro.incr.renumbered_spec`): the recompiled-after-a-
-  formatting-only-change scenario.  Every function's canonical
-  fingerprint is unchanged, the differ classifies the whole program as
-  unchanged, and nothing executes (``identical`` mode): the baseline's
-  stage-1 artifact and stage-2 payload, dependence vectors included,
-  are decoded against the twin, and the baseline's ``cp-``/``ddg-``
-  files are copied under the twin's keys.  This class carries
+  formatting-only-change scenario.  Its canonical program digest is
+  unchanged, so it shares the baseline's ``cp-``/``ddg-`` keys and
+  nothing executes (``warm`` mode): the baseline's stage-1 artifact
+  and stage-2 payload, dependence vectors included, are decoded
+  against the twin, and nothing is re-written.  This class carries
   the gate: the suite-total speedup over a cold analysis must be at
   least ``GATE``x (override: ``REPRO_INCR_GATE``; CI uses a relaxed
   value -- shared runners throttle).
@@ -28,8 +27,9 @@ program edit are re-analyzed against it:
 
 The cold side is measured against a *fresh* store so both sides pay
 the same artifact write-through.  Incremental cells are best-of-
-``INC_ROUNDS`` with a distinct edit per round (a repeated digest would
-short-circuit into a plain warm hit); cold cells are best-of-
+``INC_ROUNDS`` with a distinct edit per round (for body edits, a
+repeated digest would short-circuit into a plain warm hit); cold
+cells are best-of-
 ``COLD_ROUNDS``.
 
 Byte identity is asserted for **every** cell, both classes: the
@@ -129,8 +129,8 @@ def _cold_best(make_spec):
 
 def _edit_cell(store, baseline, make_edit, cold_docs):
     """Best-of-N incremental runs of ``make_edit(round)`` (each round a
-    distinct digest, so none short-circuits into a warm hit) against a
-    cold analysis of the same round-0 edit."""
+    distinct program) against a cold analysis of the same round-0
+    edit."""
     best, info, identical = float("inf"), None, False
     for r in range(INC_ROUNDS):
         dt, result = _timed(make_edit(r), store, baseline=baseline)
@@ -215,16 +215,14 @@ def test_incremental_speed(benchmark):
     ]
     assert not broken, f"incremental output differs from cold: {broken}"
 
-    not_identical = [
+    not_warm = [
         name
         for name, c in cases.items()
-        if c["renumber"]["mode"] != "identical"
+        if c["renumber"]["mode"] != "warm"
     ]
-    assert not_identical == [], (
+    assert not_warm == [], (
         "renumber edits must take the no-execution path, got: "
-        + ", ".join(
-            f"{n}={cases[n]['renumber']['mode']}" for n in not_identical
-        )
+        + ", ".join(f"{n}={cases[n]['renumber']['mode']}" for n in not_warm)
     )
 
     rows = []

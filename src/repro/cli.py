@@ -95,44 +95,6 @@ def _cache_dir_from_args(args) -> Optional[str]:
     ) or None
 
 
-def _print_incremental(result) -> None:
-    """One-line incremental summary on **stderr** -- stdout must stay
-    byte-identical to a cold run of the same program."""
-    info = result.incremental
-    if info is None:
-        return
-    parts = [f"incremental: mode={info.mode}"]
-    if info.mode == "identical":
-        parts.append(
-            f"regions reused {info.regions_reused}/{info.funcs_total}"
-        )
-    if info.reason:
-        parts.append(f"reason: {info.reason}")
-    print("  ".join(parts), file=sys.stderr)
-
-
-def _baseline_of(args) -> Optional[str]:
-    """Resolve ``--baseline``: a workload name is fingerprinted; a raw
-    64-hex program digest passes through."""
-    ref = getattr(args, "baseline", None)
-    if not ref:
-        return None
-    from .workloads import all_workloads
-
-    reg = all_workloads()
-    if ref in reg:
-        from .isa.fingerprint import fingerprint_program
-
-        return fingerprint_program(reg[ref]().program)
-    if len(ref) == 64 and all(c in "0123456789abcdef" for c in ref):
-        return ref
-    options = ", ".join(sorted(reg))
-    raise SystemExit(
-        f"--baseline {ref!r} is neither a workload name nor a program "
-        f"fingerprint; workloads: {options}"
-    )
-
-
 def _print_crosscheck(result) -> int:
     """Print the crosscheck summary; return the violation count."""
     if result.crosscheck is None:
@@ -147,17 +109,7 @@ def cmd_report(args) -> int:
 
     spec = _get_spec(args.workload)
     store = _store_from_args(args)
-    baseline = _baseline_of(args)
-    if baseline is not None and store is None:
-        raise SystemExit(
-            "--baseline requires an artifact store (--cache DIR or "
-            "REPRO_CACHE_DIR)"
-        )
-    result = analyze(
-        spec, crosscheck=args.crosscheck,
-        store=store, baseline=baseline,
-    )
-    _print_incremental(result)
+    result = analyze(spec, crosscheck=args.crosscheck, store=store)
     bad = result.crosscheck is not None and result.crosscheck.violations
     if args.format == "json":
         from .feedback.jsonout import render_json, report_document
@@ -180,17 +132,7 @@ def cmd_metrics(args) -> int:
 
     spec = _get_spec(args.workload)
     store = _store_from_args(args)
-    baseline = _baseline_of(args)
-    if baseline is not None and store is None:
-        raise SystemExit(
-            "--baseline requires an artifact store (--cache DIR or "
-            "REPRO_CACHE_DIR)"
-        )
-    result = analyze(
-        spec, crosscheck=args.crosscheck,
-        store=store, baseline=baseline,
-    )
-    _print_incremental(result)
+    result = analyze(spec, crosscheck=args.crosscheck, store=store)
     if args.format == "json":
         from .feedback.jsonout import metrics_document, render_json
 
@@ -244,12 +186,6 @@ def cmd_trace(args) -> int:
 
     spec = _get_spec(args.workload)
     store = _store_from_args(args)
-    baseline = _baseline_of(args)
-    if baseline is not None and store is None:
-        raise SystemExit(
-            "--baseline requires an artifact store (--cache DIR or "
-            "REPRO_CACHE_DIR)"
-        )
     from .obs.context import new_trace_context
 
     # the CLI is a trace front door: mint the request identity here so
@@ -262,9 +198,7 @@ def cmd_trace(args) -> int:
             store=store,
             tracer=tracer,
             extra_observers=[observer],
-            baseline=baseline,
         )
-        _print_incremental(result)
         if args.format == "json":
             from .feedback.jsonout import render_json, trace_document
 
@@ -319,17 +253,7 @@ def cmd_regions(args) -> int:
 
     spec = _get_spec(args.workload)
     store = _store_from_args(args)
-    baseline = _baseline_of(args)
-    if baseline is not None and store is None:
-        raise SystemExit(
-            "--baseline requires an artifact store (--cache DIR or "
-            "REPRO_CACHE_DIR)"
-        )
-    result = analyze(
-        spec, crosscheck=args.crosscheck,
-        store=store, baseline=baseline,
-    )
-    _print_incremental(result)
+    result = analyze(spec, crosscheck=args.crosscheck, store=store)
     total = result.folded.dyn_ops() or 1
     print("candidate regions (best first):")
     for cand in suggest_regions(result, top=8):
@@ -347,17 +271,7 @@ def cmd_verify(args) -> int:
 
     spec = _get_spec(args.workload)
     store = _store_from_args(args)
-    baseline = _baseline_of(args)
-    if baseline is not None and store is None:
-        raise SystemExit(
-            "--baseline requires an artifact store (--cache DIR or "
-            "REPRO_CACHE_DIR)"
-        )
-    result = analyze(
-        spec, crosscheck=args.crosscheck,
-        store=store, baseline=baseline,
-    )
-    _print_incremental(result)
+    result = analyze(spec, crosscheck=args.crosscheck, store=store)
     bad = 0
     for plan in result.plans:
         if not plan.steps:
@@ -569,20 +483,6 @@ def _add_cache_args(p) -> None:
     )
 
 
-def _add_baseline_arg(p) -> None:
-    p.add_argument(
-        "--baseline",
-        metavar="REF",
-        default=None,
-        help="diff against this baseline: a workload name or a 64-hex "
-        "program fingerprint whose manifest and stage-2 artifact are "
-        "in the store; a twin (every function unchanged) is served "
-        "from the baseline's artifacts, anything else runs cold "
-        "(requires --cache); output stays byte-identical to a cold "
-        "run, the incremental summary goes to stderr",
-    )
-
-
 def _add_crosscheck_arg(p) -> None:
     p.add_argument(
         "--crosscheck",
@@ -611,7 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("workload")
         _add_crosscheck_arg(p)
         _add_cache_args(p)
-        _add_baseline_arg(p)
         if name in ("report", "metrics"):
             p.add_argument(
                 "--format",
@@ -681,7 +580,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "versioned trace document (json)",
     )
     _add_cache_args(p)
-    _add_baseline_arg(p)
     p = sub.add_parser(
         "diff",
         help="statically diff two program versions, function by "

@@ -1,10 +1,14 @@
-"""Baseline re-analysis: fingerprints, diffing, twins.
+"""Baseline diffing, the stage-2 region codec, and program edits.
 
-The store (:mod:`repro.store`) keys artifacts on the whole-program
-fingerprint, so a program that differs from an analyzed one only in
-its uid numbering or function order would be a full cold miss.  This
-package extends the warm path from "identical program" to "twin
-program" with two static passes:
+The store (:mod:`repro.store`) keys its ``cp-``/``ddg-`` artifacts on
+the canonical program digest, so a *twin* -- a program that differs
+from an analyzed one only in its uid numbering or function order --
+is an ordinary warm hit: the uid-free stage-2 payload is decoded
+(:mod:`.stitch`) from its per-function regions (:mod:`.regions`)
+against the submitted program.
+
+``analyze(baseline=...)`` adds a static account of the change, with
+two passes:
 
 1. **Manifest** (:mod:`.manifest`): per-function canonical
    fingerprints, per-block fingerprints and call-graph-aware
@@ -14,14 +18,11 @@ program" with two static passes:
    unchanged / modified / added / removed (+ rename detection), purely
    static, milliseconds.
 
-When every function is unchanged (:mod:`.plan`), the pipeline
-(:func:`repro.pipeline.analyze` with ``baseline=``) executes nothing:
-it decodes (:mod:`.stitch`) the per-function regions (:mod:`.regions`)
-of the baseline's stage-2 artifact against the submitted program, a
-folded DDG byte-identical to a cold full analysis.  Any other program
-runs cold: a dependence profile comes from a whole-program execution,
-so a one-function body edit reaches nearly every executed instruction
-and there is nothing to reuse.
+The account (:mod:`.plan`) changes nothing that runs: a twin is a
+warm hit with or without it, and any other program runs cold -- a
+dependence profile comes from a whole-program execution, so a
+one-function body edit reaches nearly every executed instruction and
+there is nothing to reuse.
 """
 
 from .diff import FunctionStatus, ProgramDiff, diff_document, diff_manifests
@@ -32,7 +33,7 @@ from .edit import (
     renumbered_spec,
 )
 from .manifest import MANIFEST_FORMAT_VERSION, build_manifest
-from .plan import IncrementalInfo, IncrementalPlan, plan_incremental
+from .plan import IncrementalInfo, plan_incremental
 from .regions import REGION_FORMAT_VERSION, encode_regions
 from .stitch import IncrementalMismatch, stitch_folded
 
@@ -40,7 +41,6 @@ __all__ = [
     "FunctionStatus",
     "IncrementalInfo",
     "IncrementalMismatch",
-    "IncrementalPlan",
     "MANIFEST_FORMAT_VERSION",
     "REGION_FORMAT_VERSION",
     "append_sink_instr",

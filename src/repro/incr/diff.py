@@ -6,8 +6,8 @@ fingerprints (rename/renumber-invariant, see
 
 * **unchanged** -- same local fingerprint.  Covers pure uid
   re-numbering and reordering of other functions.  When every function
-  is unchanged the program is a *twin* of the baseline and is served
-  from the baseline's stored artifacts (modulo uid remapping).
+  is unchanged the program is a *twin* of the baseline: it shares the
+  baseline's store keys and is served as a warm hit.
 * **modified** -- present on both sides with different fingerprints;
   the per-block fingerprints narrow the change down to specific basic
   blocks for diagnostics.

@@ -1,11 +1,11 @@
 """Tiny semantics-preserving program edits for tests, CI, and benches.
 
-``analyze(baseline=...)`` is exercised end-to-end by editing *one
-function* of a real workload (the edit plans cold) or renumbering its
-uids (a twin, served from the baseline) and re-analyzing against the
-baseline.  The edit
-appended here -- a ``const`` into a dead ``%sink``-prefixed register at
-the end of the target function's entry block -- is the smallest change
+The store and ``analyze(baseline=...)`` are exercised end-to-end by
+editing *one function* of a real workload (the edit runs cold) or
+renumbering its uids (a twin: a warm hit on the original's stored
+artifacts).  The edit appended here -- a ``const`` into a dead
+``%sink``-prefixed register at the end of the target function's entry
+block -- is the smallest change
 that is still an honest body edit: the function's fingerprint, its
 statement set, and its folded domains all change, while the program's
 observable behavior (and thus every *other* function's analysis) does
@@ -74,9 +74,10 @@ def edited_spec(spec, func: str, **kwargs):
 def renumber_uids(program: Program, offset: int = 1000) -> Program:
     """A copy of ``program`` with every instruction uid shifted by
     ``offset`` -- the canonical "recompiled after a formatting-only
-    change" twin.  Every function's canonical fingerprint is unchanged
-    (uids are not semantic), so a baseline diff classifies the whole
-    program as unchanged and the incremental path never executes it.
+    change" twin.  Its canonical digest and every function's canonical
+    fingerprint are unchanged (uids are not semantic), so it shares the
+    original's store keys and a baseline diff classifies the whole
+    program as unchanged.
 
     A *fresh* :class:`Program` is built rather than mutating in place:
     programs are immutable once validated (the VM caches its
@@ -111,5 +112,5 @@ def renumber_uids(program: Program, offset: int = 1000) -> Program:
 
 def renumbered_spec(spec, offset: int = 1000):
     """A copy of a spec whose program is uid-renumbered (same state
-    factory) -- the no-semantic-change incremental scenario."""
+    factory) -- the no-semantic-change twin scenario."""
     return replace(spec, program=renumber_uids(spec.program, offset))

@@ -8,9 +8,9 @@ side effect of any stored analysis.  It captures, per function:
 * the call-graph-aware transitive hash (an edit anywhere below a
   function changes its transitive hash).
 
-A later submission of another program diffs against the baseline
-manifest alone -- the baseline program itself is never needed, which
-is what lets the service take just a ``baseline_fingerprint`` string.
+A later analysis of another program diffs against the baseline
+manifest alone -- the baseline program itself is never needed, so
+``analyze(baseline=...)`` takes just the baseline's digest.
 """
 
 from __future__ import annotations

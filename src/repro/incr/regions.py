@@ -65,10 +65,6 @@ DEP_FIELDS = (
     "src_depth", "dst_depth",
 )
 
-#: the region keys :func:`region_ok` requires to be lists
-_LIST_KEYS = ("sets", "maps", "ctxs", "statements", "deps")
-
-
 def uid_to_ordinal(program: Program) -> Dict[int, Tuple[str, int]]:
     """Global uid -> (function, local ordinal) over a whole program."""
     out: Dict[int, Tuple[str, int]] = {}
@@ -206,13 +202,3 @@ def encode_regions(
             partial, fd.src_depth, fd.dst_depth,
         ])
     return {fname: rgn.payload(fname) for fname, rgn in regions.items()}
-
-
-def region_ok(payload: object) -> bool:
-    """Structural sanity of one (possibly store-loaded) region payload:
-    the current format, its three tables and its two row lists."""
-    return (
-        isinstance(payload, dict)
-        and payload.get("format") == REGION_FORMAT_VERSION
-        and all(isinstance(payload.get(k), list) for k in _LIST_KEYS)
-    )

@@ -2,8 +2,8 @@
 
 Every region of a stored stage-2 (``ddg-``) payload is decoded and
 re-mapped onto the submitted program -- the analyzed program itself
-(a warm hit) or a renumbered or function-reordered twin of it (the
-incremental ``identical`` mode):
+or a renumbered or function-reordered twin of it, which shares its
+store keys (both are warm hits):
 
 * a statement's global uid is recovered from its function-local
   ordinal (rename/renumber-invariant);
@@ -16,11 +16,12 @@ every statement, label piece and dependence that names the entry
 shares the decoded object, as the statements of a cold fold share its
 fold results.
 
-Every inconsistency -- an ordinal past the function's end, a key
+Every inconsistency -- a function without its region or a region
+without its function, an ordinal past the function's end, a key
 decoded twice, a dependence whose source is not in the decoded DDG, a
 row of the wrong length or an index past its table -- raises
-:class:`IncrementalMismatch`, which the pipeline answers with a cold
-re-fold (a warm decode treats it as a store miss).  The decoded
+:class:`IncrementalMismatch`, which the store's decoded load treats as
+a miss, so the pipeline runs cold.  The decoded
 result passes through :func:`repro.folding.canonical_ddg`, making it
 byte-identical (through the codec and every report) to a cold full
 analysis of the same program.
@@ -70,6 +71,12 @@ def stitch_folded(
     caller already built it (a stage-2 decode shares it with the
     dependence vectors).
     """
+    if set(regions) != set(program.functions):
+        # the encoder writes one region per function, even an empty one
+        raise IncrementalMismatch(
+            f"regions {sorted(regions)} are not the program's functions "
+            f"{sorted(program.functions)}"
+        )
     if uid_of is None:
         uid_of = ordinal_uids(program)
     instr_of: Dict[int, Instr] = {

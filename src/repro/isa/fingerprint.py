@@ -16,6 +16,13 @@ Floats are encoded via ``float.hex()`` (exact, round-trippable);
 operands are type-tagged so ``1`` (int), ``1.0`` (float), and ``"1"``
 (register name) hash differently.
 
+:func:`program_digests` computes, in the same traversal, a second
+**canonical** digest that names each instruction by its function-local
+ordinal instead of its uid.  The store keys its ``cp-``/``ddg-``
+artifacts by it, whose payloads are uid-free: a program that differs
+from an analyzed one only in its uid numbering or function listing
+order (a *twin*) is then an ordinary warm hit.
+
 Beyond the whole-program digest, this module emits **per-function
 canonical fingerprints** for the incremental-analysis subsystem
 (:mod:`repro.incr`):
@@ -39,7 +46,7 @@ canonical fingerprints** for the incremental-analysis subsystem
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .instructions import Call, CondBr, Halt, Jump, Return
 from .program import Function, Memory, Program
@@ -108,9 +115,47 @@ def function_ordered_uids(fn: Function) -> List[int]:
     return uids
 
 
+def _function_token_pairs(
+    fn: Function, name: Optional[str] = None
+) -> Iterable[Tuple[str, str]]:
+    """The (exact, canonical) token pairs of one function, in hashing
+    order.
+
+    The two streams differ only in instruction tokens: the exact token
+    names the instruction's global uid, the canonical one its
+    function-local ordinal -- the position this traversal (sorted
+    blocks, instruction order within each block) gives it, which is
+    exactly :func:`function_uid_ordinals`.
+    """
+    hashed_name = fn.name if name is None else name
+    header = (
+        f"func[{len(hashed_name)}]:{hashed_name}"
+        f":params={','.join(fn.params)}"
+        f":entry={fn.entry}:ld={fn.src_loop_depth}"
+        f":file={fn.src_file or ''}"
+    )
+    yield header, header
+    ordinal = 0
+    for bname in sorted(fn.blocks):
+        bb = fn.blocks[bname]
+        tok = f"block[{len(bname)}]:{bname}"
+        yield tok, tok
+        for ins in bb.instrs:
+            srcs = ",".join(_token(s) for s in ins.srcs)
+            body = (
+                f"{ins.opcode}:{_token(ins.dest)}"
+                f":[{srcs}]:off={ins.offset}:line={ins.src_line}"
+            )
+            yield f"instr:{ins.uid}:{body}", f"instr:{ordinal}:{body}"
+            ordinal += 1
+        for tok in _terminator_tokens(bb.terminator):
+            yield tok, tok
+    yield "end", "end"
+
+
 def function_tokens(
     fn: Function,
-    uid_of: Optional[Dict[int, int]] = None,
+    canonical: bool = False,
     name: Optional[str] = None,
 ) -> Iterable[str]:
     """The canonical token stream of one function.
@@ -120,50 +165,55 @@ def function_tokens(
     stream is closed by an ``end`` marker -- per-function splitting of
     a program stream is unambiguous even for adversarial names.
 
-    ``uid_of`` substitutes each instruction uid (e.g. with the
-    function-local ordinal); ``name`` overrides the hashed name (the
-    canonical per-function fingerprint passes ``""`` to be
-    rename-invariant).
+    ``canonical`` names each instruction by its function-local ordinal
+    instead of its uid; ``name`` overrides the hashed name (the
+    per-function fingerprint passes ``""`` to be rename-invariant).
     """
-    hashed_name = fn.name if name is None else name
-    yield (
-        f"func[{len(hashed_name)}]:{hashed_name}"
-        f":params={','.join(fn.params)}"
-        f":entry={fn.entry}:ld={fn.src_loop_depth}"
-        f":file={fn.src_file or ''}"
-    )
-    for bname in sorted(fn.blocks):
-        bb = fn.blocks[bname]
-        yield f"block[{len(bname)}]:{bname}"
-        for ins in bb.instrs:
-            uid = ins.uid if uid_of is None else uid_of[ins.uid]
-            srcs = ",".join(_token(s) for s in ins.srcs)
-            yield (
-                f"instr:{uid}:{ins.opcode}:{_token(ins.dest)}"
-                f":[{srcs}]:off={ins.offset}:line={ins.src_line}"
-            )
-        yield from _terminator_tokens(bb.terminator)
-    yield "end"
+    side = int(canonical)
+    for pair in _function_token_pairs(fn, name):
+        yield pair[side]
+
+
+def _program_token_pairs(program: Program) -> Iterable[Tuple[str, str]]:
+    head = f"program:{program.name}:main={program.main}"
+    yield head, head
+    for fname in sorted(program.functions):
+        yield from _function_token_pairs(program.functions[fname])
 
 
 def program_tokens(program: Program) -> Iterable[str]:
-    """The canonical token stream of one program (hashing order)."""
-    yield f"program:{program.name}:main={program.main}"
-    for fname in sorted(program.functions):
-        yield from function_tokens(program.functions[fname])
+    """The exact token stream of one program (hashing order)."""
+    for exact, _canonical in _program_token_pairs(program):
+        yield exact
 
 
 def _digest_tokens(tokens: Iterable[str]) -> str:
-    h = hashlib.sha256()
-    for tok in tokens:
-        h.update(tok.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 of the tokens, each terminated by a newline."""
+    text = "".join(tok + "\n" for tok in tokens)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint_program(program: Program) -> str:
     """Stable content digest (hex sha256) of a program's full IR."""
     return _digest_tokens(program_tokens(program))
+
+
+def program_digests(program: Program) -> Tuple[str, str]:
+    """(exact, canonical) digests of a program, in one traversal.
+
+    The exact digest is :func:`fingerprint_program`.  The canonical
+    one hashes the same stream with every uid replaced by its
+    function-local ordinal, so it is invariant under shifting,
+    permuting or renumbering uids and (functions being hashed in name
+    order) under the order functions are listed in; every other field
+    -- the program name, ``main``, function and block names, every
+    instruction field, terminators -- still lands in it.
+    """
+    pairs = list(_program_token_pairs(program))
+    return (
+        _digest_tokens(a for a, _ in pairs),
+        _digest_tokens(b for _, b in pairs),
+    )
 
 
 def function_fingerprint(fn: Function) -> str:
@@ -175,9 +225,7 @@ def function_fingerprint(fn: Function) -> str:
     ordinals).  Any body change -- instructions, operands, block names,
     terminators, params, source lines -- changes the digest.
     """
-    return _digest_tokens(
-        function_tokens(fn, uid_of=function_uid_ordinals(fn), name="")
-    )
+    return _digest_tokens(function_tokens(fn, canonical=True, name=""))
 
 
 def function_fingerprints(program: Program) -> Dict[str, str]:

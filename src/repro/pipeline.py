@@ -267,10 +267,10 @@ class AnalysisResult:
     #: root span of this call's trace (every analyze() is traced at
     #: stage granularity; deep traces add execution counters/memory)
     trace: Optional[Span] = None
-    #: what the incremental machinery did when ``analyze(baseline=...)``
-    #: was used (:class:`~repro.incr.IncrementalInfo`); deliberately
-    #: *not* part of any report/metrics document -- incremental output
-    #: stays byte-identical to a cold run
+    #: the baseline diff account when ``analyze(baseline=...)`` was
+    #: used (:class:`~repro.incr.IncrementalInfo`); deliberately *not*
+    #: part of any report/metrics document, which stay byte-identical
+    #: to a cold run
     incremental: Optional["IncrementalInfo"] = None
 
     @property
@@ -324,9 +324,12 @@ def analyze(
     the workload, the fuel and the clamp are fingerprinted, and a
     warm stage-2 hit skips both profiled executions *and* folding
     entirely, leaving only the cheap feedback passes.  A stage-2 miss
-    with a stage-1 hit still skips Instrumentation I.  Cached and fresh runs
-    produce identical results; cache state only shows up in
-    ``result.timings``.
+    with a stage-1 hit still skips Instrumentation I.  The program is
+    keyed by its canonical (uid-free) digest, so a twin -- uids
+    shifted or permuted, functions listed in another order -- is a
+    warm hit on an analyzed program's artifacts, decoded against its
+    own uids.  Cached and fresh runs produce identical results; cache
+    state only shows up in ``result.timings``.
 
     ``extra_observers`` attach additional passive
     :class:`~repro.isa.events.Instrumentation` observers to both
@@ -347,14 +350,11 @@ def analyze(
 
     ``baseline`` (requires ``store``) is the program fingerprint of a
     previously analyzed baseline: the spec's program is statically
-    diffed against the baseline's manifest (:mod:`repro.incr`).  A
-    twin -- every function unchanged, as after uid renumbering or
-    function reordering -- executes nothing: both stages are decoded
-    from the baseline's stored artifacts.  Any other program runs
-    cold.  The result is byte-identical to a cold full analysis; what
-    the machinery did is reported on ``result.incremental``.  A
-    baseline payload that does not decode falls back to a cold run
-    automatically.
+    diffed against the baseline's manifest (:mod:`repro.incr`) and
+    the account -- ``warm`` when the stage-2 artifact was stored,
+    else ``cold`` with a reason -- is reported on
+    ``result.incremental``.  It changes nothing that runs: the result
+    is byte-identical to a cold full analysis.
     """
     from .folding import FastFoldingSink, FoldingSink
     from .schedule import analyze_forest, build_nest_forest, plan_all
@@ -389,43 +389,21 @@ def analyze(
     with tracer.span(
         "analyze", cat="pipeline", workload=spec.name, engine=engine
     ) as root:
-        # -- baseline planning: diff + baseline payload ------------------------
-        incr_plan = None
+        # -- baseline planning: the static diff account ------------------------
+        incr_info = new_manifest = None
         if baseline is not None:
-            from .incr import IncrementalMismatch, plan_incremental
+            from .incr import plan_incremental
 
-            incr_plan = plan_incremental(
-                spec,
-                keys,
-                baseline,
-                store,
-                tracer,
-                fuel=fuel,
-                clamp=clamp,
+            incr_info, new_manifest = plan_incremental(
+                spec, keys, baseline, store, tracer
             )
 
         # -- stage 1: interprocedural control structure ------------------------
         with tracer.span("instr1", cat="stage"):
             control = None
-            # set when the baseline's cp- object served this twin
-            base_stage1 = False
             if store is not None:
                 with tracer.span("stage1.load", cat="cache"):
                     control = store.load(keys.stage1, decode_control_profile)
-                if (
-                    control is None
-                    and incr_plan is not None
-                    and incr_plan.mode == "identical"
-                ):
-                    # an all-unchanged diff implies identical control
-                    # structure (CFGs are uid-free), so the baseline's
-                    # stage-1 artifact serves verbatim
-                    with tracer.span("stage1.load_base", cat="cache"):
-                        control = store.load(
-                            incr_plan.base_keys.stage1,
-                            decode_control_profile,
-                        )
-                    base_stage1 = control is not None
             stage1_cached = control is not None
             if control is None:
                 control = profile_control(
@@ -437,21 +415,25 @@ def analyze(
                 )
             if store is not None and not store.contains(keys.stage1):
                 with tracer.span("stage1.put", cat="cache"):
-                    # the stored bytes are uid-free: the baseline's
-                    # object is this twin's, unless it has gone since
-                    if not (
-                        base_stage1
-                        and store.copy(incr_plan.base_keys.stage1, keys.stage1)
-                    ):
-                        store.put(keys.stage1, encode_control_profile(control))
+                    store.put(keys.stage1, encode_control_profile(control))
 
         # -- stage 2: DDG streams + folding ------------------------------------
         with tracer.span("instr2_fold", cat="stage"):
             dep_vectors = None
             loaded = None
-
-            def run_stage2():
-                """One instrumented stage-2 execution + fold."""
+            if store is not None:
+                with tracer.span("stage2.load", cat="cache"):
+                    loaded = store.load(
+                        keys.stage2, lambda p: decode_stage2(p, spec.program)
+                    )
+            if loaded is not None:
+                folded, ddgp, dep_vectors = loaded
+                stage2_cached = True
+                if incr_info is not None:
+                    incr_info.mode = "warm"
+                    incr_info.reason = "stage2-warm-hit"
+                    incr_info.regions_reused = len(spec.program.functions)
+            else:
                 sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
                 sink = sink_cls(clamp=clamp)
                 ddgp = profile_ddg(
@@ -465,36 +447,6 @@ def analyze(
                 )
                 with tracer.span("fold.finalize", cat="fold"):
                     folded = sink.finalize(tracer=tracer)
-                return ddgp, folded
-
-            if store is not None:
-                with tracer.span("stage2.load", cat="cache"):
-                    loaded = store.load(
-                        keys.stage2, lambda p: decode_stage2(p, spec.program)
-                    )
-            if loaded is not None:
-                folded, ddgp, dep_vectors = loaded
-                stage2_cached = True
-                if incr_plan is not None:
-                    incr_plan.info.mode = "warm"
-                    incr_plan.info.reason = "stage2-warm-hit"
-            elif incr_plan is not None and incr_plan.mode == "identical":
-                try:
-                    with tracer.span("incr.stitch", cat="incr") as sp:
-                        folded, ddgp, dep_vectors = decode_stage2(
-                            incr_plan.base_payload, spec.program
-                        )
-                        sp.count(
-                            "regions_reused", incr_plan.info.regions_reused
-                        )
-                    stage2_cached = True
-                except IncrementalMismatch as exc:
-                    incr_plan.info.mode = "cold"
-                    incr_plan.info.reason = f"fallback: {exc}"
-                    incr_plan.info.regions_reused = 0
-                    ddgp, folded = run_stage2()
-            else:
-                ddgp, folded = run_stage2()
 
         # -- feedback: dependence vectors, forest analysis, planning -----------
         with tracer.span("feedback", cat="stage"):
@@ -506,32 +458,21 @@ def analyze(
                 plans = plan_all(forest, stride_scores_of=stride_scores)
             if store is not None and not store.contains(keys.stage2):
                 with tracer.span("stage2.put", cat="cache"):
-                    if not (
-                        incr_plan is not None
-                        and incr_plan.info.mode == "identical"
-                        and store.copy(incr_plan.base_keys.stage2, keys.stage2)
-                    ):
-                        store.put(
-                            keys.stage2,
-                            encode_stage2(
-                                spec.program, folded, ddgp, forest.deps
-                            ),
-                        )
+                    store.put(
+                        keys.stage2,
+                        encode_stage2(spec.program, folded, ddgp, forest.deps),
+                    )
             if store is not None:
                 # write the manifest on every stored run, so *this*
-                # analysis (its ddg- payload carries the per-function
-                # regions) can serve as a future baseline
+                # analysis can serve as a future baseline
                 from .incr import build_manifest
 
                 with tracer.span("incr.put", cat="cache"):
                     if not store.contains(keys.manifest):
-                        manifest = (
-                            incr_plan.new_manifest
-                            if incr_plan is not None
-                            and incr_plan.new_manifest is not None
-                            else build_manifest(spec.program)
+                        store.put(
+                            keys.manifest,
+                            new_manifest or build_manifest(spec.program),
                         )
-                        store.put(keys.manifest, manifest)
 
     timings = (
         StageTimings.from_span_tree(root, stage1_cached, stage2_cached)
@@ -550,7 +491,7 @@ def analyze(
         engine=engine,
         timings=timings,
         trace=root if tracer.enabled else None,
-        incremental=incr_plan.info if incr_plan is not None else None,
+        incremental=incr_info,
     )
     if crosscheck:
         from .dataflow.crosscheck import CheckOptions, run_crosscheck

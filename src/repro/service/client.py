@@ -118,17 +118,10 @@ class ServiceClient:
         workload: Optional[str] = None,
         program: Optional[dict] = None,
         state: Optional[dict] = None,
-        baseline_fingerprint: Optional[str] = None,
         traceparent: Optional[str] = None,
         **options,
     ) -> dict:
-        """POST /v1/analyze.  ``baseline_fingerprint`` (a 64-hex
-        program digest previously analyzed by the service) diffs the
-        program against that baseline: a twin (every function
-        unchanged, e.g. renumbered uids) is served from the baseline's
-        artifacts without executing, anything else runs cold;
-        artifacts are byte-identical to a cold run and the job status
-        doc carries the ``incremental`` account.
+        """POST /v1/analyze.
 
         ``traceparent`` (a W3C ``00-<trace>-<span>-<flags>`` header
         value, e.g. :meth:`TraceContext.to_traceparent
@@ -143,8 +136,6 @@ class ServiceClient:
             body["program"] = program
         if state is not None:
             body["state"] = state
-        if baseline_fingerprint is not None:
-            body["baseline_fingerprint"] = baseline_fingerprint
         headers = (
             {"traceparent": traceparent} if traceparent else None
         )

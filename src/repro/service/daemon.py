@@ -460,9 +460,7 @@ class AnalysisService:
 
     def _build_options(self, body: dict):
         return build_options(
-            body,
-            default_timeout=self.config.default_timeout,
-            has_store=self.store is not None,
+            body, default_timeout=self.config.default_timeout
         )
 
     def submit(

@@ -217,7 +217,6 @@ def run_analysis(
             store=store,
             extra_observers=observers,
             tracer=tracer,
-            baseline=options.baseline if store is not None else None,
         )
 
     def fields(result) -> dict:
@@ -235,11 +234,6 @@ def run_analysis(
             "crosscheck_violations": (
                 len(result.crosscheck.violations)
                 if result.crosscheck is not None
-                else None
-            ),
-            "incremental": (
-                result.incremental.as_dict()
-                if result.incremental is not None
                 else None
             ),
             "report_json": render_json(
@@ -308,7 +302,6 @@ def run_sweep_analysis(
                 "sweep_key": result.key,
             },
             "crosscheck_violations": None,
-            "incremental": None,
             "report_json": render_json(
                 sweep_document(result)
             ).encode("utf-8"),
@@ -334,7 +327,6 @@ def apply_outcome(job: Job, outcome: dict, logger=None) -> Job:
         job.cache_hit = outcome["cache_hit"]
         job.summary = outcome["summary"]
         job.crosscheck_violations = outcome["crosscheck_violations"]
-        job.incremental = outcome["incremental"]
         job.report_json = outcome["report_json"]
         job.metrics_json = outcome["metrics_json"]
         job.flamegraph_svg = outcome["flamegraph_svg"]

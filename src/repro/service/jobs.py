@@ -50,9 +50,6 @@ class JobOptions:
     clamp: Optional[int] = None
     fuel: int = 50_000_000
     timeout: Optional[float] = None
-    #: baseline program fingerprint for incremental re-analysis
-    #: (``baseline_fingerprint`` on POST /v1/analyze); None = cold
-    baseline: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
@@ -60,21 +57,19 @@ class JobOptions:
             "clamp": self.clamp,
             "fuel": self.fuel,
             "timeout": self.timeout,
-            "baseline": self.baseline,
         }
 
 
 def derive_job_key(spec, options: JobOptions) -> str:
     """Content-addressed identity of one (workload, options) request.
 
-    Builds on the artifact store's stage-2 key (program + state
-    fingerprints + pipeline options), then folds in the options that
-    change the *response* but not the cached artifacts.  ``timeout`` is
-    deliberately excluded: it bounds how long we wait, not what is
-    computed.  ``baseline`` is excluded too: incremental and cold runs
-    of the same program produce byte-identical artifacts, so an
-    incremental request rightly coalesces onto a cold job of the same
-    program and vice versa.
+    Builds on the artifact store's stage-2 key (canonical program +
+    state fingerprints + pipeline options), then folds in what changes
+    the *response* but not the cached artifacts: the exact program
+    digest -- a twin shares its baseline's stage-2 key, but its
+    documents name its own uids, so the two must be two jobs -- and
+    ``crosscheck``.  ``timeout`` is deliberately excluded: it bounds
+    how long we wait, not what is computed.
     """
     from ..store import keys_for_spec
 
@@ -83,7 +78,10 @@ def derive_job_key(spec, options: JobOptions) -> str:
         fuel=options.fuel,
         clamp=options.clamp,
     )
-    raw = f"{keys.stage2}|crosscheck={options.crosscheck}"
+    raw = (
+        f"{keys.stage2}|prog={keys.program_digest}"
+        f"|crosscheck={options.crosscheck}"
+    )
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
@@ -148,11 +146,6 @@ class Job:
     flamegraph_svg: Optional[bytes] = None
     trace_json: Optional[bytes] = None
     crosscheck_violations: Optional[int] = None
-    #: what the incremental machinery did when the request carried a
-    #: ``baseline_fingerprint`` (IncrementalInfo.as_dict); rendered
-    #: artifacts stay byte-identical to a cold run, so this is the only
-    #: place the incremental account surfaces
-    incremental: Optional[dict] = None
     #: exported span forest (Span.to_dict docs) of the execution,
     #: attached on completion so the daemon's TraceCollector can serve
     #: the stitched timeline; stays None for inline/deduped paths
@@ -243,8 +236,6 @@ class Job:
             doc["summary"] = dict(self.summary)
         if self.crosscheck_violations is not None:
             doc["crosscheck_violations"] = self.crosscheck_violations
-        if self.incremental is not None:
-            doc["incremental"] = dict(self.incremental)
         return doc
 
 

@@ -74,7 +74,6 @@ def _is_int(value) -> bool:
 def build_options(
     body: dict,
     default_timeout: Optional[float] = None,
-    has_store: bool = True,
 ) -> JobOptions:
     """A validated :class:`JobOptions` from a submission body.
 
@@ -82,9 +81,15 @@ def build_options(
     :class:`BadRequest`, never a coerced guess (``bool("false")`` is
     true) or an uncaught conversion error.  ``fold_jobs`` survives only
     as a legacy field: absent or ``1`` (the one serial fold) is
-    accepted and changes nothing.  ``has_store=False`` rejects
-    ``baseline_fingerprint`` the way a store-less daemon must.
+    accepted and changes nothing.  ``baseline_fingerprint`` is always
+    refused: a renumbered twin is a plain warm hit, with no baseline.
     """
+    if "baseline_fingerprint" in body:
+        raise BadRequest(
+            "baseline_fingerprint is no longer served; a renumbered or "
+            "function-reordered twin of an analyzed program is a warm "
+            "hit without it"
+        )
     if body.get("engine", "fast") != "fast":
         raise BadRequest(
             "the reference engine is no longer served; omit 'engine' "
@@ -112,27 +117,11 @@ def build_options(
     crosscheck = body.get("crosscheck", False)
     if not isinstance(crosscheck, bool):
         raise BadRequest("crosscheck must be true or false")
-    baseline = body.get("baseline_fingerprint")
-    if baseline is not None:
-        if not (
-            isinstance(baseline, str)
-            and len(baseline) == 64
-            and all(c in "0123456789abcdef" for c in baseline)
-        ):
-            raise BadRequest(
-                "baseline_fingerprint must be a 64-hex program digest"
-            )
-        if not has_store:
-            raise BadRequest(
-                "baseline_fingerprint requires the service to run "
-                "with an artifact store (cache_dir)"
-            )
     return JobOptions(
         crosscheck=crosscheck,
         clamp=clamp,
         fuel=fuel,
         timeout=timeout,
-        baseline=baseline,
     )
 
 

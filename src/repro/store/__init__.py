@@ -12,7 +12,7 @@ from .artifacts import (
     encode_control_profile,
     encode_stage2,
 )
-from .keys import ArtifactKeys, derive_keys, keys_for_spec, manifest_key
+from .keys import ArtifactKeys, keys_for_spec, manifest_key
 from .store import STORE_FORMAT_VERSION, ArtifactStore, StoreStats
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "StoreStats",
     "decode_control_profile",
     "decode_stage2",
-    "derive_keys",
     "encode_control_profile",
     "encode_stage2",
     "keys_for_spec",

@@ -185,10 +185,10 @@ def decode_stage2(
 
     The whole payload is uid-free, so it decodes against any program
     whose functions number their instructions alike in canonical
-    order: the analyzed program itself (a warm hit) or a renumbered or
-    function-reordered twin of it (the incremental ``identical``
-    mode).  One (function, ordinal) -> uid table serves the regions
-    and the vectors.  Any inconsistency raises
+    order: the analyzed program itself or a renumbered or
+    function-reordered twin of it, which shares its store keys (both
+    are warm hits).  One (function, ordinal) -> uid table serves the
+    regions and the vectors.  Any inconsistency raises
     :class:`~repro.incr.IncrementalMismatch`."""
     from ..incr.stitch import IncrementalMismatch, ordinal_uids, stitch_folded
     from ..pipeline import DDGProfile

@@ -12,12 +12,20 @@ still reuses the cached :class:`~repro.pipeline.ControlProfile`.
 Both keys are salted with :data:`~repro.store.store.STORE_FORMAT_VERSION`
 so a format bump makes every old artifact an orderly miss.
 
+Both hash the program by its **canonical** digest
+(:func:`~repro.isa.fingerprint.program_digests`): uids replaced by
+function-local ordinals, functions in name order, every other field
+kept.  The ``cp-``/``ddg-`` payloads are uid-free and decoded against
+the submitted program, so a *twin* -- a program that differs from an
+analyzed one only in its uid numbering or function listing order --
+shares its keys and is an ordinary warm hit.  A renamed function or
+block, or any changed instruction field, still gets new keys, because
+the payloads name functions and blocks.
+
 One further level serves ``analyze(baseline=...)`` (:mod:`repro.incr`):
 the **manifest key** (``man-``) covers the static program manifest --
-per-function and per-block fingerprints -- and depends on the program
-digest alone.  The per-function regions of the folded DDG that a twin
-reuses live inside the stage-2 artifact, so they need no key of their
-own.
+per-function and per-block fingerprints -- and depends on the exact
+program digest alone.
 
 Only the production (fast) pipeline reads or writes the store, so no
 execution-path choice enters the key material.
@@ -29,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from ..isa.fingerprint import fingerprint_program, fingerprint_state
+from ..isa.fingerprint import fingerprint_state, program_digests
 from .store import STORE_FORMAT_VERSION
 
 
@@ -39,6 +47,9 @@ class ArtifactKeys:
 
     stage1: str          # ControlProfile artifact ("cp-<sha256>")
     stage2: str          # FoldedDDG + profile-meta + dep-vector artifact
+    #: exact program digest (:func:`~repro.isa.fingerprint_program`):
+    #: what the manifest key and the service's job key hash, because a
+    #: twin's rendered documents name its own uids
     program_digest: str
     state_digest: str
     #: program manifest artifact ("man-<sha256>"); static-only, so it
@@ -68,27 +79,6 @@ def manifest_key(program_digest: str) -> str:
     return "man-" + _hex(f"v{STORE_FORMAT_VERSION}|manifest={program_digest}")
 
 
-def derive_keys(
-    program_digest: str,
-    state_digest: str,
-    *,
-    fuel: int,
-    clamp: Optional[int],
-) -> ArtifactKeys:
-    base = (
-        f"v{STORE_FORMAT_VERSION}|prog={program_digest}"
-        f"|state={state_digest}|fuel={fuel}"
-    )
-    stage2 = base + STAGE2_SUFFIX.format(clamp=clamp)
-    return ArtifactKeys(
-        stage1="cp-" + _hex(base),
-        stage2="ddg-" + _hex(stage2),
-        program_digest=program_digest,
-        state_digest=state_digest,
-        manifest=manifest_key(program_digest),
-    )
-
-
 def keys_for_spec(
     spec,
     *,
@@ -99,9 +89,17 @@ def keys_for_spec(
     its artifact keys.  Materializes (and discards) one fresh state --
     cheap next to even a single instrumented execution."""
     args, memory = spec.make_state()
-    return derive_keys(
-        fingerprint_program(spec.program),
-        fingerprint_state(args, memory),
-        fuel=fuel,
-        clamp=clamp,
+    program_digest, canonical_digest = program_digests(spec.program)
+    state_digest = fingerprint_state(args, memory)
+    base = (
+        f"v{STORE_FORMAT_VERSION}|prog={canonical_digest}"
+        f"|state={state_digest}|fuel={fuel}"
+    )
+    stage2 = base + STAGE2_SUFFIX.format(clamp=clamp)
+    return ArtifactKeys(
+        stage1="cp-" + _hex(base),
+        stage2="ddg-" + _hex(stage2),
+        program_digest=program_digest,
+        state_digest=state_digest,
+        manifest=manifest_key(program_digest),
     )

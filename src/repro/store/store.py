@@ -12,7 +12,9 @@ artifact, concurrent writers of the same key just overwrite each other
 last-write-wins with equivalent payloads), and *every* read failure --
 missing file, truncated gzip, invalid JSON, wrong format version,
 decoder error -- degrades to a cache miss.  A corrupt file is unlinked
-best-effort so it cannot miss forever.
+best-effort so it cannot miss forever.  Writes degrade the same way: a
+put that fails with ``OSError`` (a full disk) leaves no file behind and
+counts an error, so caching never fails an analysis.
 
 Eviction is size-capped LRU over file mtimes: a hit touches the
 artifact's mtime, a put evicts oldest-first until the store fits
@@ -72,7 +74,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: vector rows name their endpoints by (function, ordinal, context id)
 #: v7: the ``man-`` manifest keeps only what the differ reads (manifest
 #: format 2); its key is salted by this version alone
-STORE_FORMAT_VERSION = 7
+#: v8: ``cp-``/``ddg-`` keys hash the canonical (uid-free) program
+#: digest, so a renumbered or function-reordered twin shares its
+#: baseline's artifacts
+STORE_FORMAT_VERSION = 8
 
 #: name prefix of a put's temp file, renamed into place when complete
 _TEMP_PREFIX = ".tmp-"
@@ -216,41 +221,33 @@ class ArtifactStore:
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Atomically write ``payload`` under ``key``, then evict."""
+        """Atomically write ``payload`` under ``key``, then evict.
+
+        The bytes land via a temp file and ``os.replace``.  A write
+        that fails with :class:`OSError` (a full disk, a read-only
+        directory) unlinks its temp file, counts an error and returns:
+        the analysis being cached has already succeeded, and a missing
+        artifact is only a later miss.  Any other exception raises."""
         doc = {"format": STORE_FORMAT_VERSION, "data": payload}
         raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
         # mtime=0 keeps artifact bytes deterministic across runs
-        self._write(key, gzip.compress(raw, mtime=0))
-
-    def copy(self, src_key: str, dst_key: str) -> bool:
-        """Atomically write the stored bytes of ``src_key`` under
-        ``dst_key``, then evict; False when ``src_key`` is absent.
-
-        A document holds no key, so the copy is byte for byte what
-        :meth:`put` of the source's payload would write.  The source is
-        not decoded: a corrupt one is copied as is, and the copy misses
-        (and is unlinked) on its first read like any corrupt object."""
+        data = gzip.compress(raw, mtime=0)
+        tmp = None
         try:
-            with open(self.path_of(src_key), "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return False
-        self._write(dst_key, data)
-        return True
-
-    def _write(self, key: str, data: bytes) -> None:
-        """Land ``data`` as the file of ``key`` via a temp file and
-        ``os.replace``; count one put and evict under the cap."""
-        fd, tmp = tempfile.mkstemp(
-            prefix=_TEMP_PREFIX + key[:24] + "-", dir=self.objects_dir
-        )
-        try:
+            fd, tmp = tempfile.mkstemp(
+                prefix=_TEMP_PREFIX + key[:24] + "-", dir=self.objects_dir
+            )
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, self.path_of(key))
-        except Exception:
-            self._unlink(tmp)
-            raise
+        except Exception as exc:
+            if tmp is not None:
+                self._unlink(tmp)
+            if not isinstance(exc, OSError):
+                raise
+            with self._lock:
+                self.stats.errors += 1
+            return
         with self._lock:
             self.stats.puts += 1
         if self.max_bytes is not None:

@@ -1,12 +1,13 @@
 """End-to-end ``analyze(baseline=...)``: byte identity or bust.
 
-The contract under test: ``analyze(baseline=...)`` may reuse whatever
-it wants, but the rendered report and metrics documents must be
-byte-identical to a cold full analysis of the same program -- plain
-and under ``--crosscheck``.  A twin (every function unchanged) is
-served from the baseline's stored payload; any other program plans
-cold without reading that payload.  (Only the fast engine reads the
-store; the reference engine is serial and uncached.)
+The contract under test: the rendered report and metrics documents of
+``analyze(baseline=...)`` must be byte-identical to a cold full
+analysis of the same program -- plain and under ``--crosscheck``.  A
+twin (every function unchanged) shares its baseline's store keys and
+is a warm hit; a stored payload that does not decode is a warm miss
+and the twin runs cold.  Any other program plans cold without reading
+the baseline's payload.  (Only the fast engine reads the store; the
+reference engine is serial and uncached.)
 """
 
 import os
@@ -82,9 +83,9 @@ def test_incremental_byte_identical_to_cold(tmp_path, monkeypatch, crosscheck):
     assert _docs(inc) == _docs(cold)
 
 
-def test_identical_mode_runs_nothing(tmp_path):
-    """A uid-renumbered program is all-unchanged: both stages are
-    served from the baseline without executing anything."""
+def test_twin_against_its_baseline_is_a_warm_hit(tmp_path):
+    """A uid-renumbered program is all-unchanged and shares the
+    baseline's keys: both stages are warm hits, nothing executes."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
@@ -92,7 +93,9 @@ def test_identical_mode_runs_nothing(tmp_path):
     renum = _renumbered_spec()
     assert fingerprint_program(renum.program) != baseline
     inc = analyze(renum, store=store, baseline=baseline)
-    assert inc.incremental.mode == "identical"
+    assert inc.incremental.mode == "warm"
+    assert inc.incremental.reason == "stage2-warm-hit"
+    assert inc.incremental.summary["unchanged"] == 3
     assert inc.timings.stage1_cached and inc.timings.stage2_cached
     assert inc.incremental.regions_reused == len(renum.program.functions)
 
@@ -144,9 +147,9 @@ def _stage2_key():
 
 
 def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
-    """A structurally-valid but inconsistent region inside the baseline
-    ddg- payload must trip the decoder and land on the cold path with
-    identical output."""
+    """A structurally-valid but inconsistent region inside the shared
+    ddg- payload must trip the decoder: the twin's warm load is a
+    miss, and the cold run renders identical output."""
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
@@ -158,10 +161,13 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     )
     store.put(key, payload)
 
+    errors = store.stats.errors
     inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
     assert inc.incremental.mode == "cold"
-    assert inc.incremental.reason.startswith("fallback:")
+    assert inc.incremental.reason == "stage2-miss"
     assert inc.incremental.regions_reused == 0
+    assert not inc.timings.stage2_cached
+    assert store.stats.errors == errors + 1
     cold = analyze(_renumbered_spec())
     assert _docs(inc) == _docs(cold)
 
@@ -192,11 +198,13 @@ def test_malformed_region_row_falls_back_cold(tmp_path, how):
     _malform(payload["regions"]["main"], how)
     store.put(key, payload)
 
+    errors = store.stats.errors
     inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
     assert inc.incremental.mode == "cold"
-    assert inc.incremental.reason.startswith(
-        "fallback: region 'main': malformed"
-    )
+    assert inc.incremental.reason == "stage2-miss"
+    assert inc.timings.stage1_cached
+    assert not inc.timings.stage2_cached
+    assert store.stats.errors == errors + 1
     cold = analyze(_renumbered_spec())
     assert _docs(inc) == _docs(cold)
 
@@ -220,7 +228,7 @@ def test_malformed_region_row_is_a_warm_miss(tmp_path, how):
 
 @pytest.mark.parametrize("edit", ["renumber"])
 def test_missing_baseline_stage2_goes_cold_identically(tmp_path, edit):
-    """Without the baseline's ddg- payload a twin has nothing to reuse:
+    """Without the shared ddg- payload a twin has nothing to reuse:
     the run is cold, says why, and renders the same bytes as a cold
     analysis."""
     store = ArtifactStore(str(tmp_path))
@@ -232,7 +240,7 @@ def test_missing_baseline_stage2_goes_cold_identically(tmp_path, edit):
     inc = analyze(make(), store=store, baseline=baseline)
     info = inc.incremental
     assert info.mode == "cold"
-    assert info.reason == "baseline-stage2-miss"
+    assert info.reason == "stage2-miss"
     assert info.regions_reused == 0
     assert _docs(inc) == _docs(analyze(make()))
 
@@ -248,7 +256,8 @@ def test_corrupt_baseline_stage2_goes_cold(tmp_path):
 
     inc = analyze(_renumbered_spec(), store=store, baseline=baseline)
     assert inc.incremental.mode == "cold"
-    assert inc.incremental.reason == "baseline-stage2-corrupt"
+    assert inc.incremental.reason == "stage2-miss"
+    assert not inc.timings.stage2_cached
     assert _docs(inc) == _docs(analyze(_renumbered_spec()))
 
 
@@ -269,7 +278,8 @@ def test_incr_spans_cover_the_pipeline(tmp_path):
     analyze(_spec(), store=store)
 
     names = _span_names(store, _renumbered_spec(), baseline)
-    assert {"incr.diff", "incr.load", "incr.stitch", "incr.put"} <= names
+    assert {"incr.diff", "stage2.load", "incr.put"} <= names
+    assert not {"stage2.execute", "stage2.put"} & names
 
 
 def test_body_edit_spans_stop_at_the_diff(tmp_path):
@@ -280,5 +290,4 @@ def test_body_edit_spans_stop_at_the_diff(tmp_path):
     names = _span_names(
         store, edited_spec(_spec(), "assign_points"), baseline
     )
-    assert {"incr.diff", "stage2.execute", "incr.put"} <= names
-    assert not {"incr.load", "incr.slice", "incr.stitch"} & names
+    assert {"incr.diff", "stage2.execute", "stage2.put", "incr.put"} <= names

@@ -12,7 +12,6 @@ from repro.incr.regions import (
     DEP_FIELDS,
     REGION_FORMAT_VERSION,
     STMT_FIELDS,
-    region_ok,
     uid_to_ordinal,
 )
 from repro.pipeline import analyze
@@ -41,7 +40,9 @@ def test_encode_covers_every_function(kmeans_result):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     assert set(regions) == set(program.functions)
-    assert all(region_ok(p) for p in regions.values())
+    assert all(
+        p["format"] == REGION_FORMAT_VERSION for p in regions.values()
+    )
     total_stmts = sum(len(p["statements"]) for p in regions.values())
     assert total_stmts == len(kmeans_result.folded.statements)
     total_deps = sum(len(p["deps"]) for p in regions.values())
@@ -109,12 +110,27 @@ def test_table_index_out_of_range_raises(kmeans_result, rows, field, index):
 
 
 @pytest.mark.parametrize("table", ["sets", "maps", "ctxs"])
-def test_region_ok_requires_every_table(kmeans_result, table):
+def test_missing_table_raises(kmeans_result, table):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     del regions["main"][table]
-    assert not region_ok(regions["main"])
-    assert region_ok(regions["update_centers"])
+    with pytest.raises(IncrementalMismatch, match="region 'main': malformed"):
+        stitch_folded(program, regions)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_regions_must_be_the_programs_functions(kmeans_result, change):
+    """One region per function, no more and no fewer: a payload that
+    lost a region (or names a function the program lacks) is refused
+    even when no remaining dependence dangles."""
+    program = kmeans_result.spec.program
+    regions = encode_regions(program, kmeans_result.folded)
+    if change == "missing":
+        del regions["main"]
+    else:
+        regions["not_a_function"] = regions["main"]
+    with pytest.raises(IncrementalMismatch, match="program's functions"):
+        stitch_folded(program, regions)
 
 
 def test_overlap_with_fresh_raises(kmeans_result):
@@ -133,10 +149,14 @@ def test_overlap_with_fresh_raises(kmeans_result):
 
 
 def test_dangling_cross_region_source_raises(kmeans_result):
-    """Stitching a single region whose deps reach into other functions
-    must fail the dangling-source check."""
+    """Stitching one region's rows, with every other region's
+    statements gone, must fail the dangling-source check: its deps
+    reach into other functions."""
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
-    lone = {"update_centers": regions["update_centers"]}
-    with pytest.raises(IncrementalMismatch):
-        stitch_folded(program, lone)
+    for func, region in regions.items():
+        if func != "update_centers":
+            region["statements"] = []
+            region["deps"] = []
+    with pytest.raises(IncrementalMismatch, match="outside the decoded DDG"):
+        stitch_folded(program, regions)

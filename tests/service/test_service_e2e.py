@@ -265,88 +265,59 @@ class TestHttpErrors:
 
 
 class TestIncremental:
-    """``baseline_fingerprint`` on POST /v1/analyze."""
+    """Twins on one daemon, and the removed ``baseline_fingerprint``."""
 
-    @staticmethod
-    def _edited_kmeans_docs():
-        from repro.incr import append_sink_instr
-        from repro.isa.progjson import encode_program, encode_state
-        from repro.workloads import registry
-
-        spec = registry()["kmeans"]()
-        program = append_sink_instr(spec.program, "assign_points")
-        return (
-            encode_program(program),
-            encode_state(*spec.make_state()),
+    def test_twin_and_its_baseline_are_two_jobs(self, make_service, tmp_path):
+        """A uid-permuted twin shares lud's stored artifacts but not its
+        job: its documents name its own uids.  Each job serves what a
+        store-less cold analysis of its own program renders."""
+        from repro.feedback.jsonout import metrics_document, render_json
+        from repro.isa.progjson import (
+            encode_program,
+            encode_state,
+            spec_from_documents,
         )
-
-    def test_incremental_job_reports_account_and_matches_cold(
-        self, make_service, tmp_path
-    ):
-        from repro.isa import fingerprint_program
+        from repro.pipeline import analyze
         from repro.workloads import registry
+
+        from ..twins import TWINS
+
+        lud = registry()["lud"]()
+        twin = TWINS["permuted"](registry()["lud"]())
+        docs = (encode_program(twin.program), encode_state(*twin.make_state()))
 
         live = make_service(cache_dir=str(tmp_path / "cache"))
-        live.client.analyze(workload="kmeans")  # warm the baseline
-
-        baseline = fingerprint_program(registry()["kmeans"]().program)
-        program, state = self._edited_kmeans_docs()
+        base_status, _ = live.client.analyze(workload="lud")
         sub = live.client.submit(
-            program=program,
-            state=state,
-            name="kmeans-edit",
-            baseline_fingerprint=baseline,
+            program=docs[0], state=docs[1], name="lud-twin"
         )
+        assert sub["deduplicated"] is False
         status = live.client.wait(sub["job"])
         assert status["state"] == "done"
-        assert status["options"]["baseline"] == baseline
-        inc = status["incremental"]
-        # a body edit plans cold from the diff alone
-        assert inc["mode"] == "cold"
-        assert inc["reason"] == "program-changed"
-        assert inc["summary"]["modified"] == 1
-        assert inc["regions_reused"] == 0
-        assert "frontier" not in inc
-        inc_report = live.client.report(sub["job"])
+        assert status["job"] != base_status["job"]
+        assert status["key"] != base_status["key"]
+        assert status["cache"]["hit"] is True
+        assert "incremental" not in status
 
-        # a cold service without the baseline serves identical bytes
-        cold = make_service(cache_dir=str(tmp_path / "cold"))
-        cold_sub = cold.client.submit(
-            program=program, state=state, name="kmeans-edit"
-        )
-        cold_status = cold.client.wait(cold_sub["job"])
-        assert "incremental" not in cold_status
-        assert cold.client.report(cold_sub["job"]) == inc_report
-
-    def test_baseline_coalesces_with_cold_request(
-        self, make_service, tmp_path
-    ):
-        """baseline is excluded from the job key: same program, with
-        and without a baseline, is the same work."""
-        from repro.isa import fingerprint_program
-        from repro.workloads import registry
-
-        live = make_service(cache_dir=str(tmp_path / "cache"))
-        baseline = fingerprint_program(registry()["kmeans"]().program)
-        program, state = self._edited_kmeans_docs()
-        first = live.client.submit(program=program, state=state, name="e")
-        live.client.wait(first["job"])
-        second = live.client.submit(
-            program=program,
-            state=state,
-            name="e",
-            baseline_fingerprint=baseline,
-        )
-        assert second["deduplicated"] is True
-        assert second["job"] == first["job"]
+        for job, spec in (
+            (base_status["job"], lud),
+            (sub["job"], spec_from_documents(*docs, name="lud-twin")),
+        ):
+            cold = render_json(metrics_document(analyze(spec)))
+            assert live.client.metrics_doc(job) == cold.encode("utf-8")
 
     def test_malformed_baseline_rejected(self, make_service, tmp_path):
+        """``baseline_fingerprint`` is refused whatever its value."""
         live = make_service(cache_dir=str(tmp_path / "cache"))
-        with pytest.raises(ServiceError) as err:
-            live.client.submit(
-                workload="kmeans", baseline_fingerprint="not-hex"
+        for value in ("not-hex", "ab" * 32):
+            with pytest.raises(ServiceError) as err:
+                live.client.submit(
+                    workload="kmeans", baseline_fingerprint=value
+                )
+            assert err.value.status == 400
+            assert "baseline_fingerprint is no longer served" in str(
+                err.value
             )
-        assert err.value.status == 400
 
     def test_baseline_without_store_rejected(self, make_service):
         live = make_service()  # no cache_dir -> no artifact store
@@ -355,3 +326,21 @@ class TestIncremental:
                 workload="kmeans", baseline_fingerprint="ab" * 32
             )
         assert err.value.status == 400
+
+
+class TestStoreWrites:
+    def test_full_disk_on_a_put_leaves_the_job_done(
+        self, make_service, tmp_path, full_disk
+    ):
+        """A finished analysis whose artifacts cannot be written is
+        still a finished job, with the bytes a store-less daemon
+        serves."""
+        full_disk("cp-", "ddg-")
+        live = make_service(cache_dir=str(tmp_path / "cache"))
+        status, report = live.client.analyze(workload="nn")
+        assert status["state"] == "done", status.get("error")
+        assert live.service.store.stats.errors == 2
+
+        cold = make_service()
+        _, cold_report = cold.client.analyze(workload="nn")
+        assert report == cold_report

@@ -265,6 +265,11 @@ class TestBuildOptions:
         with pytest.raises(BadRequest):
             build_options(body)
 
+    @pytest.mark.parametrize("value", ["ab" * 32, "not-hex", None])
+    def test_baseline_fingerprint_is_a_bad_request(self, value):
+        with pytest.raises(BadRequest, match="no longer served"):
+            build_options({"baseline_fingerprint": value})
+
 
 class TestJobKey:
     """The daemon's dedup key: options that change the answer move it,

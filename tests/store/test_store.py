@@ -5,6 +5,8 @@ import json
 import os
 import time
 
+import pytest
+
 import repro.store.store as store_mod
 from repro.store import ArtifactStore, STORE_FORMAT_VERSION
 
@@ -172,48 +174,31 @@ def _temp_files(store):
     ]
 
 
-def test_copy_is_byte_exact_and_readable(tmp_path):
+def test_put_that_cannot_write_counts_an_error_and_leaves_no_file(
+    tmp_path, full_disk
+):
+    """A full disk mid-put: the temp file goes, no artifact lands, an
+    error is counted, and the put returns instead of raising."""
     store = ArtifactStore(str(tmp_path))
-    payload = {"x": [1, 2, 3], "y": {"nested": "ok"}}
-    store.put("cp-src", payload)
-    assert store.copy("cp-src", "cp-dst") is True
-    with open(store.path_of("cp-src"), "rb") as a, open(
-        store.path_of("cp-dst"), "rb"
-    ) as b:
-        assert a.read() == b.read()
-    assert store.get("cp-dst") == payload
-    assert store.stats.puts == 2
-    assert _temp_files(store) == []
-
-
-def test_copy_equals_a_put_under_the_new_key(tmp_path):
-    """A document holds no key, so copying is putting the same payload."""
-    store = ArtifactStore(str(tmp_path))
-    store.put("cp-a", {"a": 1})
-    store.put("cp-b", {"a": 1})
-    store.copy("cp-a", "cp-c")
-    raw = {k: open(store.path_of(k), "rb").read() for k in ("cp-b", "cp-c")}
-    assert raw["cp-b"] == raw["cp-c"]
-
-
-def test_copy_honours_max_bytes(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    store.put("cp-src", {"a": list(range(50))})
-    size = os.path.getsize(store.path_of("cp-src"))
-    os.utime(store.path_of("cp-src"), (100, 100))  # the older one
-    capped = ArtifactStore(str(tmp_path), max_bytes=size)
-    assert capped.copy("cp-src", "cp-dst") is True
-    assert capped.stats.puts == 1
-    assert capped.stats.evictions == 1
-    assert capped.total_bytes() <= size
-    assert not os.path.exists(capped.path_of("cp-src"))
-    assert capped.get("cp-dst") == {"a": list(range(50))}
-    assert _temp_files(capped) == []
-
-
-def test_copy_of_missing_source_is_false(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    assert store.copy("cp-nothere", "cp-dst") is False
-    assert not os.path.exists(store.path_of("cp-dst"))
+    full_disk("cp-")
+    store.put("cp-abc", {"a": 1})
+    assert store.stats.errors == 1
     assert store.stats.puts == 0
     assert _temp_files(store) == []
+    assert not os.path.exists(store.path_of("cp-abc"))
+    assert store.get("cp-abc") is None
+    store.put("ddg-abc", {"a": 1})  # the disk is full for cp- only
+    assert store.get("ddg-abc") == {"a": 1}
+
+
+def test_put_failure_that_is_not_an_os_error_raises(tmp_path, monkeypatch):
+    store = ArtifactStore(str(tmp_path))
+
+    def broken_replace(src, dst):
+        raise RuntimeError("not a disk error")
+
+    monkeypatch.setattr(store_mod.os, "replace", broken_replace)
+    with pytest.raises(RuntimeError, match="not a disk error"):
+        store.put("cp-abc", {"a": 1})
+    assert _temp_files(store) == []
+    assert store.stats.errors == 0

@@ -193,6 +193,30 @@ def test_truncated_artifact_never_crashes(tmp_path, prefix):
     assert healed.timings.cache_hit
 
 
+@pytest.mark.parametrize("prefix", ("cp-", "ddg-"))
+def test_full_disk_on_a_put_never_fails_the_analysis(
+    tmp_path, full_disk, prefix
+):
+    """ENOSPC while an artifact is written: the finished analysis
+    renders what a store-less run renders, the failed artifact and its
+    temp file are gone, and the error is counted."""
+    from repro.feedback.jsonout import (
+        metrics_document,
+        render_json,
+        report_document,
+    )
+
+    full_disk(prefix)
+    store = ArtifactStore(str(tmp_path))
+    stored = analyze(all_workloads()["kmeans"](), store=store)
+    cold = analyze(all_workloads()["kmeans"]())
+    for doc_of in (report_document, metrics_document):
+        assert render_json(doc_of(stored)) == render_json(doc_of(cold))
+    assert store.stats.errors == 1
+    assert _artifact_paths(store, prefix) == []
+    assert _artifact_paths(store, ".tmp-") == []
+
+
 def test_garbage_artifact_never_crashes(tmp_path):
     store = ArtifactStore(str(tmp_path))
     analyze(all_workloads()["nw"](), store=store)

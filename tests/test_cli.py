@@ -264,34 +264,13 @@ class TestDiffAndBaseline:
         with pytest.raises(SystemExit, match="no such function"):
             main(["diff", "kmeans", "kmeans", "--edit", "nope"])
 
-    def test_baseline_requires_cache(self):
-        with pytest.raises(SystemExit, match="artifact store"):
-            main(["report", "kmeans", "--no-cache", "--baseline", "kmeans"])
-
-    def test_baseline_bad_ref(self, tmp_path):
-        with pytest.raises(SystemExit, match="neither a workload"):
-            main(
-                [
-                    "report", "kmeans",
-                    "--cache", str(tmp_path),
-                    "--baseline", "zz",
-                ]
-            )
-
-    def test_baseline_stdout_identical_incremental_on_stderr(
-        self, tmp_path, capsys
-    ):
-        """--baseline must never change stdout; the incremental
-        account goes to stderr only."""
-        cache = str(tmp_path / "cache")
-        assert main(["report", "kmeans", "--cache", cache]) == 0
-        capsys.readouterr()
-        # cold run of the same (unedited) program, no baseline
-        assert main(["report", "kmeans", "--no-cache"]) == 0
-        cold = capsys.readouterr()
-        assert main(
-            ["report", "kmeans", "--cache", cache, "--baseline", "kmeans"]
-        ) == 0
-        warm = capsys.readouterr()
-        assert warm.out == cold.out
-        assert "incremental: mode=" in warm.err
+    @pytest.mark.parametrize(
+        "command", ["report", "metrics", "verify", "regions", "trace"]
+    )
+    def test_analysis_commands_take_no_baseline_flag(self, command, capsys):
+        """A twin is a plain warm hit, so no analysis command takes a
+        baseline: argparse refuses the flag before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "kmeans", "--baseline", "kmeans"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
