@@ -21,6 +21,8 @@ from ..isa.fingerprint import (
     function_fingerprints,
     transitive_fingerprints,
 )
+from typing import Optional
+
 from ..isa.program import Program
 
 #: bump on any change to the manifest payload layout
@@ -28,8 +30,11 @@ from ..isa.program import Program
 MANIFEST_FORMAT_VERSION = 2
 
 
-def build_manifest(program: Program) -> dict:
-    """Compute the full static manifest of one program."""
+def build_manifest(program: Program, digest: Optional[str] = None) -> dict:
+    """Compute the full static manifest of one program.
+
+    ``digest`` is the program's :func:`fingerprint_program` when the
+    caller already has it (a stored analysis's keys carry it)."""
     local = function_fingerprints(program)
     trans = transitive_fingerprints(program, local)
     functions = {
@@ -44,7 +49,7 @@ def build_manifest(program: Program) -> dict:
         "format": MANIFEST_FORMAT_VERSION,
         "program": program.name,
         "main": program.main,
-        "digest": fingerprint_program(program),
+        "digest": digest or fingerprint_program(program),
         "functions": functions,
     }
 

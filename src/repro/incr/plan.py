@@ -68,7 +68,7 @@ def plan_incremental(
 ) -> Tuple[IncrementalInfo, dict]:
     """Static planning pass: (account, the program's own manifest)."""
     program = spec.program
-    new_manifest = build_manifest(program)
+    new_manifest = build_manifest(program, keys.program_digest)
     info = IncrementalInfo(baseline=baseline, mode="cold")
     if baseline == keys.program_digest:
         # same program: the ordinary ddg- warm path already serves it

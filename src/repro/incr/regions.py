@@ -17,12 +17,15 @@ stored exactly once.
 
 One polyhedron serves many statements and dependences (a dependence
 domain is usually its destination's domain), so a region spells each
-value out once, in three tables, and its rows refer to them by index:
+value out once, in four tables, and its rows refer to them by index:
 
 * ``sets`` -- encoded :class:`~repro.poly.pset.ISet` values (statement
   domains, label-piece domains, dependence domains);
 * ``maps`` -- encoded :class:`~repro.poly.pmap.IMap` dependence
   relations;
+* ``exprs`` -- encoded :class:`~repro.poly.affine.AffineExpr` values
+  (the components of label-piece functions and of dependences'
+  ``partial_src``);
 * ``ctxs`` -- ``[ctx_id, context]`` pairs: the context tuple and the
   id the analysis interned it under (a decode keeps that id
   verbatim).
@@ -40,25 +43,28 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..folding.folder import FoldedDDG
 from ..isa.fingerprint import function_uid_ordinals
 from ..isa.program import Program
-from ..poly.codec import encode_expr, encode_function, encode_imap, encode_iset
+from ..poly.affine import AffineExpr
+from ..poly.codec import encode_expr, encode_imap, encode_iset
 from ..poly.pmap import IMap
 from ..poly.pset import ISet
 
 #: bump on any change to the region payload layout (regions travel
 #: inside stage-2 artifacts, so a bump also needs STORE_FORMAT_VERSION)
 #: v2: per-region ``sets``/``maps``/``ctxs`` tables and positional rows
-REGION_FORMAT_VERSION = 2
+#: v3: an ``exprs`` table; label-piece functions and ``partial_src``
+#: hold indexes into it
+REGION_FORMAT_VERSION = 3
 
 #: the positional layout of a statement row; ``ctx`` and ``domain``
 #: index the ``ctxs`` and ``sets`` tables, ``label_pieces`` is null or
-#: a list of ``[set index, encoded function, point count]``
+#: a list of ``[set index, [expr index, ...], point count]``
 STMT_FIELDS = (
     "ord", "ctx", "domain", "count", "exact", "label_pieces",
     "had_label", "is_scev",
 )
 #: the positional layout of a dependence row; the destination is a
 #: statement of the row's own region, ``relation`` indexes ``maps`` (or
-#: is null), ``partial_src`` is null or a list of null/encoded exprs
+#: is null), ``partial_src`` is null or a list of null/``exprs`` indexes
 DEP_FIELDS = (
     "src_func", "src_ord", "src_ctx", "dst_ord", "dst_ctx", "kind",
     "count", "domain", "domain_exact", "relation", "partial_src",
@@ -126,11 +132,16 @@ class _Table:
 class _RegionEncoder:
     """The tables and rows of one region under construction."""
 
-    __slots__ = ("sets", "maps", "ctx_index", "ctxs", "statements", "deps")
+    __slots__ = (
+        "sets", "maps", "expr_index", "exprs", "ctx_index", "ctxs",
+        "statements", "deps",
+    )
 
     def __init__(self) -> None:
         self.sets = _Table(_set_key, encode_iset)
         self.maps = _Table(_map_key, encode_imap)
+        self.expr_index: Dict[tuple, int] = {}
+        self.exprs: List[list] = []
         self.ctx_index: Dict[Tuple[int, tuple], int] = {}
         self.ctxs: List[list] = []
         self.statements: List[list] = []
@@ -143,12 +154,23 @@ class _RegionEncoder:
             self.ctxs.append([cid, [list(elem) for elem in context]])
         return i
 
+    def expr(self, e: AffineExpr) -> int:
+        # the value key is as cheap as an ``id()`` lookup, so unlike
+        # the set and map tables this one is keyed by value alone
+        key = (e.coeffs, e.const, e.den)
+        i = self.expr_index.get(key)
+        if i is None:
+            i = self.expr_index[key] = len(self.exprs)
+            self.exprs.append(encode_expr(e))
+        return i
+
     def payload(self, fname: str) -> dict:
         return {
             "format": REGION_FORMAT_VERSION,
             "func": fname,
             "sets": self.sets.entries,
             "maps": self.maps.entries,
+            "exprs": self.exprs,
             "ctxs": self.ctxs,
             "statements": self.statements,
             "deps": self.deps,
@@ -173,11 +195,11 @@ def encode_regions(
     for (uid, cid), fs in folded.statements.items():
         func, o = ord_of[uid]
         rgn = regions[func]
-        sets = rgn.sets
+        sets, expr = rgn.sets, rgn.expr
         labels = None
         if fs.label_pieces is not None:
             labels = [
-                [sets.index(dom), encode_function(fn), cnt]
+                [sets.index(dom), [expr(e) for e in fn.exprs], cnt]
                 for dom, fn, cnt in fs.label_pieces
             ]
         rgn.statements.append([
@@ -192,7 +214,8 @@ def encode_regions(
         rgn = regions[dfunc]
         partial = fd.partial_src
         if partial is not None:
-            partial = [None if e is None else encode_expr(e) for e in partial]
+            expr = rgn.expr
+            partial = [None if e is None else expr(e) for e in partial]
         rgn.deps.append([
             sfunc, so, rgn.ctx(src[1], statements[src].stmt.context),
             do, rgn.ctx(dst[1], statements[dst].stmt.context),

@@ -11,7 +11,8 @@ store keys (both are warm hits):
   bit-identical to the baseline's, and therefore so is its interning
   sequence.
 
-Each region's ``sets``/``maps``/``ctxs`` table entry is decoded once;
+Each region's ``sets``/``maps``/``exprs``/``ctxs`` table entry is
+decoded once;
 every statement, label piece and dependence that names the entry
 shares the decoded object, as the statements of a cold fold share its
 fold results.
@@ -22,8 +23,8 @@ decoded twice, a dependence whose source is not in the decoded DDG, a
 row of the wrong length or an index past its table -- raises
 :class:`IncrementalMismatch`, which the store's decoded load treats as
 a miss, so the pipeline runs cold.  The decoded
-result passes through :func:`repro.folding.canonical_ddg`, making it
-byte-identical (through the codec and every report) to a cold full
+result is put in :func:`repro.folding.canonical_ddg`'s order, making
+it byte-identical (through the codec and every report) to a cold full
 analysis of the same program.
 """
 
@@ -32,16 +33,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..ddg.graph import DepKey, Statement, StmtKey
-from ..folding.folder import (
-    FoldedDDG,
-    FoldedDep,
-    FoldedStatement,
-    canonical_ddg,
-)
+from ..folding.folder import FoldedDDG, FoldedDep, FoldedStatement
 from ..isa.fingerprint import function_ordered_uids
 from ..isa.instructions import Instr
 from ..isa.program import Program
-from ..poly.codec import decode_expr, decode_function, decode_imap, decode_iset
+from ..poly.affine import AffineFunction
+from ..poly.codec import decode_expr, decode_imap, decode_iset
 from .regions import REGION_FORMAT_VERSION
 
 
@@ -83,16 +80,16 @@ def stitch_folded(
         ins.uid: ins for _fn, _bb, ins in program.all_instrs()
     }
 
-    def uid_at(func: str, ord_: int) -> int:
-        uid = uid_of.get((func, ord_))
-        if uid is None:
-            raise IncrementalMismatch(
-                f"region {func!r}: ordinal {ord_} not in program"
-            )
-        return uid
+    def missing(func: str, ord_: int) -> IncrementalMismatch:
+        return IncrementalMismatch(
+            f"region {func!r}: ordinal {ord_} not in program"
+        )
 
     statements: Dict[StmtKey, FoldedStatement] = {}
-    deps: Dict[DepKey, FoldedDep] = {}
+    #: dependences keyed by their plain ``(src, dst, kind)`` tuple,
+    #: which is also their canonical sort key: tuples hash and compare
+    #: in C, a frozen ``DepKey`` in Python
+    deps: Dict[tuple, FoldedDep] = {}
 
     for func, payload in regions.items():
         if payload.get("format") != REGION_FORMAT_VERSION:
@@ -108,6 +105,9 @@ def stitch_folded(
             maps = {
                 i: decode_imap(e) for i, e in enumerate(payload["maps"])
             }
+            exprs = {
+                i: decode_expr(e) for i, e in enumerate(payload["exprs"])
+            }
             ctxs: Dict[int, Tuple[int, tuple]] = {
                 i: (cid, tuple(tuple(elem) for elem in raw))
                 for i, (cid, raw) in enumerate(payload["ctxs"])
@@ -116,75 +116,89 @@ def stitch_folded(
             for (
                 o, ci, di, count, exact, labels, had_label, is_scev
             ) in payload["statements"]:
-                uid = uid_at(func, o)
+                uid = uid_of.get((func, o))
+                if uid is None:
+                    raise missing(func, o)
                 cid, context = ctxs[ci]
                 key: StmtKey = (uid, cid)
                 if key in statements:
                     raise IncrementalMismatch(
                         f"region {func!r}: statement {key} repeated"
                     )
+                # positional arguments, in field order: the row loops
+                # are the decode's hot path
                 statements[key] = FoldedStatement(
-                    stmt=Statement(
-                        key=key, instr=instr_of[uid], func=func,
-                        context=context,
-                    ),
-                    domain=sets[di],
-                    count=count,
-                    exact=exact,
-                    label_pieces=(
+                    Statement(key, instr_of[uid], func, context),
+                    sets[di],
+                    count,
+                    exact,
+                    (
                         None
                         if labels is None
                         else [
-                            (sets[si], decode_function(fn), cnt)
+                            (
+                                sets[si],
+                                AffineFunction([exprs[ei] for ei in fn]),
+                                cnt,
+                            )
                             for si, fn, cnt in labels
                         ]
                     ),
-                    had_label=had_label,
-                    is_scev=is_scev,
+                    had_label,
+                    is_scev,
                 )
 
             for (
                 sfunc, so, sci, do, dci, kind, count, di, domain_exact,
                 ri, partial, src_depth, dst_depth,
             ) in payload["deps"]:
-                dkey = DepKey(
-                    src=(uid_at(sfunc, so), ctxs[sci][0]),
-                    dst=(uid_at(func, do), ctxs[dci][0]),
-                    kind=kind,
-                )
-                if dkey in deps:
+                # the (function, ordinal) -> uid lookups, inlined
+                suid = uid_of.get((sfunc, so))
+                if suid is None:
+                    raise missing(sfunc, so)
+                duid = uid_of.get((func, do))
+                if duid is None:
+                    raise missing(func, do)
+                src = (suid, ctxs[sci][0])
+                dst = (duid, ctxs[dci][0])
+                tkey = (src, dst, kind)
+                if tkey in deps:
                     raise IncrementalMismatch(
-                        f"region {func!r}: dep {dkey} repeated"
+                        f"region {func!r}: dep {tkey} repeated"
                     )
-                deps[dkey] = FoldedDep(
-                    key=dkey,
-                    count=count,
-                    domain=sets[di],
-                    domain_exact=domain_exact,
-                    relation=None if ri is None else maps[ri],
-                    partial_src=(
+                deps[tkey] = FoldedDep(
+                    DepKey(src, dst, kind),
+                    count,
+                    sets[di],
+                    domain_exact,
+                    None if ri is None else maps[ri],
+                    (
                         None
                         if partial is None
                         else [
-                            None if e is None else decode_expr(e)
-                            for e in partial
+                            None if ei is None else exprs[ei]
+                            for ei in partial
                         ]
                     ),
-                    src_depth=src_depth,
-                    dst_depth=dst_depth,
+                    src_depth,
+                    dst_depth,
                 )
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise IncrementalMismatch(
                 f"region {func!r}: malformed payload "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
-    stitched = canonical_ddg(statements, deps)
 
     # every dependence source must be a decoded statement -- a dangling
     # one means the payload lost a region or a row
-    for dkey in stitched.deps:
-        if dkey.src not in stitched.statements:
+    for src, dst, kind in deps:
+        if src not in statements:
             raise IncrementalMismatch(
-                f"dep {dkey} references a statement outside the decoded DDG"
+                f"dep {(src, dst, kind)} references a statement outside "
+                "the decoded DDG"
             )
-    return stitched
+    # canonical order (see canonical_ddg), sorted on the plain tuples
+    return FoldedDDG(
+        statements={k: statements[k] for k in sorted(statements)},
+        deps={fd.key: fd for fd in (deps[t] for t in sorted(deps))},
+    )

@@ -383,12 +383,14 @@ def analyze(
             keys_for_spec,
         )
 
-        keys = keys_for_spec(spec, fuel=fuel, clamp=clamp)
-
     stage1_cached = stage2_cached = False
     with tracer.span(
         "analyze", cat="pipeline", workload=spec.name, engine=engine
     ) as root:
+        if store is not None:
+            with tracer.span("store.keys", cat="cache"):
+                keys = keys_for_spec(spec, fuel=fuel, clamp=clamp)
+
         # -- baseline planning: the static diff account ------------------------
         incr_info = new_manifest = None
         if baseline is not None:
@@ -471,7 +473,10 @@ def analyze(
                     if not store.contains(keys.manifest):
                         store.put(
                             keys.manifest,
-                            new_manifest or build_manifest(spec.program),
+                            new_manifest
+                            or build_manifest(
+                                spec.program, keys.program_digest
+                            ),
                         )
 
     timings = (

@@ -169,7 +169,7 @@ class AffineFunction:
 
     def __init__(self, exprs: Sequence[AffineExpr]) -> None:
         self.exprs: Tuple[AffineExpr, ...] = tuple(exprs)
-        if len({e.dim for e in self.exprs}) > 1:
+        if len({len(e.coeffs) for e in self.exprs}) > 1:
             raise ValueError("mixed arities")
 
     @property

@@ -95,19 +95,16 @@ class Polyhedron:
         p = object.__new__(cls)
         p.witness = None
         p.dim = dim = int(dim)
-        n = dim + 1
-        for r in eqs:
-            if len(r) != n:
-                raise ValueError(
-                    f"constraint row of length {len(r)} for dim {dim}"
-                )
-        for r in ineqs:
-            if len(r) != n:
-                raise ValueError(
-                    f"constraint row of length {len(r)} for dim {dim}"
-                )
-        p.eqs = tuple(tuple(r) for r in eqs)
-        p.ineqs = tuple(tuple(r) for r in ineqs)
+        p.eqs = eqs = tuple(map(tuple, eqs))
+        p.ineqs = ineqs = tuple(map(tuple, ineqs))
+        # one C-level pass over the row lengths
+        lengths = set(map(len, eqs))
+        lengths.update(map(len, ineqs))
+        lengths.discard(dim + 1)
+        if lengths:
+            raise ValueError(
+                f"constraint row of length {lengths.pop()} for dim {dim}"
+            )
         return p
 
     @classmethod

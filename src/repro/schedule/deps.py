@@ -44,8 +44,7 @@ def loop_path(stmt: Statement) -> Tuple[Tuple[str, ...], ...]:
     the two ``bpnn_layerforward`` calls separately), while recursion
     still folds (recursive components keep contexts bounded).
     """
-    ctx = stmt.context
-    return tuple(ctx[j] for j in range(len(ctx) - 1))
+    return tuple(stmt.context[:-1])
 
 
 def common_depth(src: Statement, dst: Statement) -> int:
@@ -180,28 +179,41 @@ def _partial_delta_info(
     return tuple(signs), tuple(bounds)
 
 
-def analyze_deps(ddg: FoldedDDG) -> List[DepVector]:
-    """Dependence vectors for every transformation-relevant dependence."""
-    out: List[DepVector] = []
-    for dep in ddg.transform_deps():
-        src_stmt = ddg.statements[dep.key.src].stmt
-        dst_stmt = ddg.statements[dep.key.dst].stmt
-        common = common_depth(src_stmt, dst_stmt)
-        signs, bounds = _delta_info(dep, common)
-        is_red = (
+def dep_vector(
+    ddg: FoldedDDG,
+    dep: FoldedDep,
+    delta: Optional[Tuple[Tuple[str, ...], Tuple[Bound, ...]]] = None,
+) -> DepVector:
+    """The vector of one dependence of ``ddg``.
+
+    Only the distance signs and bounds cost polyhedral work; the paths,
+    the common depth and the reduction flag are read off the two
+    statements.  ``delta`` is a stored ``(signs, bounds)`` pair (the
+    artifact codec passes one), else it is computed."""
+    src_stmt = ddg.statements[dep.key.src].stmt
+    dst_stmt = ddg.statements[dep.key.dst].stmt
+    common = common_depth(src_stmt, dst_stmt)
+    signs, bounds = delta if delta is not None else _delta_info(dep, common)
+    if len(signs) != common or len(bounds) != common:
+        raise ValueError(
+            f"dependence {dep.key}: {len(signs)} signs and {len(bounds)} "
+            f"bounds on {common} common dimensions"
+        )
+    return DepVector(
+        dep=dep,
+        src_path=loop_path(src_stmt),
+        dst_path=loop_path(dst_stmt),
+        common=common,
+        signs=signs,
+        bounds=bounds,
+        is_reduction=(
             dep.key.kind == "reg"
             and dep.key.src == dep.key.dst
             and dst_stmt.instr.opcode in ASSOCIATIVE_OPS
-        )
-        out.append(
-            DepVector(
-                dep=dep,
-                src_path=loop_path(src_stmt),
-                dst_path=loop_path(dst_stmt),
-                common=common,
-                signs=signs,
-                bounds=bounds,
-                is_reduction=is_red,
-            )
-        )
-    return out
+        ),
+    )
+
+
+def analyze_deps(ddg: FoldedDDG) -> List[DepVector]:
+    """Dependence vectors for every transformation-relevant dependence."""
+    return [dep_vector(ddg, dep) for dep in ddg.transform_deps()]

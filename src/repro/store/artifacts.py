@@ -8,16 +8,18 @@ Two artifacts per (workload, options) pair:
   functions of the graphs, see :mod:`repro.cfg.codec`).
 * **stage 2** (``ddg-*``): the folded polyhedral DDG, stored once, as
   the per-function position-independent regions of
-  :mod:`repro.incr.regions` (each a table of sets, one of maps and
-  one of contexts, plus positional statement and dependence rows
-  that index them); the Instrumentation-II metadata a warm
+  :mod:`repro.incr.regions` (each a table of sets, one of maps, one
+  of affine expressions and one of contexts, plus positional
+  statement and dependence rows that index them); the
+  Instrumentation-II metadata a warm
   :class:`~repro.pipeline.AnalysisResult` must still expose (dynamic
   instruction count, run statistics, the dynamic schedule tree for
   flame graphs); and the dependence vectors that feed the feedback
-  stages, one positional row each (:mod:`repro.schedule.codec`).  A
-  warm hit rebuilds the whole DDG from the regions.  No part of the
-  payload names a uid, so a renumbered twin of the analyzed program
-  decodes it whole too, and the store can serve the twin a byte copy.
+  stages, one positional row each plus one table of distinct
+  rational bounds (:mod:`repro.schedule.codec`).  A warm hit rebuilds
+  the whole DDG from the regions.  No part of the payload names a
+  uid, so a renumbered twin of the analyzed program shares its keys
+  and decodes it whole too.
 
 Wall-clock fields are preserved verbatim: a decoded artifact reports
 the profiling time it *avoided*; the fresh cost of a warm run lives in

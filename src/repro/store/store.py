@@ -44,14 +44,16 @@ platforms without ``fcntl`` the lock degrades to the in-process lock
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import os
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 try:
     import fcntl
@@ -77,7 +79,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: v8: ``cp-``/``ddg-`` keys hash the canonical (uid-free) program
 #: digest, so a renumbered or function-reordered twin shares its
 #: baseline's artifacts
-STORE_FORMAT_VERSION = 8
+#: v9: stage-2 regions table their affine expressions (region format
+#: 3) and dependence vectors index one table of rational bounds
+STORE_FORMAT_VERSION = 9
 
 #: name prefix of a put's temp file, renamed into place when complete
 _TEMP_PREFIX = ".tmp-"
@@ -85,6 +89,41 @@ _TEMP_PREFIX = ".tmp-"
 #: flight, so eviction leaves it; an older one was left by a killed
 #: writer and is collected
 STALE_TEMP_SECONDS = 60.0
+
+
+#: guards the collector pause shared by every loading thread
+_gc_lock = threading.Lock()
+#: loads now inside :func:`_collector_paused`, and whether the
+#: collector was enabled when the first of them began
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the duration of the block.
+
+    A decode builds thousands of long-lived container objects, and
+    every young-generation pass it triggers re-scans the ones built
+    so far; none of them is garbage.  The collector is process-wide,
+    so concurrent loads (the thread-mode daemon's workers) share one
+    depth count: the first load in records the collector's state and
+    turns it off, the last one out restores that state -- on every
+    exit, a raising decoder's included.  A caller that disabled the
+    collector itself finds it still disabled."""
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 @dataclass
@@ -256,7 +295,14 @@ class ArtifactStore:
     # -- decoded load/save --------------------------------------------------------
 
     def load(self, key: str, decoder: Callable[[dict], object]):
-        """Get + decode; any decoder failure degrades to a miss."""
+        """Get + decode; any decoder failure degrades to a miss.
+
+        The cyclic collector is paused across both (see
+        :func:`_collector_paused`)."""
+        with _collector_paused():
+            return self._load(key, decoder)
+
+    def _load(self, key: str, decoder: Callable[[dict], object]):
         payload = self.get(key)
         if payload is None:
             return None

@@ -24,6 +24,7 @@ from repro.incr.regions import DEP_FIELDS, STMT_FIELDS
 from repro.isa import fingerprint_program
 from repro.obs import Tracer
 from repro.pipeline import analyze
+from repro.schedule.codec import VECTOR_FIELDS
 from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads
 
@@ -172,20 +173,37 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     assert _docs(inc) == _docs(cold)
 
 
-def _malform(region, how):
-    """Break one positional row of a stored region: an extra field, or
-    a table index past the end of its table."""
+def _malform(payload, how):
+    """Break one positional row of a stored payload's ``main`` region
+    or dependence vectors: an extra field, or a table index past the
+    end of (or before) its table."""
+    region = payload["regions"]["main"]
     if how == "stmt-row-length":
         region["statements"][0].append(0)
     elif how == "dep-row-length":
         region["deps"][0].pop()
     elif how == "set-index":
         region["statements"][0][STMT_FIELDS.index("domain")] = 10**6
-    else:
+    elif how == "ctx-index":
         region["deps"][0][DEP_FIELDS.index("dst_ctx")] = len(region["ctxs"])
+    elif how in ("expr-index", "expr-negative"):
+        labels = STMT_FIELDS.index("label_pieces")
+        row = next(r for r in region["statements"] if r[labels])
+        row[labels][0][1][0] = (
+            len(region["exprs"]) if how == "expr-index" else -1
+        )
+    else:
+        rows = payload["dep_vectors"]["rows"]
+        row = next(r for r in rows if r[VECTOR_FIELDS.index("bounds")])
+        row[VECTOR_FIELDS.index("bounds")][0][0] = len(
+            payload["dep_vectors"]["bounds"]
+        )
 
 
-MALFORMED = ["stmt-row-length", "dep-row-length", "set-index", "ctx-index"]
+MALFORMED = [
+    "stmt-row-length", "dep-row-length", "set-index", "ctx-index",
+    "expr-index", "expr-negative", "bound-index",
+]
 
 
 @pytest.mark.parametrize("how", MALFORMED)
@@ -195,7 +213,7 @@ def test_malformed_region_row_falls_back_cold(tmp_path, how):
     analyze(_spec(), store=store)
     key = _stage2_key()
     payload = store.get(key)
-    _malform(payload["regions"]["main"], how)
+    _malform(payload, how)
     store.put(key, payload)
 
     errors = store.stats.errors
@@ -215,7 +233,7 @@ def test_malformed_region_row_is_a_warm_miss(tmp_path, how):
     cold = analyze(_spec(), store=store)
     key = _stage2_key()
     payload = store.get(key)
-    _malform(payload["regions"]["main"], how)
+    _malform(payload, how)
     store.put(key, payload)
     errors = store.stats.errors
 

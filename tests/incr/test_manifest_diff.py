@@ -45,6 +45,21 @@ class TestManifest:
             fn = _kmeans().functions[name]
             assert set(entry["blocks"]) == set(fn.blocks)
 
+    def test_stored_manifest_reuses_the_keys_digest(self, tmp_path):
+        """A stored run writes the manifest with the digest its keys
+        already hold, and the bytes are those of a standalone build."""
+        from repro.pipeline import analyze
+        from repro.store import ArtifactStore, keys_for_spec
+
+        spec = all_workloads()["kmeans"]()
+        store = ArtifactStore(str(tmp_path))
+        analyze(spec, store=store)
+        keys = keys_for_spec(spec, fuel=50_000_000, clamp=None)
+        assert store.get(keys.manifest) == build_manifest(_kmeans())
+        assert build_manifest(_kmeans(), keys.program_digest) == (
+            build_manifest(_kmeans())
+        )
+
     def test_manifest_ok(self):
         m = build_manifest(_kmeans())
         assert manifest_ok(m)

@@ -109,7 +109,27 @@ def test_table_index_out_of_range_raises(kmeans_result, rows, field, index):
         stitch_folded(program, regions)
 
 
-@pytest.mark.parametrize("table", ["sets", "maps", "ctxs"])
+@pytest.mark.parametrize("where", ["label_pieces", "partial_src"])
+@pytest.mark.parametrize("index", [10**6, -1])
+def test_expr_index_out_of_range_raises(kmeans_result, where, index):
+    """A label-piece function or a ``partial_src`` entry that names an
+    expression outside the region's ``exprs`` table is refused."""
+    program = kmeans_result.spec.program
+    regions = encode_regions(program, kmeans_result.folded)
+    main = regions["main"]
+    if where == "label_pieces":
+        field = STMT_FIELDS.index("label_pieces")
+        row = next(r for r in main["statements"] if r[field])
+        row[field][0][1][0] = index
+    else:
+        field = DEP_FIELDS.index("partial_src")
+        row = next(r for r in main["deps"] if r[field])
+        row[field] = [index] * len(row[field])
+    with pytest.raises(IncrementalMismatch, match="malformed"):
+        stitch_folded(program, regions)
+
+
+@pytest.mark.parametrize("table", ["sets", "maps", "exprs", "ctxs"])
 def test_missing_table_raises(kmeans_result, table):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)

@@ -110,6 +110,8 @@ class TestWarmCache:
         assert warm.timings.stage2_cached
         assert warm.timings.cache_hit
         root = warm.trace
+        # the key derivation is timed inside the root, before stage 1
+        assert [c.name for c in root.children][:2] == ["store.keys", "instr1"]
         assert root.find("stage1.load") is not None
         # a warm hit never executes, so no execute spans
         assert root.find("stage1.execute") is None

@@ -19,14 +19,29 @@ from repro.store import ArtifactStore, keys_for_spec
 from repro.store.store import STORE_FORMAT_VERSION
 from repro.workloads import all_workloads
 
-_CP = "cp-a4a21d3fa9c64666621f0b98e2dc42f855f69ff8381fbb11e04f76343462fe85"
-_MAN = "man-6720510067d824440922925aa5ef8b4f20bcbc559675597af3e7ea877d56c0f3"
+_CP = "cp-71c7cbef95415d577c4f6286ff377d1c4cf17e0220526e5517d5270a57a6e4b5"
+_MAN = "man-868a27687749c11971af4d0f8f23f4842a3c876cc003948b93b45d771208dd41"
 _DDG = {
-    None: "ddg-5743688d3ebc64eb40f102d02d81a2838a0c2e532f12309a9da7f7a62301206b",
-    10: "ddg-29133491e6c55146715cb9670d946fd8a2e6751e14f6a59c879848a19d98f311",
+    None: "ddg-dac216114c76cc0e584c22106368dbed6c9d3c6f11e720941d1b5808017205dd",
+    10: "ddg-fad921644a7df35a3a03f233885d3a0cc21a55c53bac7300f3aa13fcd2e0917b",
 }
 
-#: the format-6 pins: formats 7 and 8 changed no key material but the
+#: the format-8 pins: format 9 changed the stage-2 payload layout,
+#: not the key material, so the format-8 salt must still yield them
+_V8 = {
+    None: (
+        "cp-a4a21d3fa9c64666621f0b98e2dc42f855f69ff8381fbb11e04f76343462fe85",
+        "ddg-5743688d3ebc64eb40f102d02d81a2838a0c2e532f12309a9da7f7a62301206b",
+        "man-6720510067d824440922925aa5ef8b4f20bcbc559675597af3e7ea877d56c0f3",
+    ),
+    10: (
+        "cp-a4a21d3fa9c64666621f0b98e2dc42f855f69ff8381fbb11e04f76343462fe85",
+        "ddg-29133491e6c55146715cb9670d946fd8a2e6751e14f6a59c879848a19d98f311",
+        "man-6720510067d824440922925aa5ef8b4f20bcbc559675597af3e7ea877d56c0f3",
+    ),
+}
+
+#: the format-6 pins: formats 7 to 9 changed no key material but the
 #: ``prog=`` field of the cp-/ddg- keys (format 8 hashes the canonical
 #: program digest there, where format 6 hashed the exact one)
 _V6 = {
@@ -42,16 +57,16 @@ _V6 = {
     ),
 }
 
-#: the format-7 manifest pin: format 8 changed the cp-/ddg- key
-#: material (the canonical program digest), not the man- key's, so the
-#: format-7 salt must still yield it
+#: the format-7 manifest pin: formats 8 and 9 changed the cp-/ddg- key
+#: material (the canonical program digest) or the payload layout, not
+#: the man- key's, so the format-7 salt must still yield it
 _V7_MAN = (
     "man-fe2e647d7809b18c40991443f97f46ad4dc6b2eed70459d07d240526c6dc9d41"
 )
 
 
 def test_format_version_is_pinned():
-    assert STORE_FORMAT_VERSION == 8
+    assert STORE_FORMAT_VERSION == 9
 
 
 @pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])
@@ -62,6 +77,15 @@ def test_nn_store_keys_are_pinned(tmp_path, clamp):
         os.path.basename(path).split(".")[0] for path, _, _ in store.entries()
     )
     assert written == [_CP, _DDG[clamp], _MAN]
+
+
+@pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])
+def test_format_8_salt_reproduces_the_format_8_pins(monkeypatch, clamp):
+    """With the format-8 salt the key derivation yields the format-8
+    pins: format 9 changed only what the stage-2 payload holds."""
+    monkeypatch.setattr(keys_mod, "STORE_FORMAT_VERSION", 8)
+    keys = keys_for_spec(all_workloads()["nn"](), fuel=50_000_000, clamp=clamp)
+    assert (keys.stage1, keys.stage2, keys.manifest) == _V8[clamp]
 
 
 @pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])

@@ -31,7 +31,7 @@ from repro.poly.pmap import IMap
 from repro.poly.polyhedron import Polyhedron
 from repro.poly.pset import ISet, Space
 from repro.folding.codec import encode_folded_ddg
-from repro.incr import encode_regions, stitch_folded
+from repro.incr import IncrementalMismatch, encode_regions, stitch_folded
 from repro.incr.regions import uid_to_ordinal
 from repro.incr.stitch import ordinal_uids
 from repro.schedule.codec import (
@@ -48,7 +48,7 @@ from repro.store.artifacts import (
     encode_stage2,
 )
 from repro.store import ArtifactStore, keys_for_spec
-from repro.workloads import all_workloads, rodinia_workloads
+from repro.workloads import all_workloads
 
 #: enough variety to cover every codec path: loops, recursion
 #: (btree), multi-piece domains, reductions, SCEV streams
@@ -186,7 +186,9 @@ def test_dep_vectors_roundtrip(name):
     enc = encode_dep_vectors(result.forest.deps, ord_of)
     # stored in reverse: the decoder restores transform_deps() order
     dec = decode_dep_vectors(
-        enc[::-1], result.folded, ordinal_uids(spec.program)
+        {"bounds": enc["bounds"], "rows": enc["rows"][::-1]},
+        result.folded,
+        ordinal_uids(spec.program),
     )
     assert len(dec) == len(result.forest.deps)
     for got, want in zip(dec, result.forest.deps):
@@ -195,6 +197,10 @@ def test_dep_vectors_roundtrip(name):
         assert got.dep is result.folded.deps[want.dep.key]
         assert got.signs == want.signs
         assert got.bounds == want.bounds
+        # not stored: read off the decoded statements
+        assert got.src_path == want.src_path
+        assert got.dst_path == want.dst_path
+        assert got.common == want.common
         assert got.is_reduction == want.is_reduction
     assert encode_dep_vectors(dec, ord_of) == enc
 
@@ -210,25 +216,48 @@ def _nw_vectors():
 
 def test_dep_vectors_unknown_stream_raises():
     enc, folded, uid_of = _nw_vectors()
-    src = enc[0][VECTOR_FIELDS.index("src")]
+    row = enc["rows"][0]
+    src = row[VECTOR_FIELDS.index("src")]
     # an ordinal past the function's end
-    enc[0][VECTOR_FIELDS.index("src")] = [src[0], 999999, src[2]]
+    row[VECTOR_FIELDS.index("src")] = [src[0], 999999, src[2]]
     with pytest.raises(ValueError, match="not in program"):
         decode_dep_vectors(enc, folded, uid_of)
     # endpoints in the program, but no such stream
-    enc[0][VECTOR_FIELDS.index("src")] = src
-    enc[0][VECTOR_FIELDS.index("dst")] = src
-    enc[0][VECTOR_FIELDS.index("kind")] = "output"
-    with pytest.raises(ValueError):
+    row[VECTOR_FIELDS.index("src")] = src
+    row[VECTOR_FIELDS.index("dst")] = src
+    row[VECTOR_FIELDS.index("kind")] = "output"
+    with pytest.raises(ValueError, match="no dependence vector"):
+        decode_dep_vectors(enc, folded, uid_of)
+    # no such dependence kind at all
+    row[VECTOR_FIELDS.index("kind")] = "sideways"
+    with pytest.raises(ValueError, match="no dependence vector"):
         decode_dep_vectors(enc, folded, uid_of)
 
 
 @pytest.mark.parametrize("how", ["missing", "repeated"])
 def test_dep_vectors_must_match_the_ddg_one_to_one(how):
     enc, folded, uid_of = _nw_vectors()
-    enc = enc[1:] if how == "missing" else enc + enc[:1]
+    rows = enc["rows"]
+    enc["rows"] = rows[1:] if how == "missing" else rows + rows[:1]
     with pytest.raises(ValueError):
         decode_dep_vectors(enc, folded, uid_of)
+
+
+@pytest.mark.parametrize("index", [10**6, -1])
+def test_bound_index_outside_the_table_is_a_mismatch(index):
+    """A vector bound that names an entry outside the payload's
+    ``bounds`` table fails the stage-2 decode with IncrementalMismatch
+    (which the store's load turns into a miss)."""
+    spec = all_workloads()["nw"]()
+    result = analyze(spec)
+    enc = encode_stage2(
+        spec.program, result.folded, result.ddg_profile, result.forest.deps
+    )
+    field = VECTOR_FIELDS.index("bounds")
+    row = next(r for r in enc["dep_vectors"]["rows"] if r[field])
+    row[field][0][1] = index
+    with pytest.raises(IncrementalMismatch, match="dependence vectors"):
+        decode_stage2(enc, spec.program)
 
 
 @pytest.mark.parametrize("name", SAMPLE)
@@ -244,7 +273,7 @@ def test_schedule_tree_roundtrip(name):
     assert encode_schedule_tree(None) is None
 
 
-@pytest.mark.parametrize("name", list(rodinia_workloads()))
+@pytest.mark.parametrize("name", list(all_workloads()))
 def test_stage2_roundtrip(name):
     spec = all_workloads()[name]()
     result = analyze(spec)
@@ -275,24 +304,46 @@ def test_stage2_roundtrip(name):
 
 @pytest.mark.parametrize("name", list(all_workloads()))
 def test_stored_regions_share_each_value_once(tmp_path, name):
-    """The stored regions spell each set, map and context out once, the
-    decoded statements share one object per table entry, and the
-    decode re-encodes to the stored JSON byte for byte."""
+    """The stored regions spell each set, map, expression and context
+    out once, and the dependence vectors each bound; the decoded
+    statements, label pieces, dependences and vectors share one object
+    per table entry, and the decode re-encodes to the stored JSON byte
+    for byte."""
     spec = all_workloads()[name]()
     store = ArtifactStore(str(tmp_path))
     analyze(spec, store=store)
     key = keys_for_spec(spec, fuel=50_000_000, clamp=None).stage2
-    regions = store.get(key)["regions"]
-    for payload in regions.values():
-        for table in ("sets", "maps", "ctxs"):
-            entries = [json.dumps(e) for e in payload[table]]
+    payload = store.get(key)
+    regions = payload["regions"]
+    for region in regions.values():
+        for table in ("sets", "maps", "exprs", "ctxs"):
+            entries = [json.dumps(e) for e in region[table]]
             assert len(set(entries)) == len(entries), table
+    bounds = [json.dumps(b) for b in payload["dep_vectors"]["bounds"]]
+    assert len(set(bounds)) == len(bounds)
 
-    folded = stitch_folded(spec.program, regions)
+    folded, _ddgp, vectors = decode_stage2(payload, spec.program)
     shared = {}
     for fs in folded.statements.values():
-        value = (fs.stmt.func, json.dumps(encode_iset(fs.domain)))
+        func = fs.stmt.func
+        value = (func, json.dumps(encode_iset(fs.domain)))
         assert shared.setdefault(value, fs.domain) is fs.domain
+        for _dom, fn, _cnt in fs.label_pieces or ():
+            for e in fn.exprs:
+                value = (func, e.coeffs, e.const, e.den)
+                assert shared.setdefault(value, e) is e
+    for dkey, fd in folded.deps.items():
+        func = folded.statements[dkey.dst].stmt.func
+        for e in fd.partial_src or ():
+            if e is not None:
+                value = (func, e.coeffs, e.const, e.den)
+                assert shared.setdefault(value, e) is e
+    fractions = {}
+    for dv in vectors:
+        for pair in dv.bounds:
+            for f in pair:
+                if f is not None:
+                    assert fractions.setdefault(f, f) is f
     assert json.dumps(encode_regions(spec.program, folded)) == json.dumps(
         regions
     )

@@ -1,5 +1,6 @@
 """ArtifactStore unit tests: round trip, corruption, version, LRU."""
 
+import gc
 import gzip
 import json
 import os
@@ -96,6 +97,52 @@ def test_load_decodes(tmp_path):
     store = ArtifactStore(str(tmp_path))
     store.put("k1", {"a": 41})
     assert store.load("k1", lambda p: p["a"] + 1) == 42
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic collector enabled for the test, and put back after."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def test_load_pauses_the_collector_and_restores_it(tmp_path, collector_on):
+    store = ArtifactStore(str(tmp_path))
+    store.put("k1", {"a": 41})
+    seen = []
+
+    def decoder(payload):
+        seen.append(gc.isenabled())
+        return payload["a"]
+
+    assert store.load("k1", decoder) == 41
+    assert seen == [False]
+    assert gc.isenabled()
+    # a miss restores it too
+    assert store.load("nothere", decoder) is None
+    assert gc.isenabled()
+
+
+def test_raising_decoder_restores_the_collector(tmp_path, collector_on):
+    store = ArtifactStore(str(tmp_path))
+    store.put("k1", {"a": 1})
+
+    def decoder(payload):
+        raise ValueError("stale payload semantics")
+
+    assert store.load("k1", decoder) is None
+    assert gc.isenabled()
+
+
+def test_load_leaves_a_disabled_collector_disabled(tmp_path, collector_on):
+    store = ArtifactStore(str(tmp_path))
+    store.put("k1", {"a": 41})
+    gc.disable()
+    assert store.load("k1", lambda p: p["a"]) == 41
+    assert not gc.isenabled()
 
 
 def test_lru_eviction_oldest_first(tmp_path):

@@ -6,7 +6,10 @@ no torn payloads, no lost counter increments, and sane LRU eviction
 under concurrent touches.
 """
 
+import gc
 import threading
+
+import pytest
 
 from repro.store import ArtifactStore
 
@@ -113,3 +116,47 @@ class TestConcurrentAccess:
         for path, _, _ in store.entries():
             key = os.path.basename(path)[: -len(".json.gz")]
             assert store.get(key) is not None
+
+
+@pytest.mark.parametrize("leaver", ["t0", "t1"])
+def test_overlapping_loads_leave_the_collector_enabled(tmp_path, leaver):
+    """Two threads inside ``load`` at once share the collector pause:
+    whichever leaves first (``leaver``; t0 starts first) leaves it off
+    for the other, and the last one out turns it back on."""
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        store = ArtifactStore(str(tmp_path))
+        store.put("k1", {"a": 1})
+        both_in = threading.Barrier(2, timeout=10)
+        release = threading.Event()
+        inside = []
+
+        def decoder(payload):
+            inside.append(gc.isenabled())
+            both_in.wait()
+            if threading.current_thread().name != leaver:
+                assert release.wait(10)
+            return payload["a"]
+
+        threads = {
+            name: threading.Thread(
+                target=store.load, args=("k1", decoder), name=name
+            )
+            for name in ("t0", "t1")
+        }
+        for t in threads.values():
+            t.start()
+        early = threads.pop(leaver)
+        (late,) = threads.values()
+        early.join(10)
+        assert not early.is_alive()
+        assert not gc.isenabled()  # the other load is still decoding
+        release.set()
+        late.join(10)
+        assert not late.is_alive()
+        assert inside == [False, False]
+        assert gc.isenabled()
+    finally:
+        if not was:
+            gc.disable()
