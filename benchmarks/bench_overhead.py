@@ -13,6 +13,7 @@ import time
 from _harness import emit, format_table, once
 from repro.folding import FoldingSink
 from repro.isa import run_program
+from repro.obs import Tracer
 from repro.pipeline import profile_control, profile_ddg
 from repro.workloads import rodinia_workloads
 
@@ -27,8 +28,9 @@ def run_overhead():
         run_program(spec.program, args=args, memory=mem)
         native = time.perf_counter() - t0
 
-        control = profile_control(spec)
-        stage1 = control.wall_seconds
+        tracer = Tracer()
+        control = profile_control(spec, tracer=tracer)
+        stage1 = tracer.roots[0].find("stage1.execute").duration
 
         sink = FoldingSink()
         t0 = time.perf_counter()

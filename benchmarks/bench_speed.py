@@ -27,6 +27,7 @@ import time
 from _harness import emit, format_table, once, results_path
 from repro.folding import FastFoldingSink, FoldingSink
 from repro.isa import run_program
+from repro.obs import Tracer
 from repro.pipeline import profile_control, profile_ddg
 from repro.workloads import rodinia_workloads
 
@@ -47,8 +48,9 @@ def _time_engine_once(spec, engine, sink_cls):
     run_program(spec.program, args=args, memory=mem, engine=engine)
     native = time.perf_counter() - t0
 
-    control = profile_control(spec, engine=engine)
-    stage1 = control.wall_seconds
+    tracer = Tracer()
+    control = profile_control(spec, engine=engine, tracer=tracer)
+    stage1 = tracer.roots[0].find("stage1.execute").duration
 
     sink = sink_cls()
     t0 = time.perf_counter()

@@ -570,7 +570,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument(
         "--mem",
         action="store_true",
-        help="also sample tracemalloc at span boundaries (slower)",
+        help="also sample memory at span boundaries: process RSS, or "
+        "tracemalloc's traced bytes when tracemalloc is already running",
     )
     p.add_argument(
         "--format",

@@ -5,8 +5,8 @@ full, so two folds compare byte for byte through
 :func:`encode_folded_ddg`, and the sweep merge
 (:mod:`repro.sweep.merge`) aligns folds of different runs by these
 payloads.  Nothing decodes them: the store persists a folded DDG in
-the compact per-function regions of :mod:`repro.incr.regions` (shared
-value tables, positional rows), which :mod:`repro.incr.stitch` decodes.
+the compact per-function regions of :mod:`repro.store.stage2` (shared
+value tables, positional rows).
 """
 
 from __future__ import annotations

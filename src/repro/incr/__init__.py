@@ -1,11 +1,10 @@
-"""Baseline diffing, the stage-2 region codec, and program edits.
+"""Baseline diffing and program edits.
 
 The store (:mod:`repro.store`) keys its ``cp-``/``ddg-`` artifacts on
 the canonical program digest, so a *twin* -- a program that differs
 from an analyzed one only in its uid numbering or function order --
-is an ordinary warm hit: the uid-free stage-2 payload is decoded
-(:mod:`.stitch`) from its per-function regions (:mod:`.regions`)
-against the submitted program.
+is an ordinary warm hit: the uid-free stage-2 payload
+(:mod:`repro.store.stage2`) is decoded against the submitted program.
 
 ``analyze(baseline=...)`` adds a static account of the change, with
 two passes:
@@ -34,23 +33,17 @@ from .edit import (
 )
 from .manifest import MANIFEST_FORMAT_VERSION, build_manifest
 from .plan import IncrementalInfo, plan_incremental
-from .regions import REGION_FORMAT_VERSION, encode_regions
-from .stitch import IncrementalMismatch, stitch_folded
 
 __all__ = [
     "FunctionStatus",
     "IncrementalInfo",
-    "IncrementalMismatch",
     "MANIFEST_FORMAT_VERSION",
-    "REGION_FORMAT_VERSION",
     "append_sink_instr",
     "build_manifest",
     "diff_document",
     "diff_manifests",
     "edited_spec",
-    "encode_regions",
     "plan_incremental",
     "renumber_uids",
     "renumbered_spec",
-    "stitch_folded",
 ]

@@ -35,7 +35,7 @@ from .cfg import (
 )
 from .ddg import DDGBuilder, DDGSink, RecordingSink
 from .isa import Memory, Program, RunStats, run_program
-from .obs import Span, Tracer
+from .obs import NULL_TRACER, Span, Tracer
 
 
 @dataclass
@@ -73,7 +73,6 @@ class ControlProfile:
     forests: Dict[str, LoopForest]
     rcs: RecursiveComponentSet
     stats: RunStats
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -83,7 +82,6 @@ class DDGProfile:
     builder: DDGBuilder
     sink: DDGSink
     stats: RunStats
-    wall_seconds: float = 0.0
 
 
 def profile_control(
@@ -95,12 +93,10 @@ def profile_control(
 ) -> ControlProfile:
     """Stage 1: reconstruct the interprocedural control structure.
 
-    ``wall_seconds`` is the duration of the ``stage1.execute`` span --
-    the instrumented execution alone, exactly what a cached artifact
-    preserves from the run that produced it.  Standalone callers that
-    pass no tracer get a private one just for that measurement.
+    The instrumented execution alone is the ``stage1.execute`` span of
+    ``tracer`` (none is recorded without one).
     """
-    tracer = tracer if tracer is not None else Tracer()
+    tracer = tracer if tracer is not None else NULL_TRACER
     args, memory = spec.make_state()
     csb = ControlStructureBuilder()
     with tracer.span("stage1.execute", cat="exec", engine=engine) as sp:
@@ -128,7 +124,6 @@ def profile_control(
         forests=forests,
         rcs=rcs,
         stats=stats,
-        wall_seconds=sp.duration,
     )
 
 
@@ -145,11 +140,11 @@ def profile_ddg(
 ) -> DDGProfile:
     """Stage 2: build the DDG point streams (fresh execution).
 
-    ``wall_seconds`` is the ``stage2.execute`` span's duration (the
-    instrumented execution with the DDG builder riding along).  The
-    fast engine's builder keeps the dynamic IIV with a jump table; the
-    reference engine's runs Algorithms 1-3 on every control event."""
-    tracer = tracer if tracer is not None else Tracer()
+    The instrumented execution with the DDG builder riding along is
+    the ``stage2.execute`` span of ``tracer``.  The fast engine's
+    builder keeps the dynamic IIV with a jump table; the reference
+    engine's runs Algorithms 1-3 on every control event."""
+    tracer = tracer if tracer is not None else NULL_TRACER
     args, memory = spec.make_state()
     if sink is None:
         sink = RecordingSink()
@@ -174,21 +169,14 @@ def profile_ddg(
         )
     sp.count("dyn_instrs", stats.dyn_instrs)
     sp.count("mem_ops", stats.mem_ops)
-    return DDGProfile(
-        builder=builder, sink=sink, stats=stats, wall_seconds=sp.duration
-    )
+    return DDGProfile(builder=builder, sink=sink, stats=stats)
 
 
 @dataclass
 class StageTimings:
-    """Fresh wall-clock cost of one :func:`analyze` call, per stage.
-
-    Unlike the ``wall_seconds`` recorded inside
-    :class:`ControlProfile`/:class:`DDGProfile` -- which a cached
-    artifact preserves verbatim from the run that *produced* it --
-    these measure what **this** call actually spent, cache lookups
-    included.  On a warm hit ``instr1``/``instr2_fold`` collapse to
-    the artifact-decode time.
+    """Fresh wall-clock cost of one :func:`analyze` call, per stage,
+    cache lookups included.  On a warm hit ``instr1``/``instr2_fold``
+    collapse to the artifact-decode time.
     """
 
     instr1: float = 0.0         # Instrumentation I (or stage-1 load)

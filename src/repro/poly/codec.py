@@ -2,12 +2,12 @@
 
 The artifact store serializes folded DDGs, whose leaves are all built
 from the types here: constraint rows (tuples of ints), polyhedra,
-named integer sets, affine expressions/functions, affine maps, and
-exact rationals.  Every encoder emits plain lists/dicts of ints and
-strings; decoders rebuild through the ``from_normalized`` trusted
-constructors -- the encoders emit the (idempotently) normalized
-internal form, so re-normalizing on decode would only repeat gcd work
-that dominates warm-path cost.  ``encode(decode(encode(x))) ==
+named integer sets, affine expressions/functions and affine maps.
+Every encoder emits plain lists/dicts of ints and strings; decoders
+rebuild through the ``from_normalized`` trusted constructors -- the
+encoders emit the (idempotently) normalized internal form, so
+re-normalizing on decode would only repeat gcd work that dominates
+warm-path cost.  ``encode(decode(encode(x))) ==
 encode(x)`` and decoded values compare equal to the originals.
 Trusting content (not structure: row lengths are still checked) is
 sound because the store reads through gzip, whose CRC32 already turns
@@ -16,8 +16,7 @@ any on-disk corruption into a cache miss.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .affine import AffineExpr, AffineFunction
 from .pmap import IMap
@@ -90,15 +89,3 @@ def decode_imap(data: dict) -> IMap:
             for dom, fn in data["pieces"]
         ],
     )
-
-
-def encode_fraction(f: Optional[Fraction]) -> Optional[List[int]]:
-    if f is None:
-        return None
-    return [f.numerator, f.denominator]
-
-
-def decode_fraction(data: Optional[Sequence]) -> Optional[Fraction]:
-    if data is None:
-        return None
-    return Fraction(int(data[0]), int(data[1]))

@@ -355,12 +355,7 @@ class AnalysisService:
         this daemon's handle so /metrics and /healthz keep describing
         the cache work done on this daemon's behalf."""
         if self.store is not None:
-            with self.store._lock:
-                self.store.stats.merge(delta)
-                # the worker already flushed this delta to stats.json
-                # itself; marking it flushed here keeps the daemon's
-                # own drain-time flush from double-counting it
-                self.store._flushed.merge(delta)
+            self.store.merge_stats(delta)
 
     @property
     def draining(self) -> bool:
@@ -406,11 +401,6 @@ class AnalysisService:
                 worker.kill()
             else:
                 worker.stop()
-        if self.store is not None:
-            try:
-                self.store.flush_stats()
-            except OSError:  # pragma: no cover - unwritable cache dir
-                pass
         if self._server is not None:
             self._server.shutdown()
             if self._server_thread is not None:
@@ -719,10 +709,6 @@ class AnalysisService:
                 }
                 for w in self._process_workers
             ]
-        if self.store is not None:
-            persisted = self.store.persistent_stats()
-            if persisted is not None:
-                doc["store_persisted"] = persisted
         return doc
 
     # -- traces ----------------------------------------------------------------

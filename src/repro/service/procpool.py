@@ -193,10 +193,6 @@ def _worker_main(ctl, evt, cache_dir, cache_max_bytes) -> None:
                 stats_delta = {
                     k: after[k] - before[k] for k in after
                 }
-                try:
-                    store.flush_stats()
-                except OSError:  # pragma: no cover - unwritable root
-                    pass
             with cancels_lock:
                 cancels.pop(job_id, None)
             evt.send(

@@ -33,13 +33,12 @@ stays outside the lock.
 One store *directory* may additionally be shared by many **processes**
 (the daemon's process-pool workers, suite runners): atomic
 ``os.replace`` puts were always cross-process-safe, but LRU eviction
-and the persisted ``stats.json`` are read-modify-write cycles, so both
-run under an advisory ``flock`` on ``<root>/.lock`` -- two procpool
-workers finishing puts at the same moment walk the LRU tail one at a
-time (never double-evicting below the cap), and concurrent
-:meth:`flush_stats` merges never lose counts or tear the JSON.  On
-platforms without ``fcntl`` the lock degrades to the in-process lock
-(single-process semantics, exactly what such a host can run).
+is a read-modify-write cycle, so it runs under an advisory ``flock``
+on ``<root>/.lock`` -- two procpool workers finishing puts at the same
+moment walk the LRU tail one at a time (never double-evicting below
+the cap).  On platforms without ``fcntl`` the lock degrades to the
+in-process lock (single-process semantics, exactly what such a host
+can run).  Counters are per handle and in memory only.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 try:
@@ -81,7 +80,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: baseline's artifacts
 #: v9: stage-2 regions table their affine expressions (region format
 #: 3) and dependence vectors index one table of rational bounds
-STORE_FORMAT_VERSION = 9
+#: v10: regions drop their ``format``/``func`` fields (this version is
+#: the payload's only version), and ``cp-``/``ddg-`` payloads drop the
+#: execute span's duration, which nothing read
+STORE_FORMAT_VERSION = 10
 
 #: name prefix of a put's temp file, renamed into place when complete
 _TEMP_PREFIX = ".tmp-"
@@ -135,7 +137,6 @@ class StoreStats:
     puts: int = 0
     evictions: int = 0
     errors: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -158,8 +159,8 @@ class _InterProcessLock:
     """Advisory cross-process lock on one file (``flock``-based).
 
     Reentrant within a process via the paired thread lock: the owning
-    thread may nest acquisitions (evict-inside-flush), other threads
-    and other processes queue.  The fd is opened per outermost
+    thread may nest acquisitions, other threads and other processes
+    queue.  The fd is opened per outermost
     acquisition so forked children never share lock state with their
     parent."""
 
@@ -206,19 +207,15 @@ class ArtifactStore:
     ) -> None:
         self.root = root
         self.objects_dir = os.path.join(root, "objects")
-        self.stats_path = os.path.join(root, "stats.json")
         self.max_bytes = max_bytes
         self.stats = StoreStats()
         #: serializes stats updates and LRU touch/evict across threads
         #: sharing this handle; never held during artifact encode/decode
         self._lock = threading.RLock()
         os.makedirs(self.objects_dir, exist_ok=True)
-        #: serializes eviction and stats.json persistence across
-        #: *processes* sharing this directory (process-pool workers,
-        #: suite runners)
+        #: serializes eviction across *processes* sharing this
+        #: directory (process-pool workers, suite runners)
         self._ipc_lock = _InterProcessLock(os.path.join(root, ".lock"))
-        #: counters already merged into stats.json by flush_stats()
-        self._flushed = StoreStats()
 
     # -- paths -------------------------------------------------------------------
 
@@ -371,59 +368,11 @@ class ArtifactStore:
             self.stats.evictions += evicted
             return evicted
 
-    # -- persisted stats ----------------------------------------------------------
-
-    def flush_stats(self) -> Dict[str, int]:
-        """Merge this handle's *unflushed* counter deltas into the
-        shared ``stats.json`` and return the merged totals.
-
-        Safe to call from any number of handles in any number of
-        processes: the read-modify-write cycle runs under the
-        cross-process lock and lands via atomic replace, so counts are
-        never lost and readers never observe a torn document.  Called
-        by the service on drain and by process-pool workers after each
-        job; cheap enough to call often (one tiny JSON file).
-        """
+    def merge_stats(self, delta: Dict[str, int]) -> None:
+        """Add another handle's counter delta (a process-pool worker's,
+        per job) to this handle's counters."""
         with self._lock:
-            current = self.stats.as_dict()
-            delta = {
-                k: current[k] - getattr(self._flushed, k)
-                for k in current
-            }
-            for k, v in delta.items():
-                setattr(self._flushed, k, getattr(self._flushed, k) + v)
-        with self._ipc_lock:
-            totals = StoreStats()
-            totals.merge(self._read_persisted())
-            totals.merge(delta)
-            doc = totals.as_dict()
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-stats-", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(doc, fh, sort_keys=True)
-                os.replace(tmp, self.stats_path)
-            except Exception:
-                self._unlink(tmp)
-                raise
-            return doc
-
-    def persistent_stats(self) -> Optional[Dict[str, int]]:
-        """The cumulative cross-process counters from ``stats.json``,
-        or None when no handle has flushed yet."""
-        doc = self._read_persisted()
-        return doc or None
-
-    def _read_persisted(self) -> Dict[str, int]:
-        try:
-            with open(self.stats_path, "r") as fh:
-                doc = json.load(fh)
-            return {k: int(v) for k, v in doc.items()}
-        except (OSError, ValueError, TypeError):
-            # missing or corrupt: start over from zero rather than
-            # failing a put/drain path over a counters file
-            return {}
+            self.stats.merge(delta)
 
     def clear(self) -> None:
         for path, _, _ in self.entries():

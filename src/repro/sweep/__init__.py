@@ -4,7 +4,7 @@ A single-run dynamic DDG is only valid for the input that produced it
 -- the paper's central caveat.  This package runs one workload over a
 declared input grid, merges the per-run folded polyhedral DDGs by the
 position-independent ``(func, ordinal, context)`` identity
-:mod:`repro.incr.regions` established, classifies every merged
+:mod:`repro.store.stage2` established, classifies every merged
 dependence (``input-invariant`` / ``shape-scaling`` /
 ``input-dependent``), and attaches a *confidence* to each parallelism
 verdict (``all-runs`` / ``parameterized`` / ``single-run``) -- refusing
@@ -16,7 +16,7 @@ Layering::
     merge     per-run RunProfile extraction + identity-aligned merge
     classify  invariant / shape-scaling / input-dependent tagging
     verdict   sweep-aware parallelism confidence per nest
-    codec     the versioned ``swp-`` merged-model store artifact
+    codec     the versioned merged-model document and its ``swp-`` key
     driver    run_sweep(): pool warm-up, per-point analyze, merge
     feedback  text + JSON sweep documents (CLI == service bytes)
 """

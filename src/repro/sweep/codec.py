@@ -1,11 +1,13 @@
-"""The versioned ``swp-`` merged-model store artifact.
+"""The versioned merged-model document and its ``swp-`` key.
 
-Key derivation: a sweep is content-addressed by the **sorted set** of
-its runs' stage-2 keys.  Each stage-2 key already binds the program,
-the input state, and every pipeline option that moves artifact bytes,
-so two sweeps over the same workload/points/options share one ``swp-``
-key regardless of submission order -- and any change to any run's
-identity moves the sweep key.
+The model is not stored (nothing would load it); the key names it in
+the sweep documents.  Key derivation: a sweep is content-addressed by
+the **sorted set** of its runs' stage-2 keys.  Each stage-2 key
+already binds the program, the input state, and every pipeline option
+that moves artifact bytes, so two sweeps over the same
+workload/points/options share one ``swp-`` key regardless of
+submission order -- and any change to any run's identity moves the
+sweep key.
 
 Payload: the merged model is a pure function of the folded DDGs, so
 it serializes identically whenever they do (warm or cold, in any
@@ -50,7 +52,7 @@ def _entity_fields(entity: MergedEntity) -> dict:
 
 
 def encode_sweep(model: MergedModel) -> dict:
-    """The ``swp-`` artifact payload (canonically ordered:
+    """The merged-model document (canonically ordered:
     ident-sorted entities, path-sorted verdicts)."""
     statements = []
     for ident in sorted(model.statements):

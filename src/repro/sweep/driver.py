@@ -11,8 +11,7 @@ Two phases, both store-centric:
 2. **Collect**: each point is analyzed inline (in canonical point
    order) -- a warm store makes these artifact decodes -- and reduced
    to a :class:`~repro.sweep.merge.RunProfile`; the profiles merge
-   into the parameterized model, which is stored under its ``swp-``
-   key.
+   into the parameterized model, named by its ``swp-`` key.
 
 Repeated shapes are warm across sweeps too: a later sweep sharing
 points with an earlier one (or with plain ``repro report`` runs) hits
@@ -68,15 +67,12 @@ class SweepResult:
     workload: str
     points: List[Point]
     model: MergedModel
-    #: the versioned ``swp-`` artifact payload (the bytes-source)
+    #: the versioned merged-model document (the bytes-source)
     payload: dict
-    #: the ``swp-`` store key of the merged model
+    #: the ``swp-`` key naming the merged model
     key: str
     runs: List[PointRun] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: True when this run freshly wrote the merged model to the store
-    #: (False = no store, or the ``swp-`` artifact was already there)
-    stored: bool = False
 
 
 def _null_tracer():
@@ -209,20 +205,12 @@ def run_sweep(
     ):
         model = merge_profiles(workload, profiles)
         payload = encode_sweep(model)
-    key = sweep_key(model.stage2_keys)
-    stored = False
-    if store is not None:
-        with tracer.span("sweep.store", cat="sweep", key=key):
-            if not store.contains(key):
-                store.put(key, payload)
-                stored = True
     return SweepResult(
         workload=workload,
         points=grid,
         model=model,
         payload=payload,
-        key=key,
+        key=sweep_key(model.stage2_keys),
         runs=runs,
         wall_seconds=time.perf_counter() - t0,
-        stored=stored,
     )

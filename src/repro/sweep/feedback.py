@@ -57,8 +57,7 @@ def render_sweep_text(result: SweepResult, top: int = 10) -> str:
         f"=== poly-prof sweep: {result.workload} ===",
         "",
         f"{len(result.points)} point(s) over axes {axes}",
-        f"merged model {result.key}"
-        + ("  [stored]" if result.stored else ""),
+        f"merged model {result.key}",
         "",
         "points:",
     ]

@@ -2,7 +2,7 @@
 
 A sweep **point** is a full set of ``param=value`` bindings for one
 registry workload.  Everything downstream -- the merge, the ``swp-``
-store key, the feedback documents -- consumes points in *canonical*
+model key, the feedback documents -- consumes points in *canonical*
 form: bindings as sorted ``(name, value)`` tuples, the point list
 deduplicated and sorted.  That makes the merged model a pure function
 of the point *set*: submitting the same grid in shuffled order (CLI or

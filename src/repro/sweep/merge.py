@@ -3,7 +3,7 @@
 One :class:`RunProfile` is the sweep-relevant extract of a finished
 :class:`~repro.pipeline.AnalysisResult`: every folded statement and
 dependence re-keyed by the **position-independent identity**
-``(func, ordinal, context)`` that :mod:`repro.incr.regions`
+``(func, ordinal, context)`` that :mod:`repro.store.stage2`
 established (instruction uids are frontend numbering accidents; the
 per-function canonical ordinal plus the interned loop context is
 stable across runs and input shapes), the nest forest's per-loop
@@ -15,7 +15,7 @@ domains unioned across runs, and sweep-aware verdicts attached
 (:mod:`.verdict`).  The merge is a pure function of the profile *set*
 -- profiles arrive in canonical point order, idents are sorted, and
 every payload comparison is on canonical JSON -- which is what makes
-the ``swp-`` artifact byte-identical across submission orders.
+the ``swp-`` model document byte-identical across submission orders.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..folding.codec import _encode_dep, _encode_statement
-from ..incr.regions import uid_to_ordinal
 from ..poly.codec import decode_iset, encode_iset
+from ..store.stage2 import uid_to_ordinal
 from .classify import classify_payloads
 from .grid import Point, axes_of
 

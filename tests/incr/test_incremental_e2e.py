@@ -20,12 +20,11 @@ from repro.feedback.jsonout import (
     report_document,
 )
 from repro.incr import edited_spec, renumbered_spec
-from repro.incr.regions import DEP_FIELDS, STMT_FIELDS
 from repro.isa import fingerprint_program
 from repro.obs import Tracer
 from repro.pipeline import analyze
-from repro.schedule.codec import VECTOR_FIELDS
 from repro.store import ArtifactStore, keys_for_spec
+from repro.store.stage2 import DEP_FIELDS, STMT_FIELDS, VECTOR_FIELDS
 from repro.workloads import all_workloads
 
 

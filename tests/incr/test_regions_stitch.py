@@ -1,20 +1,22 @@
 """Region carving and stitching: a lossless, guarded round trip.
 
 ``encode_regions`` must carve a folded DDG so that decoding every
-region back (verbatim context ids) reproduces it exactly; every inconsistency must raise :class:`IncrementalMismatch`
-rather than silently produce a wrong graph.
+region back (verbatim context ids) reproduces it exactly; every
+inconsistency must raise :class:`PayloadMismatch` rather than
+silently produce a wrong graph.
 """
 
 import pytest
 
-from repro.incr import IncrementalMismatch, encode_regions, stitch_folded
-from repro.incr.regions import (
+from repro.pipeline import analyze
+from repro.store.stage2 import (
     DEP_FIELDS,
-    REGION_FORMAT_VERSION,
     STMT_FIELDS,
+    PayloadMismatch,
+    encode_regions,
+    stitch_folded,
     uid_to_ordinal,
 )
-from repro.pipeline import analyze
 from repro.workloads import all_workloads
 
 
@@ -40,8 +42,11 @@ def test_encode_covers_every_function(kmeans_result):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     assert set(regions) == set(program.functions)
+    # the store version is the payload's only version, and the dict key
+    # names the function
     assert all(
-        p["format"] == REGION_FORMAT_VERSION for p in regions.values()
+        set(p) == {"sets", "maps", "exprs", "ctxs", "statements", "deps"}
+        for p in regions.values()
     )
     total_stmts = sum(len(p["statements"]) for p in regions.values())
     assert total_stmts == len(kmeans_result.folded.statements)
@@ -63,19 +68,11 @@ def test_stitch_all_regions_is_identity(kmeans_result):
     assert encode_regions(program, stitched) == regions
 
 
-def test_format_mismatch_raises(kmeans_result):
-    program = kmeans_result.spec.program
-    regions = encode_regions(program, kmeans_result.folded)
-    regions["main"]["format"] = REGION_FORMAT_VERSION + 1
-    with pytest.raises(IncrementalMismatch, match="format"):
-        stitch_folded(program, regions)
-
-
 def test_ordinal_out_of_range_raises(kmeans_result):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"]["statements"][0][STMT_FIELDS.index("ord")] = 10**6
-    with pytest.raises(IncrementalMismatch, match="ordinal"):
+    with pytest.raises(PayloadMismatch, match="ordinal"):
         stitch_folded(program, regions)
 
 
@@ -84,10 +81,10 @@ def test_row_of_wrong_length_raises(kmeans_result, rows):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"][rows][0].append(0)
-    with pytest.raises(IncrementalMismatch, match="malformed"):
+    with pytest.raises(PayloadMismatch, match="malformed"):
         stitch_folded(program, regions)
     regions["main"][rows][0][-2:] = []
-    with pytest.raises(IncrementalMismatch, match="malformed"):
+    with pytest.raises(PayloadMismatch, match="malformed"):
         stitch_folded(program, regions)
 
 
@@ -105,7 +102,7 @@ def test_table_index_out_of_range_raises(kmeans_result, rows, field, index):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     regions["main"][rows][0][field] = index
-    with pytest.raises(IncrementalMismatch, match="malformed"):
+    with pytest.raises(PayloadMismatch, match="malformed"):
         stitch_folded(program, regions)
 
 
@@ -125,7 +122,7 @@ def test_expr_index_out_of_range_raises(kmeans_result, where, index):
         field = DEP_FIELDS.index("partial_src")
         row = next(r for r in main["deps"] if r[field])
         row[field] = [index] * len(row[field])
-    with pytest.raises(IncrementalMismatch, match="malformed"):
+    with pytest.raises(PayloadMismatch, match="malformed"):
         stitch_folded(program, regions)
 
 
@@ -134,7 +131,7 @@ def test_missing_table_raises(kmeans_result, table):
     program = kmeans_result.spec.program
     regions = encode_regions(program, kmeans_result.folded)
     del regions["main"][table]
-    with pytest.raises(IncrementalMismatch, match="region 'main': malformed"):
+    with pytest.raises(PayloadMismatch, match="region 'main': malformed"):
         stitch_folded(program, regions)
 
 
@@ -149,7 +146,7 @@ def test_regions_must_be_the_programs_functions(kmeans_result, change):
         del regions["main"]
     else:
         regions["not_a_function"] = regions["main"]
-    with pytest.raises(IncrementalMismatch, match="program's functions"):
+    with pytest.raises(PayloadMismatch, match="program's functions"):
         stitch_folded(program, regions)
 
 
@@ -160,11 +157,11 @@ def test_overlap_with_fresh_raises(kmeans_result):
     regions = encode_regions(program, kmeans_result.folded)
     main = regions["main"]
     main["statements"].append(list(main["statements"][0]))
-    with pytest.raises(IncrementalMismatch, match="statement .* repeated"):
+    with pytest.raises(PayloadMismatch, match="statement .* repeated"):
         stitch_folded(program, regions)
     main["statements"].pop()
     main["deps"].append(list(main["deps"][0]))
-    with pytest.raises(IncrementalMismatch, match="dep .* repeated"):
+    with pytest.raises(PayloadMismatch, match="dep .* repeated"):
         stitch_folded(program, regions)
 
 
@@ -178,5 +175,5 @@ def test_dangling_cross_region_source_raises(kmeans_result):
         if func != "update_centers":
             region["statements"] = []
             region["deps"] = []
-    with pytest.raises(IncrementalMismatch, match="outside the decoded DDG"):
+    with pytest.raises(PayloadMismatch, match="outside the decoded DDG"):
         stitch_folded(program, regions)

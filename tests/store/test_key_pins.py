@@ -19,14 +19,29 @@ from repro.store import ArtifactStore, keys_for_spec
 from repro.store.store import STORE_FORMAT_VERSION
 from repro.workloads import all_workloads
 
-_CP = "cp-71c7cbef95415d577c4f6286ff377d1c4cf17e0220526e5517d5270a57a6e4b5"
-_MAN = "man-868a27687749c11971af4d0f8f23f4842a3c876cc003948b93b45d771208dd41"
+_CP = "cp-6bd8b64f1eead58fd3ba6a3445e9fe26c7ead65a8bcf2aa567bacfffc92c4874"
+_MAN = "man-41a0d38d25b243893d5beee4d5c1717fef7c20ab669b29033781546754427091"
 _DDG = {
-    None: "ddg-dac216114c76cc0e584c22106368dbed6c9d3c6f11e720941d1b5808017205dd",
-    10: "ddg-fad921644a7df35a3a03f233885d3a0cc21a55c53bac7300f3aa13fcd2e0917b",
+    None: "ddg-6e73d78c4d344ad584f564c87491db3250911ca979e49c6e28d6c04db59cbdfd",
+    10: "ddg-c77e2fa9e8cde15acbcf1dd72feaf198e1df4b47691ae2809cd55e6a1baddf82",
 }
 
-#: the format-8 pins: format 9 changed the stage-2 payload layout,
+#: the format-9 pins: format 10 dropped unread payload fields, not key
+#: material, so the format-9 salt must still yield them
+_V9 = {
+    None: (
+        "cp-71c7cbef95415d577c4f6286ff377d1c4cf17e0220526e5517d5270a57a6e4b5",
+        "ddg-dac216114c76cc0e584c22106368dbed6c9d3c6f11e720941d1b5808017205dd",
+        "man-868a27687749c11971af4d0f8f23f4842a3c876cc003948b93b45d771208dd41",
+    ),
+    10: (
+        "cp-71c7cbef95415d577c4f6286ff377d1c4cf17e0220526e5517d5270a57a6e4b5",
+        "ddg-fad921644a7df35a3a03f233885d3a0cc21a55c53bac7300f3aa13fcd2e0917b",
+        "man-868a27687749c11971af4d0f8f23f4842a3c876cc003948b93b45d771208dd41",
+    ),
+}
+
+#: the format-8 pins: formats 9 and 10 changed the payload layouts,
 #: not the key material, so the format-8 salt must still yield them
 _V8 = {
     None: (
@@ -41,7 +56,7 @@ _V8 = {
     ),
 }
 
-#: the format-6 pins: formats 7 to 9 changed no key material but the
+#: the format-6 pins: formats 7 to 10 changed no key material but the
 #: ``prog=`` field of the cp-/ddg- keys (format 8 hashes the canonical
 #: program digest there, where format 6 hashed the exact one)
 _V6 = {
@@ -57,8 +72,8 @@ _V6 = {
     ),
 }
 
-#: the format-7 manifest pin: formats 8 and 9 changed the cp-/ddg- key
-#: material (the canonical program digest) or the payload layout, not
+#: the format-7 manifest pin: formats 8 to 10 changed the cp-/ddg- key
+#: material (the canonical program digest) or the payload layouts, not
 #: the man- key's, so the format-7 salt must still yield it
 _V7_MAN = (
     "man-fe2e647d7809b18c40991443f97f46ad4dc6b2eed70459d07d240526c6dc9d41"
@@ -66,7 +81,7 @@ _V7_MAN = (
 
 
 def test_format_version_is_pinned():
-    assert STORE_FORMAT_VERSION == 9
+    assert STORE_FORMAT_VERSION == 10
 
 
 @pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])
@@ -80,9 +95,18 @@ def test_nn_store_keys_are_pinned(tmp_path, clamp):
 
 
 @pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])
+def test_format_9_salt_reproduces_the_format_9_pins(monkeypatch, clamp):
+    """With the format-9 salt the key derivation yields the format-9
+    pins: the salt is the only change to the keys in format 10."""
+    monkeypatch.setattr(keys_mod, "STORE_FORMAT_VERSION", 9)
+    keys = keys_for_spec(all_workloads()["nn"](), fuel=50_000_000, clamp=clamp)
+    assert (keys.stage1, keys.stage2, keys.manifest) == _V9[clamp]
+
+
+@pytest.mark.parametrize("clamp", [None, 10], ids=["default", "clamp10"])
 def test_format_8_salt_reproduces_the_format_8_pins(monkeypatch, clamp):
     """With the format-8 salt the key derivation yields the format-8
-    pins: format 9 changed only what the stage-2 payload holds."""
+    pins: formats 9 and 10 changed only what the payloads hold."""
     monkeypatch.setattr(keys_mod, "STORE_FORMAT_VERSION", 8)
     keys = keys_for_spec(all_workloads()["nn"](), fuel=50_000_000, clamp=clamp)
     assert (keys.stage1, keys.stage2, keys.manifest) == _V8[clamp]

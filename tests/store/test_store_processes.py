@@ -2,12 +2,9 @@
 
 PR 4's RLock made one :class:`ArtifactStore` handle thread-safe; these
 tests cover the multi-*process* story that process-pool workers and
-suite runners rely on: ``flock``-guarded LRU eviction and a
-persisted ``stats.json`` whose read-modify-write merges never lose
-counts.
+suite runners rely on: ``flock``-guarded LRU eviction.
 """
 
-import json
 import multiprocessing
 import os
 
@@ -23,7 +20,7 @@ class TestInterProcessLock:
     def test_reentrant_within_a_thread(self, tmp_path):
         lock = _InterProcessLock(str(tmp_path / ".lock"))
         with lock:
-            with lock:  # evict-inside-flush nesting
+            with lock:  # nested acquisition
                 pass
         with lock:
             pass
@@ -96,66 +93,3 @@ class TestConcurrentEviction:
             if final.get(key) is not None:
                 kept += 1
         assert kept >= 1
-
-
-def _stats_worker(root, conn):
-    store = ArtifactStore(root)
-    for i in range(25):
-        store.stats.puts += 1  # simulate put accounting
-        store.flush_stats()
-    conn.send(True)
-    conn.close()
-
-
-class TestPersistedStats:
-    def test_flush_merges_deltas_across_handles(self, tmp_path):
-        root = str(tmp_path / "store")
-        a = ArtifactStore(root)
-        b = ArtifactStore(root)
-        a.put("a".ljust(64, "0"), _payload(1))
-        b.get("b".ljust(64, "0"))  # miss
-        a.flush_stats()
-        totals = b.flush_stats()
-        assert totals["puts"] == 1
-        assert totals["misses"] == 1
-        assert a.persistent_stats() == totals
-
-    def test_flush_is_idempotent_per_delta(self, tmp_path):
-        """Re-flushing without new activity adds nothing: only the
-        unflushed delta moves to disk."""
-        store = ArtifactStore(str(tmp_path / "store"))
-        store.put("a".ljust(64, "0"), _payload(1))
-        first = store.flush_stats()
-        second = store.flush_stats()
-        assert first == second
-
-    def test_concurrent_flushes_lose_no_counts(self, tmp_path):
-        root = str(tmp_path / "store")
-        ArtifactStore(root)  # create the directory layout
-        ctx = multiprocessing.get_context()
-        procs, conns = [], []
-        for _ in range(3):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_stats_worker, args=(root, child))
-            proc.start()
-            procs.append(proc)
-            conns.append(parent)
-        for conn in conns:
-            assert conn.poll(60), "a worker died"
-            assert conn.recv() is True
-        for proc in procs:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
-        totals = ArtifactStore(root).persistent_stats()
-        assert totals["puts"] == 75  # 3 processes x 25, none lost
-
-    def test_corrupt_stats_file_degrades_to_zero(self, tmp_path):
-        root = str(tmp_path / "store")
-        store = ArtifactStore(root)
-        with open(store.stats_path, "w") as fh:
-            fh.write("{not json")
-        assert store.persistent_stats() is None
-        store.stats.hits += 2
-        totals = store.flush_stats()  # overwrites the corrupt file
-        assert totals["hits"] == 2
-        assert json.load(open(store.stats_path))["hits"] == 2
