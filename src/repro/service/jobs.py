@@ -144,11 +144,11 @@ class Job:
     report_json: Optional[bytes] = None
     metrics_json: Optional[bytes] = None
     flamegraph_svg: Optional[bytes] = None
-    trace_json: Optional[bytes] = None
     crosscheck_violations: Optional[int] = None
     #: exported span forest (Span.to_dict docs) of the execution,
-    #: attached on completion so the daemon's TraceCollector can serve
-    #: the stitched timeline; stays None for inline/deduped paths
+    #: attached on completion: the daemon renders the job's /trace
+    #: artifact from it on fetch, and its TraceCollector serves the
+    #: stitched timeline
     span_docs: Optional[list] = None
     #: pid of the process that executed the spans (a pool worker for
     #: process-mode jobs, the daemon itself for thread-mode)
@@ -156,6 +156,13 @@ class Job:
     #: the executing process's clock anchor (obs.collect.clock_anchor),
     #: pairing its perf_counter with the epoch for cross-process merge
     clock: Optional[dict] = None
+    #: called as ``on_transition(job, state)`` inside every successful
+    #: transition, after the timestamps and before the new state is
+    #: visible: the daemon counts the job there, so a client that sees
+    #: a state also sees it in /metrics
+    on_transition: Optional[Callable[["Job", str], None]] = field(
+        default=None, repr=False, compare=False
+    )
     #: cooperative cancellation flag, checked by the deadline observer
     cancel_event: threading.Event = field(default_factory=threading.Event)
     #: guards state transitions (workers vs. cancel vs. drain)
@@ -177,11 +184,13 @@ class Job:
         with self._lock:
             if self.state not in from_states:
                 return False
-            self.state = to
             if to == JobState.RUNNING:
                 self.started_at = time.time()
             elif to in JobState.TERMINAL:
                 self.finished_at = time.time()
+            if self.on_transition is not None:
+                self.on_transition(self, to)
+            self.state = to
             return True
 
     def heartbeat(self, **fields) -> None:

@@ -6,9 +6,11 @@ with it.  This module moves execution into worker *processes* while
 keeping the daemon's front half (queue, dedup, registry, drain)
 untouched: each daemon worker thread owns one :class:`ProcessWorker`
 and proxies claimed jobs to it, so a thread slot becomes a process
-slot that can be killed and respawned.  Its reason to exist is that
-isolation, not speed: on one core process mode ran at 0.34x thread
-mode's cold throughput (``benchmarks/results/BENCH_service.json``).
+slot that can be killed and respawned.  It also runs cold analyses
+on separate cores: on a 2-vCPU host, at 64 concurrent clients,
+process mode served 1.4-1.9x thread mode's cold throughput
+(``scale_speedup`` in ``benchmarks/results/BENCH_service.json``; on
+one core, with no second core to use, it measured 0.34x).
 
 Wire protocol (two ``multiprocessing`` pipes per worker)::
 

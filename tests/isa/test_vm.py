@@ -280,3 +280,77 @@ class TestValidation:
             f.ret("%y")
         with pytest.raises(VMError, match="undefined register"):
             run_program(pb.build())
+
+
+class TestControlHookDispatch:
+    """The fast engine delivers ``on_jump``/``on_call``/``on_return``
+    only to observers that override them."""
+
+    @staticmethod
+    def _calls_program():
+        pb = ProgramBuilder("t")
+        with pb.function("main", []) as f:
+            with f.loop(0, 5):
+                f.call("leaf", [])
+            f.halt()
+        with pb.function("leaf", []) as f:
+            f.ret()
+        return pb.build()
+
+    def test_block_only_observer_gets_no_control_events(self, monkeypatch):
+        seen = []
+        for hook in ("on_jump", "on_call", "on_return"):
+            monkeypatch.setattr(
+                Instrumentation, hook,
+                lambda self, e, hook=hook: seen.append((hook, type(self))),
+            )
+
+        class BlockOnly(Instrumentation):
+            blocks = 0
+
+            def on_block(self, instrs, frame_id, values, addrs):
+                self.blocks += 1
+
+        def hooks(engine):
+            seen.clear()
+            ob = BlockOnly()
+            run_program(self._calls_program(), observers=[ob], engine=engine)
+            return ob, [h for h, t in seen if t is BlockOnly]
+
+        # the reference engine calls every hook on every observer
+        _, reference = hooks("reference")
+        assert {"on_jump", "on_call", "on_return"} <= set(reference)
+        # the fast engine only sends the synthetic entry into main,
+        # which VM.run delivers to every observer on both engines
+        ob, fast = hooks("fast")
+        assert ob.blocks > 0
+        assert fast == ["on_call", "on_jump"]
+
+    def test_overriding_observers_see_the_reference_stream(self):
+        def stream(engine):
+            events = []
+
+            class Rec(Instrumentation):
+                def on_jump(self, e):
+                    events.append(e)
+
+                def on_call(self, e):
+                    events.append(e)
+
+                def on_return(self, e):
+                    events.append(e)
+
+            class BlockOnly(Instrumentation):
+                def on_block(self, instrs, frame_id, values, addrs):
+                    pass
+
+            run_program(
+                self._calls_program(),
+                observers=[BlockOnly(), Rec(), BlockOnly()],
+                engine=engine,
+            )
+            return events
+
+        fast = stream("fast")
+        assert fast == stream("reference")
+        assert sum(type(e).__name__ == "ReturnEvent" for e in fast) == 5

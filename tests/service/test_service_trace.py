@@ -1,14 +1,22 @@
 """Service observability: the trace artifact, span-derived metrics,
 and progress heartbeats -- over a live loopback socket."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.obs import validate_chrome_trace
-from repro.service import ServiceError, parse_samples
+from repro.obs import chrome_trace_document, validate_chrome_trace
+from repro.service import Job, ServiceError, parse_samples, run_analysis
+from repro.service.jobs import JobOptions
+from repro.workloads import all_workloads
 
 from .conftest import counting_loop_docs
+
+
+def _rendered(doc):
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 class TestTraceEndpoint:
@@ -25,6 +33,60 @@ class TestTraceEndpoint:
             if e["ph"] == "X"
         }
         assert {"analyze", "instr1", "instr2_fold", "feedback"} <= names
+
+    @pytest.mark.parametrize(
+        "execution,workload,name",
+        [
+            ("thread", "nn", "nn"),
+            # the trace names the program, as the analysis did
+            ("thread", "pb_atax", "atax"),
+            ("process", "nn", "nn"),
+        ],
+    )
+    def test_trace_is_rendered_from_the_job_spans(
+        self, make_service, execution, workload, name
+    ):
+        live = make_service(execution=execution)
+        sub = live.client.submit(workload=workload)
+        live.client.wait(sub["job"])
+        raw = live.client.trace(sub["job"])
+        job = live.service.registry.get(sub["job"])
+        if execution == "thread":
+            assert job.exec_pid == os.getpid()
+        else:
+            workers = live.client.health()["process_workers"]
+            assert job.exec_pid == workers[0]["pid"] != os.getpid()
+        expected = chrome_trace_document(
+            job.span_docs, workload=name, pid=job.exec_pid
+        )
+        assert raw == _rendered(expected)
+        assert validate_chrome_trace(json.loads(raw)) > 0
+
+    def test_sweep_parent_trace_is_rendered_from_its_spans(
+        self, make_service, tmp_path
+    ):
+        live = make_service(workers=2, cache_dir=str(tmp_path / "c"))
+        sub = live.client.submit(workload="nw", sweep=[{"n": 8}, {"n": 10}])
+        live.client.wait(sub["job"], timeout=120)
+        raw = live.client.trace(sub["job"])
+        job = live.service.registry.get(sub["job"])
+        assert job.exec_pid == os.getpid()
+        expected = chrome_trace_document(
+            job.span_docs, workload="nw", pid=job.exec_pid
+        )
+        assert raw == _rendered(expected)
+        doc = json.loads(raw)
+        assert validate_chrome_trace(doc) > 0
+        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert "sweep.merge" in names
+
+    def test_no_trace_bytes_in_outcome_or_job(self):
+        spec = all_workloads()["nn"]()
+        outcome = run_analysis(spec, JobOptions())
+        assert outcome["state"] == "done"
+        assert "trace_json" not in outcome
+        assert outcome["spans"] and outcome["pid"] == os.getpid()
+        assert "trace_json" not in {f.name for f in dataclasses.fields(Job)}
 
     def test_trace_before_done_conflicts(self, make_service):
         live = make_service()

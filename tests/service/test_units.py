@@ -71,6 +71,23 @@ class TestJobTransitions:
         assert job.finished_at is not None
         assert job.terminal
 
+    def test_transition_hook_runs_before_the_state_is_visible(self):
+        seen = []
+        job = _job()
+        job.on_transition = lambda j, state: seen.append(
+            (state, j.state, j.started_at is not None,
+             j.finished_at is not None)
+        )
+        job.transition((JobState.QUEUED,), JobState.RUNNING)
+        assert not job.transition((JobState.QUEUED,), JobState.CANCELLED)
+        job.transition((JobState.RUNNING,), JobState.DONE)
+        # the daemon counts a job in the hook, so a poller that sees
+        # the new state also sees the count
+        assert seen == [
+            ("running", "queued", True, False),
+            ("done", "running", True, True),
+        ]
+
     def test_status_doc_shape(self):
         doc = _job().status_doc(1)
         assert doc["version"] == 1
